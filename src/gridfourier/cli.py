@@ -72,6 +72,8 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
             value = float(piece)
         except ValueError:
             raise _UsageError(f"{flag}: not a number: {piece!r}")
+        if not math.isfinite(value):
+            raise _UsageError(f"{flag}: non-finite value {piece!r}")
         if value <= 0:
             raise _UsageError(f"{flag}: invalid value {value} (must be > 0)")
         items.append(value)
@@ -87,9 +89,12 @@ def _parse_overrides(pairs) -> dict:
         if not sep:
             raise _UsageError(f"--tolerance: expected name=value, got {pair!r}")
         try:
-            overrides[name] = float(value)
+            tol = float(value)
         except ValueError:
             raise _UsageError(f"--tolerance: not a number: {value!r}")
+        if not math.isfinite(tol):
+            raise _UsageError(f"--tolerance: non-finite value for {name}: {value!r}")
+        overrides[name] = tol
     return overrides
 
 

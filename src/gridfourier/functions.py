@@ -355,6 +355,8 @@ def get_function(name: str) -> SmoothPeriodicFunction:
                 weight = float(match.group("coeff"))
             except ValueError as exc:
                 raise ValueError(f"bad combo weight in {term!r}") from exc
+            if not math.isfinite(weight):
+                raise ValueError(f"non-finite combo weight in {term!r} of {name!r}")
             sub = match.group("name")
             if sub.startswith("combo:"):
                 raise ValueError(f"nested combos are not supported: {name!r}")

@@ -196,15 +196,17 @@ def _validate_config(cfg: SuiteConfig) -> None:
     if not cfg.epsilons:
         raise ValueError("epsilons must be nonempty")
     for eps in cfg.epsilons:
-        if eps <= 0:
-            raise ValueError(f"invalid epsilon: {eps} (must be > 0)")
+        if not math.isfinite(eps) or eps <= 0:
+            raise ValueError(f"invalid epsilon: {eps} (must be finite and > 0)")
     if cfg.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
     for name, tol in cfg.tolerance_overrides.items():
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check in tolerance override: {name!r}")
-        if tol <= 0:
-            raise ValueError(f"invalid tolerance override for {name}: {tol} (must be > 0)")
+        if not math.isfinite(tol) or tol <= 0:
+            raise ValueError(
+                f"invalid tolerance override for {name}: {tol} (must be finite and > 0)"
+            )
 
 
 def _run_jobs(jobs, workers):
@@ -213,6 +215,15 @@ def _run_jobs(jobs, workers):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda fn: fn(), thunks))
     return [fn() for fn in thunks]
+
+
+def _ranks_worse(residual: float, current: float) -> bool:
+    """Strict improvement on the current worst, with NaN ranked worst of all.
+
+    A NaN residual must never be dropped and reported as a pass; among
+    equal residuals (or NaNs) the earliest candidate stays.
+    """
+    return residual > current or (math.isnan(residual) and not math.isnan(current))
 
 
 def _worst_grid_point(values: np.ndarray, n: int) -> float:
@@ -350,7 +361,7 @@ def run_lemma_suite(cfg: SuiteConfig, workers: Optional[int] = None) -> list[Lem
             msq = 4.0 * modes[nz].astype(float) ** 2
             lower[nz] = (msq - abs_psi[nz] ** 2) / msq
             val, mode = _worst_mode(lower, n)
-            if val > worst_lower[0]:
+            if _ranks_worse(val, worst_lower[0]):
                 worst_lower = (val, WorstLocation(None, n, mode))
 
             mag = np.maximum.reduce(
@@ -362,7 +373,7 @@ def run_lemma_suite(cfg: SuiteConfig, workers: Optional[int] = None) -> list[Lem
                 ]
             ) / n
             val, mode = _worst_mode(mag, n, include_zero=True)
-            if val > worst_mag[0]:
+            if _ranks_worse(val, worst_mag[0]):
                 worst_mag = (val, WorstLocation(None, n, mode))
         out.append(("psi_lower", worst_lower[0], worst_lower[1]))
         out.append(("phi_psi_mag", worst_mag[0], worst_mag[1]))
@@ -425,7 +436,7 @@ def run_lemma_suite(cfg: SuiteConfig, workers: Optional[int] = None) -> list[Lem
                 for m in canonical_mode_order(n, include_zero=True):
                     folded = alias_fold(fns[name], n, m, ALIAS_CUTOFF)
                     diff = abs(spec.coeff(m) - folded)
-                    if diff > worst[0]:
+                    if _ranks_worse(diff, worst[0]):
                         worst = (diff, m)
                 return [("alias_oracle", worst[0], WorstLocation(name, n, worst[1]))]
 
@@ -438,11 +449,11 @@ def run_lemma_suite(cfg: SuiteConfig, workers: Optional[int] = None) -> list[Lem
             for m in modes:
                 exact = coefficient(fns[name], m)
                 gaps = [abs(spectra[(name, n)].coeff(m) - exact) for n in ns]
-                if gaps[-1] > worst[0]:
+                if _ranks_worse(gaps[-1], worst[0]):
                     worst = (gaps[-1], WorstLocation(name, n_max, m))
                 for k in range(1, len(ns)):
                     inc = gaps[k] - gaps[k - 1]
-                    if inc > worst[0]:
+                    if _ranks_worse(inc, worst[0]):
                         worst = (inc, WorstLocation(name, ns[k], m))
             return [("coeff_convergence", worst[0], worst[1])]
 
@@ -472,7 +483,7 @@ def run_lemma_suite(cfg: SuiteConfig, workers: Optional[int] = None) -> list[Lem
     for candidates in results:
         for check, residual, loc in candidates:
             residual = float(residual)
-            if check not in worst or residual > worst[check][0]:
+            if check not in worst or _ranks_worse(residual, worst[check][0]):
                 worst[check] = (residual, loc)
 
     reports = []

@@ -65,6 +65,42 @@ def test_verify_rejects_bad_tolerance(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, bad",
+    [
+        ("--tolerance", "ftc=nan", "nan"),
+        ("--tolerance", "ftc=inf", "inf"),
+        ("--epsilons", "nan", "nan"),
+        ("--epsilons", "0.1,inf", "inf"),
+    ],
+)
+def test_verify_rejects_non_finite_numbers(capsys, flag, value, bad):
+    # nan used to be reported as a failed check and inf made a check vacuous
+    code, out, err = run_cli(SMALL_VERIFY + [flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err and bad in err
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--grid-sizes", "4", "--mode-limit", "3", "--functions"],
+        ["converge", "--N", "1,2", "--samples", "64", "--function"],
+        ["spectrum", "--n", "8", "--function"],
+    ],
+    ids=["verify", "converge", "spectrum"],
+)
+def test_non_finite_function_weight_is_usage_error(capsys, command, weight):
+    # converge and spectrum used to print nan rows with exit 0
+    name = f"combo:{weight}*cos:1"
+    code, out, err = run_cli(command + [name], capsys)
+    assert code == 2
+    assert out == ""
+    assert name in err
+
+
 def test_verify_forced_failure(capsys):
     code, out, _ = run_cli(SMALL_VERIFY + ["--tolerance", "dft_identity_2=1e-30"], capsys)
     assert code == 1

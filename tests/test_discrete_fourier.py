@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import brute_coefficients
+from _oracles import brute_coefficients, brute_invert
 from gridfourier import (
     GridFunction,
     Spectrum,
@@ -48,13 +48,55 @@ def test_zero_function():
     assert s.max_abs() == 0.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+# odd and prime n, and n whose 2n is not a power of two (Bluestein sizes)
+ORACLE_SIZES = [1, 2, 3, 5, 7, 8, 12, 31, 100]
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_matches_bruteforce_oracle(n):
     rng = np.random.default_rng(100 + n)
     gf = _random_gf(rng, n)
     got = discrete_coefficients(gf).coefficients
     want = brute_coefficients(gf.values, n)
     assert np.max(np.abs(got - np.asarray(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_invert_matches_bruteforce_oracle(n):
+    rng = np.random.default_rng(400 + n)
+    s = Spectrum(n, rng.uniform(-1, 1, 2 * n) + 1j * rng.uniform(-1, 1, 2 * n))
+    got = invert(s).values
+    want = np.asarray(brute_invert(s.coefficients, n))
+    # the oracle's own phase rounding grows with j*m/n, so scale by |values|
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+def _mp_character_sums(values, n, sign):
+    """sum_j values[j] exp(sign i pi j k / n), k = -n .. n-1, in 200-bit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        roots = [mpmath.expjpi(mpmath.mpf(sign * r) / n) for r in range(2 * n)]
+        xs = [mpmath.mpc(complex(v)) for v in values]
+        sums = []
+        for k in range(-n, n):
+            # j*k mod 2n is exact integer arithmetic: no phase rounding
+            terms = (x * roots[(j * k) % (2 * n)] for x, j in zip(xs, range(-n, n)))
+            sums.append(complex(mpmath.fsum(terms)))
+        return np.array(sums)
+
+
+@pytest.mark.parametrize("n", [64, 97])
+def test_transform_matches_mpmath_reference(n):
+    rng = np.random.default_rng(500 + n)
+    gf = _random_gf(rng, n)
+    want = _mp_character_sums(gf.values, n, -1) / n
+    got = discrete_coefficients(gf).coefficients
+    assert np.max(np.abs(got - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
+
+    s = Spectrum(n, gf.values)
+    want = _mp_character_sums(s.coefficients, n, +1) / 2
+    got = invert(s).values
+    assert np.max(np.abs(got - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
 
 
 def test_invert_single_mode_gives_constant():
@@ -157,23 +199,6 @@ def test_alias_fold_equals_grid_transform(n):
     s = discrete_coefficients(sample(poly, build_grid(n)))
     for m in range(-n, n):
         assert abs(s.coeff(m) - alias_fold(poly, n, m, 32)) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [2, 4, 16, 64])
-def test_fast_path_agrees_with_direct(n):
-    rng = np.random.default_rng(300 + n)
-    gf = _random_gf(rng, n)
-    direct = discrete_coefficients(gf).coefficients
-    fast = discrete_coefficients(gf, fast=True).coefficients
-    assert np.max(np.abs(direct - fast)) <= 1e-12
-
-
-def test_fast_path_falls_back_when_not_radix2():
-    rng = np.random.default_rng(7)
-    gf = _random_gf(rng, 3)  # 2n = 6 is not a power of two
-    direct = discrete_coefficients(gf).coefficients
-    fast = discrete_coefficients(gf, fast=True).coefficients
-    assert np.array_equal(direct, fast)
 
 
 def test_spectrum_validation():

@@ -187,3 +187,9 @@ def test_get_function_names():
 def test_get_function_rejects_bad_names(bad):
     with pytest.raises(ValueError):
         get_function(bad)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_get_function_rejects_non_finite_weight(weight):
+    with pytest.raises(ValueError, match=rf"non-finite combo weight in '{weight}\*cos:1'"):
+        get_function(f"combo:0.5*trig:0+{weight}*cos:1")

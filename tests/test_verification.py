@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,34 @@ def test_config_validation():
         run_lemma_suite(SuiteConfig(epsilons=(0.0,)))
     with pytest.raises(ValueError):
         run_lemma_suite(SuiteConfig(mode_limit=0))
+    for bad in (
+        {"tolerance_overrides": {"ftc": math.nan}},
+        {"tolerance_overrides": {"ftc": math.inf}},
+        {"epsilons": (math.nan,)},
+        {"epsilons": (0.1, math.inf)},
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            run_lemma_suite(SuiteConfig(**bad))
+
+
+def test_nan_residual_is_never_dropped(monkeypatch):
+    # a NaN arriving after a finite candidate must rank worst, not lose
+    # every comparison and leave the check reported as a pass
+    from gridfourier import verification
+
+    real_gap = verification.integral_gap
+
+    def gap(f, n):
+        return math.nan if f.name == "trig:1" else real_gap(f, n)
+
+    monkeypatch.setattr(verification, "integral_gap", gap)
+    cfg = SuiteConfig(function_names=("cos:1", "trig:1"), grid_sizes=(4,), mode_limit=3, seed=7)
+    reports = {r.check_name: r for r in run_lemma_suite(cfg)}
+    darboux = reports["integral_darboux"]
+    assert darboux.status == "fail"
+    assert math.isnan(darboux.worst_residual)
+    assert darboux.worst_location.function == "trig:1"
+    assert all(r.status == "pass" for name, r in reports.items() if name != "integral_darboux")
 
 
 def test_random_generator_reproducible():
