@@ -98,17 +98,18 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
-def _worker_count() -> int | None:
+def _validate_worker_env() -> None:
+    # the engine runs serially; the variable is still checked so that a
+    # bad value keeps failing as a usage error
     raw = os.environ.get(WORKER_ENV_VAR)
     if raw is None:
-        return os.cpu_count() or 1
+        return
     try:
-        workers = int(raw)
+        count = int(raw)
     except ValueError:
         raise _UsageError(f"{WORKER_ENV_VAR}: not an integer: {raw!r}")
-    if workers < 1:
-        raise _UsageError(f"{WORKER_ENV_VAR}: must be a positive integer, got {workers}")
-    return workers
+    if count < 1:
+        raise _UsageError(f"{WORKER_ENV_VAR}: must be a positive integer, got {count}")
 
 
 def _cmd_verify(args) -> int:
@@ -122,8 +123,9 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         tolerance_overrides=_parse_overrides(args.tolerance),
     )
+    _validate_worker_env()
     try:
-        reports = run_lemma_suite(cfg, workers=_worker_count())
+        reports = run_lemma_suite(cfg)
     except ValueError as exc:
         raise _UsageError(str(exc))
     payload = {
@@ -167,6 +169,8 @@ def _cmd_spectrum(args) -> int:
 
 def _demo_function(kind: str, a: float, b: float):
     w = 2.0 * math.pi / (b - a)
+    if not math.isfinite(w):
+        raise _UsageError(f"interval too short: 2*pi/(b - a) overflows for a={a}, b={b}")
     if kind == "cos-period":
         return (
             lambda x: math.cos(w * (x - a)),
@@ -186,8 +190,8 @@ def _demo_function(kind: str, a: float, b: float):
 
 
 def _cmd_rescale_demo(args) -> int:
-    if args.b <= args.a:
-        raise _UsageError(f"need b > a, got a={args.a}, b={args.b}")
+    if not (args.b > args.a and math.isfinite(args.b - args.a)):
+        raise _UsageError(f"need a < b with b - a finite, got a={args.a}, b={args.b}")
     if args.N < 0:
         raise _UsageError(f"--N: must be >= 0, got {args.N}")
     ev, d1, d2 = _demo_function(args.function, args.a, args.b)

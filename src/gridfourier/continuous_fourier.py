@@ -195,11 +195,13 @@ def rescale(
 ) -> RescaledFunction:
     """Pull a periodic function on [a, b] back to the circle model.
 
-    Requires b > a and f(a) = f(b) (within 1e-12).  Derivative evaluators,
-    when given, are rescaled by the chain-rule factors L/2 and (L/2)^2.
+    Requires a < b with a finite length L = b - a, and f(a) = f(b) (within
+    1e-12).  Derivative evaluators, when given, are rescaled by the
+    chain-rule factors L/2 and (L/2)^2.
     """
-    if b <= a:
-        raise ValueError(f"need b > a, got a={a}, b={b}")
+    # written so that a NaN end fails the test
+    if not (b > a and math.isfinite(b - a)):
+        raise ValueError(f"need a < b with b - a finite, got a={a}, b={b}")
     L = b - a
     fa = complex(f(a))
     fb = complex(f(b))

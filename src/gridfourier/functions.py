@@ -32,7 +32,6 @@ __all__ = [
     "exp_cos",
     "combine",
     "bound_constants",
-    "function_norms",
     "shift_to_zero_endpoints",
     "get_function",
     "DEFAULT_CATALOG",
@@ -100,8 +99,9 @@ class BoundConstants:
 
     def __post_init__(self):
         for field_name in ("B", "D", "M", "W", "H"):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be nonnegative")
+            value = getattr(self, field_name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{field_name} must be finite and nonnegative, got {value}")
 
 
 def trig_monomial(k: int) -> SmoothPeriodicFunction:
@@ -281,17 +281,6 @@ def _simpson_abs(values: np.ndarray) -> float:
     return float(np.sum(weights * np.abs(values)) * h / 3.0)
 
 
-def function_norms(f: SmoothPeriodicFunction) -> tuple[float, float, float]:
-    """(sup|f|, sup|f'|, L1 of f'') via the fixed dense-sampling scheme."""
-    if f.d1 is None or f.d2 is None:
-        raise ValueError(f"{f.name}: derivative evaluators required")
-    xs = _dense_points()
-    sup_f = float(np.max(np.abs(_eval_on(f.eval, xs))))
-    sup_d1 = float(np.max(np.abs(_eval_on(f.d1, xs))))
-    l1_d2 = _simpson_abs(_eval_on(f.d2, xs))
-    return sup_f, sup_d1, l1_d2
-
-
 def bound_constants(f: SmoothPeriodicFunction) -> BoundConstants:
     """Decay constants of f computed from h = f - f(1).
 
@@ -320,7 +309,10 @@ def bound_constants(f: SmoothPeriodicFunction) -> BoundConstants:
     D = float(np.max(np.abs(_eval_on(f.d1, xs))))
     M = _simpson_abs(_eval_on(f.d2, xs))
     W = M + 2.0 * B + 5.0 * D
-    return BoundConstants(B=B, D=D, M=M, W=W, H=W / 4.0)
+    try:
+        return BoundConstants(B=B, D=D, M=M, W=W, H=W / 4.0)
+    except ValueError as exc:
+        raise ValueError(f"{f.name}: {exc}") from None
 
 
 _COMBO_TERM = re.compile(r"^(?P<coeff>[^*]+)\*(?P<name>.+)$")

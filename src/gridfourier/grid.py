@@ -151,10 +151,17 @@ def sample(f, grid: Grid) -> GridFunction:
     """Evaluate f at the grid points (left cell endpoints).
 
     Accepts either a plain callable or any object with an ``eval``
-    attribute (e.g. a catalog function).  Evaluation failures propagate.
+    attribute (e.g. a catalog function).  Evaluation failures propagate,
+    and a non-finite value raises ValueError naming f and the point.
     """
     fn = getattr(f, "eval", f)
-    values = np.asarray([fn(float(x)) for x in grid.points()], dtype=np.complex128)
+    points = grid.points()
+    values = np.asarray([fn(float(x)) for x in points], dtype=np.complex128)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        name = getattr(f, "name", repr(f))
+        x = float(points[np.argmax(bad)])
+        raise ValueError(f"{name}: non-finite value at x={x!r} on the n={grid.n} grid")
     return GridFunction(grid, values)
 
 

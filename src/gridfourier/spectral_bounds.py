@@ -17,15 +17,13 @@ From these and |psi_n(m)|^2 >= 4 m^2 follow the uniform bounds
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrete_calculus import derivative
 from .discrete_fourier import Spectrum, discrete_coefficients
-from .functions import SmoothPeriodicFunction, function_norms
+from .functions import SmoothPeriodicFunction, bound_constants
 from .grid import GridFunction, build_grid, sample
 
 __all__ = [
@@ -85,47 +83,17 @@ class BoundaryTerms:
     F: complex
 
 
-def _exact_parity(m: int) -> float:
-    # exp(+-i pi m) for integer m, without trig rounding
-    return -1.0 if m % 2 else 1.0
-
-
-def boundary_terms(gf: GridFunction, m: int) -> BoundaryTerms:
-    """All six boundary terms of gf at mode m (requires -n <= m <= n-1)."""
-    n = gf.grid.n
-    if not -n <= m <= n - 1:
-        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
-    g_last = complex(gf.values[-1])
-    g_first = complex(gf.values[0])
-    gp = derivative(gf)
-    gp_first = complex(gp.values[0])
-
-    par = _exact_parity(m)
-    # exp(-i pi (n-1) m / n), phase reduced exactly modulo 2n
-    e_right = cmath.exp(1j * math.pi * ((-(n - 1) * m) % (2 * n)) / n)
-    e_step = cmath.exp(1j * math.pi * (m % (2 * n)) / n)
-
-    C = g_last * e_right - g_first * par
-    D = -(1.0 / n) * g_first * e_step * par
-    Cp = -gp_first * par
-    Dp = -(1.0 / n) * gp_first * e_step * par
-
-    phi = complex(adjoint_symbol(n, m))
-    psi = complex(forward_symbol(n, m))
-    E = phi * D - C
-    F = psi * phi * D - psi * C + phi * Dp - Cp
-    return BoundaryTerms(m=m, C=C, D=D, Cp=Cp, Dp=Dp, E=E, F=F)
-
-
-def _boundary_E_F_arrays(gf: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """E(m) and F(m) for every mode m = -n .. n-1 at once."""
+def _boundary_arrays(gf: GridFunction) -> tuple[np.ndarray, ...]:
+    """(C, D, Cp, Dp, E, F) for every mode m = -n .. n-1 at once."""
     n = gf.grid.n
     modes = np.arange(-n, n)
     g_last = complex(gf.values[-1])
     g_first = complex(gf.values[0])
     gp_first = complex(derivative(gf).values[0])
 
+    # exp(+-i pi m) for integer m, without trig rounding
     par = np.where(modes % 2 == 0, 1.0, -1.0)
+    # exp(-i pi (n-1) m / n) and exp(i pi m / n), phases reduced exactly modulo 2n
     e_right = np.exp(1j * np.pi * ((-(n - 1) * modes) % (2 * n)) / n)
     e_step = np.exp(1j * np.pi * (modes % (2 * n)) / n)
 
@@ -138,7 +106,20 @@ def _boundary_E_F_arrays(gf: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     psi = forward_symbol(n, modes)
     E = phi * D - C
     F = psi * phi * D - psi * C + phi * Dp - Cp
-    return E, F
+    return C, D, Cp, Dp, E, F
+
+
+def _check_mode(n: int, m: int) -> None:
+    if not -n <= m <= n - 1:
+        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
+
+
+def boundary_terms(gf: GridFunction, m: int) -> BoundaryTerms:
+    """All six boundary terms of gf at mode m (requires -n <= m <= n-1)."""
+    n = gf.grid.n
+    _check_mode(n, m)
+    C, D, Cp, Dp, E, F = (complex(a[m + n]) for a in _boundary_arrays(gf))
+    return BoundaryTerms(m=m, C=C, D=D, Cp=Cp, Dp=Dp, E=E, F=F)
 
 
 def dft_identity_residuals(gf: GridFunction, m: int) -> tuple[complex, complex]:
@@ -149,33 +130,29 @@ def dft_identity_residuals(gf: GridFunction, m: int) -> tuple[complex, complex]:
         r1 = ghat(m) - (ghat'(m) + E(m)) / psi(m)
         r2 = ghat(m) - (ghat''(m) + F(m)) / psi(m)^2
 
-    computed on the multiplied-through form and normalized afterwards, to
-    avoid cancellation in the reported values.  Rejects m = 0, where psi
+    read from ``dft_identity_residual_arrays``.  Rejects m = 0, where psi
     vanishes and the identities are undefined.
     """
     n = gf.grid.n
     if m == 0:
         raise ValueError("identities are undefined at m = 0 (symbol vanishes)")
-    if not -n <= m <= n - 1:
-        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
-    ghat = discrete_coefficients(gf).coeff(m)
-    ghat1 = discrete_coefficients(derivative(gf)).coeff(m)
-    ghat2 = discrete_coefficients(derivative(derivative(gf))).coeff(m)
-    bt = boundary_terms(gf, m)
-    psi = complex(forward_symbol(n, m))
-    r1 = (ghat * psi - (ghat1 + bt.E)) / psi
-    r2 = (ghat * psi * psi - (ghat2 + bt.F)) / (psi * psi)
-    return r1, r2
+    _check_mode(n, m)
+    r1, r2 = dft_identity_residual_arrays(gf)
+    return complex(r1[m + n]), complex(r2[m + n])
 
 
 def dft_identity_residual_arrays(gf: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized residuals over all modes; the m = 0 slot is set to 0."""
+    """Residuals over all modes; the m = 0 slot is set to 0.
+
+    Computed on the multiplied-through form and normalized afterwards, to
+    avoid cancellation in the reported values.
+    """
     n = gf.grid.n
     modes = np.arange(-n, n)
     s0 = discrete_coefficients(gf).coefficients
     s1 = discrete_coefficients(derivative(gf)).coefficients
     s2 = discrete_coefficients(derivative(derivative(gf))).coefficients
-    E, F = _boundary_E_F_arrays(gf)
+    *_, E, F = _boundary_arrays(gf)
     psi = forward_symbol(n, modes)
     r1 = np.zeros(2 * n, dtype=np.complex128)
     r2 = np.zeros(2 * n, dtype=np.complex128)
@@ -206,22 +183,21 @@ def tail_sum(s: Spectrum, L: int, Lp: int) -> float:
     return float(np.sum(np.abs(block)))
 
 
-def canonical_mode_order(n: int, include_zero: bool = False) -> list[int]:
+def canonical_mode_order(n: int, include_zero: bool = False) -> np.ndarray:
     """Modes ordered by |m| ascending, negative before positive.
 
-    Worst-case selections iterate this order with strict improvement, so
-    ties resolve to the smallest |m| and then to the negative mode.
+    The order is 0, -1, 1, -2, 2, ..., -(n-1), n-1, -n: position k holds
+    -(k+1)//2 for odd k and k//2 for even k.  Worst-case selections take
+    the first maximum in this order, so ties resolve to the smallest |m|
+    and then to the negative mode.
     """
-    ms = sorted(range(-n, n), key=lambda m: (abs(m), m > 0))
-    if not include_zero:
-        ms.remove(0)
-    return ms
+    k = np.arange(0 if include_zero else 1, 2 * n)
+    return np.where(k % 2 == 1, -(k + 1) // 2, k // 2)
 
 
 def _worst_mode(values_by_mode: np.ndarray, n: int, include_zero: bool = False):
     order = canonical_mode_order(n, include_zero)
-    positions = np.asarray(order) + n
-    vals = values_by_mode[positions]
+    vals = values_by_mode[order + n]
     k = int(np.argmax(vals))
     return float(vals[k]), int(order[k])
 
@@ -277,31 +253,34 @@ class UniformBoundReport:
     passed: bool
 
 
+def _uniform_maxima(f, n: int) -> tuple[float, int, float, int]:
+    """(max|F|, its mode, max|ghat''|, its mode) of f sampled at grid size n."""
+    gf = sample(f, build_grid(n))
+    *_, F = _boundary_arrays(gf)
+    second_hat = discrete_coefficients(derivative(derivative(gf))).coefficients
+    max_F, m_F = _worst_mode(np.abs(F), n, include_zero=True)
+    max_g2, m_g2 = _worst_mode(np.abs(second_hat), n, include_zero=True)
+    return max_F, m_F, max_g2, m_g2
+
+
 def unifbounded_checks(f: SmoothPeriodicFunction, n: int) -> UniformBoundReport:
     """Verify the n-independent bounds on F and the second-difference spectrum.
 
     Requires f(1) and f(-1) to vanish (within 1e-12); the norms entering
-    the bounds are then computed from f itself rather than from an
-    endpoint-shifted copy.
+    the bounds are B, D and M of ``bound_constants(f)``.
     """
     if abs(complex(f.eval(1.0))) > _ENDPOINT_TOL or abs(complex(f.eval(-1.0))) > _ENDPOINT_TOL:
         raise ValueError(f"{f.name}: endpoint values must vanish (within {_ENDPOINT_TOL})")
-    sup_f, sup_d1, l1_d2 = function_norms(f)
+    consts = bound_constants(f)
+    max_F, worst_F_mode, max_g2, worst_g2_mode = _uniform_maxima(f, n)
 
-    gf = sample(f, build_grid(n))
-    _, F = _boundary_E_F_arrays(gf)
-    second_hat = discrete_coefficients(derivative(derivative(gf))).coefficients
-
-    max_F, worst_F_mode = _worst_mode(np.abs(F), n, include_zero=True)
-    max_g2, worst_g2_mode = _worst_mode(np.abs(second_hat), n, include_zero=True)
-
-    f_bound = 5.0 * sup_d1 + _UNIFORM_BOUND_TOL
-    g2_bound = l1_d2 + 2.0 * sup_f + _UNIFORM_BOUND_TOL
+    f_bound = 5.0 * consts.D + _UNIFORM_BOUND_TOL
+    g2_bound = consts.M + 2.0 * consts.B + _UNIFORM_BOUND_TOL
     return UniformBoundReport(
         n=n,
-        sup_value=sup_f,
-        sup_derivative=sup_d1,
-        l1_second=l1_d2,
+        sup_value=consts.B,
+        sup_derivative=consts.D,
+        l1_second=consts.M,
         max_F=max_F,
         worst_F_mode=worst_F_mode,
         max_second_hat=max_g2,

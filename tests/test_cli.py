@@ -101,6 +101,26 @@ def test_non_finite_function_weight_is_usage_error(capsys, command, weight):
     assert name in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--grid-sizes", "4", "--mode-limit", "3", "--functions"],
+        ["converge", "--N", "1,2", "--samples", "64", "--function"],
+        ["spectrum", "--n", "4", "--function"],
+    ],
+    ids=["verify", "converge", "spectrum"],
+)
+def test_non_finite_function_values_are_usage_error(capsys, command):
+    # finite weights whose sum overflows: spectrum printed nan rows with
+    # exit 0 and verify failed with "cannot convert float NaN to integer"
+    name = "combo:1e308*cos:1+1e308*cos:1"
+    code, out, err = run_cli(command + [name], capsys)
+    assert code == 2
+    assert out == ""
+    assert "combo:1e+308*cos:1+1e+308*cos:1" in err
+
+
 def test_verify_forced_failure(capsys):
     code, out, _ = run_cli(SMALL_VERIFY + ["--tolerance", "dft_identity_2=1e-30"], capsys)
     assert code == 1
@@ -255,6 +275,27 @@ def test_rescale_demo_validation(capsys):
     assert run_cli(
         ["rescale-demo", "--a", "0", "--b", "1", "--function", "nosuch"], capsys
     )[0] == 2
+
+
+@pytest.mark.parametrize(
+    "a, b, bad",
+    [
+        ("nan", "1", "nan"),
+        ("0", "nan", "nan"),
+        ("0", "inf", "inf"),
+        ("-inf", "0", "inf"),
+        ("-1e308", "1e308", "1e+308"),
+        ("0", "5e-324", "5e-324"),
+    ],
+)
+def test_rescale_demo_rejects_non_finite_interval(capsys, a, b, bad):
+    # a NaN end passed the old b <= a test and printed nan rows with exit 0;
+    # a length that overflows, or a period so short that the demo function
+    # is non-finite on the grid, is a usage error too
+    code, out, err = run_cli(["rescale-demo", f"--a={a}", f"--b={b}", "--N", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert bad in err
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -153,6 +153,15 @@ def test_rescale_validation():
         rescale(lambda x: x, 0.0, 1.0)  # f(0) != f(1)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)],
+)
+def test_rescale_rejects_non_finite_interval(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        rescale(lambda x: 1.0, a, b)
+
+
 def test_gap_monomial_exact():
     for n in (2, 4, 16):
         assert discrete_to_continuous_gap(trig_monomial(1), 1, n) <= 1e-12

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import iv
 
 from gridfourier import (
+    DEFAULT_CATALOG,
+    BoundConstants,
     bound_constants,
     combine,
     cosine,
@@ -193,3 +196,47 @@ def test_get_function_rejects_bad_names(bad):
 def test_get_function_rejects_non_finite_weight(weight):
     with pytest.raises(ValueError, match=rf"non-finite combo weight in '{weight}\*cos:1'"):
         get_function(f"combo:0.5*trig:0+{weight}*cos:1")
+
+
+def _dense_norms(f, center):
+    # the fixed scheme the constants are defined by: sup norms over 4097
+    # equispaced points, L1 norm by composite Simpson on 4096 panels
+    xs = np.linspace(-1.0, 1.0, 4097)
+
+    def values(fn):
+        return np.asarray([fn(float(x)) for x in xs], dtype=np.complex128)
+
+    weights = np.ones(4097)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    B = float(np.max(np.abs(values(f.eval) - center)))
+    D = float(np.max(np.abs(values(f.d1))))
+    M = float(np.sum(weights * np.abs(values(f.d2))) * (2.0 / 4096) / 3.0)
+    return B, D, M
+
+
+@pytest.mark.parametrize("name", [*DEFAULT_CATALOG, "combo:0.731*trig:0+1.9*cos:2"])
+def test_bound_constants_bit_equal_to_dense_formula(name):
+    # the engine's uniform bounds once computed these norms from the
+    # endpoint-shifted function; both routes must give the same bits
+    f = get_function(name)
+    bc = bound_constants(f)
+    assert (bc.B, bc.D, bc.M) == _dense_norms(f, f.endpoint_value)
+    assert (bc.B, bc.D, bc.M) == _dense_norms(shift_to_zero_endpoints(f), 0.0)
+
+
+@pytest.mark.parametrize("field", ["B", "D", "M", "W", "H"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_bound_constants_fields_must_be_finite_and_nonnegative(field, value):
+    fields = {"B": 1.0, "D": 1.0, "M": 1.0, "W": 8.0, "H": 2.0}
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        BoundConstants(**fields)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bound_constants_reject_non_finite_values():
+    # finite weights whose sum overflows to inf, then to nan
+    f = get_function("combo:1e308*cos:1+1e308*cos:1")
+    with pytest.raises(ValueError, match=re.escape(f.name)):
+        bound_constants(f)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ def test_sample_propagates_failure():
 
     with pytest.raises(ArithmeticError):
         sample(broken, build_grid(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_sample_rejects_non_finite_values(bad):
+    def f(x):
+        return bad if x == 0.5 else x
+
+    with pytest.raises(ValueError, match=r"non-finite value at x=0\.5 on the n=4 grid"):
+        sample(f, build_grid(4))
 
 
 @pytest.mark.parametrize("n", [1, 3, 16])

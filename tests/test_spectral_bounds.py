@@ -25,7 +25,11 @@ from gridfourier import (
     trig_monomial,
     unifbounded_checks,
 )
-from gridfourier.spectral_bounds import dft_identity_residual_arrays
+from gridfourier.spectral_bounds import (
+    _boundary_arrays,
+    canonical_mode_order,
+    dft_identity_residual_arrays,
+)
 
 
 def _random_gf(rng, n):
@@ -95,6 +99,18 @@ def test_boundary_terms_rejects_out_of_range():
         boundary_terms(gf, 2)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_scalar_views_equal_array_slots(n):
+    gf = _random_gf(np.random.default_rng(70 + n), n)
+    arrays = _boundary_arrays(gf)
+    r1, r2 = dft_identity_residual_arrays(gf)
+    for m in range(-n, n):
+        bt = boundary_terms(gf, m)
+        assert (bt.C, bt.D, bt.Cp, bt.Dp, bt.E, bt.F) == tuple(a[m + n] for a in arrays)
+        if m != 0:
+            assert dft_identity_residuals(gf, m) == (r1[m + n], r2[m + n])
+
+
 def test_identity_residuals_zero_function():
     gf = GridFunction(build_grid(4), np.zeros(8))
     assert dft_identity_residuals(gf, 1) == (0, 0)
@@ -125,6 +141,21 @@ def test_identity_residuals_reject_zero_mode():
     gf = sample(lambda x: x, build_grid(2))
     with pytest.raises(ValueError):
         dft_identity_residuals(gf, 0)
+
+
+def _sorted_mode_order(n, include_zero):
+    # the sort-key definition of the order, kept as the oracle
+    ms = sorted(range(-n, n), key=lambda m: (abs(m), m > 0))
+    if not include_zero:
+        ms.remove(0)
+    return ms
+
+
+@pytest.mark.parametrize("include_zero", [False, True])
+def test_canonical_mode_order_matches_sort_key(include_zero):
+    for n in range(1, 65):
+        got = canonical_mode_order(n, include_zero)
+        assert got.tolist() == _sorted_mode_order(n, include_zero), f"n={n}"
 
 
 def test_tail_threshold():

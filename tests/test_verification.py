@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from gridfourier import verification
 from gridfourier.verification import (
-    CHECK_CLAIMS,
     CHECK_NAMES,
+    CHECKS,
     SuiteConfig,
+    WorstLocation,
     random_grid_function,
     run_convergence,
     run_lemma_suite,
@@ -55,18 +57,28 @@ def test_minimal_suite_passes():
     assert all(r.status == "pass" for r in reports)
     names = [r.check_name for r in reports]
     assert names == sorted(names)
+    tolerances = {check.name: check.tolerance for check in CHECKS}
+    assert {r.check_name: r.tolerance_used for r in reports} == tolerances
 
 
 def test_check_claim_table_is_total():
-    assert set(CHECK_CLAIMS) == set(CHECK_NAMES)
-    assert set(CHECK_CLAIMS.values()) == REQUIRED_CLAIMS
+    assert CHECK_NAMES == tuple(check.name for check in CHECKS)
+    assert len(set(CHECK_NAMES)) == len(CHECKS) == 16
+    assert {check.claim for check in CHECKS} == REQUIRED_CLAIMS
+    assert all(math.isfinite(check.tolerance) and check.tolerance > 0 for check in CHECKS)
 
 
-def test_reports_deterministic_across_runs_and_workers():
+def test_reduction_rejects_unknown_check():
+    worst = {}
+    with pytest.raises(KeyError, match="not_a_check"):
+        verification._offer(worst, "not_a_check", 0.0, WorstLocation())
+    assert worst == {}
+
+
+def test_reports_deterministic_across_runs():
     first = _serialize(run_lemma_suite(SMALL))
     second = _serialize(run_lemma_suite(SMALL))
-    threaded = _serialize(run_lemma_suite(SMALL, workers=3))
-    assert first == second == threaded
+    assert first == second
 
 
 def test_status_matches_tolerance():
@@ -119,8 +131,6 @@ def test_config_validation():
 def test_nan_residual_is_never_dropped(monkeypatch):
     # a NaN arriving after a finite candidate must rank worst, not lose
     # every comparison and leave the check reported as a pass
-    from gridfourier import verification
-
     real_gap = verification.integral_gap
 
     def gap(f, n):
