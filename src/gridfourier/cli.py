@@ -19,7 +19,8 @@ import sys
 
 import numpy as np
 
-from .continuous_fourier import rescale
+from .continuous_fourier import _interval_partial_sum, rescale
+from .grid import _evaluate
 from .verification import SuiteConfig, run_convergence, run_lemma_suite, run_spectrum_decay
 
 JSON_SCHEMA_VERSION = 1
@@ -172,20 +173,9 @@ def _demo_function(kind: str, a: float, b: float):
     if not math.isfinite(w):
         raise _UsageError(f"interval too short: 2*pi/(b - a) overflows for a={a}, b={b}")
     if kind == "cos-period":
-        return (
-            lambda x: math.cos(w * (x - a)),
-            lambda x: -w * math.sin(w * (x - a)),
-            lambda x: -w * w * math.cos(w * (x - a)),
-        )
+        return lambda x: math.cos(w * (x - a))
     if kind == "exp-cos-period":
-        return (
-            lambda x: math.exp(math.cos(w * (x - a))),
-            lambda x: -w * math.sin(w * (x - a)) * math.exp(math.cos(w * (x - a))),
-            lambda x: w
-            * w
-            * (math.sin(w * (x - a)) ** 2 - math.cos(w * (x - a)))
-            * math.exp(math.cos(w * (x - a))),
-        )
+        return lambda x: math.exp(math.cos(w * (x - a)))
     raise _UsageError(f"--function: unknown demo function {kind!r}")
 
 
@@ -194,15 +184,14 @@ def _cmd_rescale_demo(args) -> int:
         raise _UsageError(f"need a < b with b - a finite, got a={args.a}, b={args.b}")
     if args.N < 0:
         raise _UsageError(f"--N: must be >= 0, got {args.N}")
-    ev, d1, d2 = _demo_function(args.function, args.a, args.b)
-    scaled = rescale(ev, args.a, args.b, d1=d1, d2=d2, name=args.function)
+    ev = _demo_function(args.function, args.a, args.b)
+    scaled = rescale(ev, args.a, args.b, name=args.function)
     xs = np.linspace(args.a, args.b, _RESCALE_DEMO_POINTS)
-    lines = ["x,f,reconstruction,abs_error"]
+    fvals = _evaluate(ev, xs, args.function)
     coeffs = scaled.coefficient_vector(args.N)
-    ms = np.arange(-args.N, args.N + 1)
-    for x in xs:
-        recon = complex(np.sum(coeffs * np.exp(2j * np.pi * float(x) * ms / scaled.length)))
-        fx = complex(ev(float(x)))
+    lines = ["x,f,reconstruction,abs_error"]
+    for x, fx in zip(xs, fvals.tolist()):
+        recon = _interval_partial_sum(coeffs, scaled.length, x)
         lines.append(
             f"{_fmt(x)},{_fmt(fx.real)},{_fmt(recon.real)},{_fmt(abs(fx - recon))}"
         )

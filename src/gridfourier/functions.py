@@ -24,6 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .grid import _evaluate
+
 __all__ = [
     "SmoothPeriodicFunction",
     "BoundConstants",
@@ -249,14 +251,16 @@ def combine(parts) -> SmoothPeriodicFunction:
             return sum(c * f.exact_coefficient(m) for c, f in parts)
 
     name = "combo:" + "+".join(f"{c.real:g}*{f.name}" for c, f in parts)
-    return SmoothPeriodicFunction(
-        name=name,
-        eval=ev,
-        d1=d1,
-        d2=d2,
-        exact_coefficient=coeff,
-        endpoint_value=complex(ev(1.0)),
-    )
+    # an overflowing sum is reported where the function is evaluated
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SmoothPeriodicFunction(
+            name=name,
+            eval=ev,
+            d1=d1,
+            d2=d2,
+            exact_coefficient=coeff,
+            endpoint_value=complex(ev(1.0)),
+        )
 
 
 def shift_to_zero_endpoints(f: SmoothPeriodicFunction) -> SmoothPeriodicFunction:
@@ -266,10 +270,6 @@ def shift_to_zero_endpoints(f: SmoothPeriodicFunction) -> SmoothPeriodicFunction
 
 def _dense_points() -> np.ndarray:
     return np.linspace(-1.0, 1.0, SUP_NORM_POINTS)
-
-
-def _eval_on(fn, xs: np.ndarray) -> np.ndarray:
-    return np.asarray([fn(float(x)) for x in xs], dtype=np.complex128)
 
 
 def _simpson_abs(values: np.ndarray) -> float:
@@ -305,9 +305,11 @@ def bound_constants(f: SmoothPeriodicFunction) -> BoundConstants:
         raise ValueError(f"{f.name}: derivative evaluators required")
     c = f.endpoint_value
     xs = _dense_points()
-    B = float(np.max(np.abs(_eval_on(f.eval, xs) - c)))
-    D = float(np.max(np.abs(_eval_on(f.d1, xs))))
-    M = _simpson_abs(_eval_on(f.d2, xs))
+    # norms of finite values can still overflow: BoundConstants rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = float(np.max(np.abs(_evaluate(f.eval, xs, f.name) - c)))
+        D = float(np.max(np.abs(_evaluate(f.d1, xs, f"d1 of {f.name}"))))
+        M = _simpson_abs(_evaluate(f.d2, xs, f"d2 of {f.name}"))
     W = M + 2.0 * B + 5.0 * D
     try:
         return BoundConstants(B=B, D=D, M=M, W=W, H=W / 4.0)

@@ -147,6 +147,21 @@ def build_grid(n: int) -> Grid:
     return Grid(n)
 
 
+def _evaluate(fn, xs: np.ndarray, name: str, where: str = "") -> np.ndarray:
+    """fn(x) for every x in xs: the package's one per-point evaluation loop.
+
+    Overflow inside fn does not warn; instead a non-finite value raises
+    ValueError naming ``name`` and the first bad point, followed by ``where``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray([fn(float(x)) for x in xs], dtype=np.complex128)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        x = float(xs[np.argmax(bad)])
+        raise ValueError(f"{name}: non-finite value at x={x!r}{where}")
+    return values
+
+
 def sample(f, grid: Grid) -> GridFunction:
     """Evaluate f at the grid points (left cell endpoints).
 
@@ -155,14 +170,8 @@ def sample(f, grid: Grid) -> GridFunction:
     and a non-finite value raises ValueError naming f and the point.
     """
     fn = getattr(f, "eval", f)
-    points = grid.points()
-    values = np.asarray([fn(float(x)) for x in points], dtype=np.complex128)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        name = getattr(f, "name", repr(f))
-        x = float(points[np.argmax(bad)])
-        raise ValueError(f"{name}: non-finite value at x={x!r} on the n={grid.n} grid")
-    return GridFunction(grid, values)
+    name = getattr(f, "name", repr(f))
+    return GridFunction(grid, _evaluate(fn, grid.points(), name, f" on the n={grid.n} grid"))
 
 
 def integrate(gf: GridFunction) -> complex:

@@ -228,10 +228,10 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
 
     spectra_keys = [(name, n) for name in names for n in ns]
     spectra_keys += [(name, n_tail) for (name, _), (_, n_tail) in tail_plan.items()]
-    spectra = {
-        (name, n): discrete_coefficients(sample(fns[name], build_grid(n)))
-        for name, n in dict.fromkeys(spectra_keys)
+    samples = {
+        (name, n): sample(fns[name], build_grid(n)) for name, n in dict.fromkeys(spectra_keys)
     }
+    spectra = {key: discrete_coefficients(gf) for key, gf in samples.items()}
 
     worst: dict[str, tuple[float, WorstLocation]] = {}
 
@@ -262,7 +262,7 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
             _offer(worst, "parts", abs(parts_residual(u, v)) / (n * su * sv), loc)
 
     # --- transform identities on the catalog, then on random data ------
-    dft_inputs = [(sample(fns[name], build_grid(n)), name, n) for name in names for n in ns]
+    dft_inputs = [(samples[(name, n)], name, n) for name in names for n in ns]
     dft_inputs += [
         (random_grid_function(cfg.seed, "dft", n, rep), f"random:{rep}", n)
         for n in ns

@@ -101,7 +101,6 @@ def test_non_finite_function_weight_is_usage_error(capsys, command, weight):
     assert name in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "command",
     [
@@ -114,10 +113,12 @@ def test_non_finite_function_weight_is_usage_error(capsys, command, weight):
 def test_non_finite_function_values_are_usage_error(capsys, command):
     # finite weights whose sum overflows: spectrum printed nan rows with
     # exit 0 and verify failed with "cannot convert float NaN to integer"
+    # and printed RuntimeWarnings first
     name = "combo:1e308*cos:1+1e308*cos:1"
     code, out, err = run_cli(command + [name], capsys)
     assert code == 2
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "combo:1e+308*cos:1+1e+308*cos:1" in err
 
 
@@ -129,9 +130,17 @@ def test_verify_forced_failure(capsys):
 
 
 def test_verify_byte_identical_reruns(capsys):
-    _, first, _ = run_cli(SMALL_VERIFY, capsys)
-    _, second, _ = run_cli(SMALL_VERIFY, capsys)
-    assert first == second
+    # every subcommand, not only verify, promises byte-identical reruns
+    for argv in (
+        SMALL_VERIFY,
+        ["converge", "--function", "expcos", "--N", "1,2,4,8", "--samples", "256"],
+        ["spectrum", "--function", "combo:0.7*trig:0+1.3*cos:2", "--n", "16"],
+        ["rescale-demo", "--a=-1.234", "--b=2.5", "--function", "exp-cos-period", "--N", "8"],
+    ):
+        _, first, _ = run_cli(argv, capsys)
+        _, second, _ = run_cli(argv, capsys)
+        assert first, argv
+        assert first == second, argv
 
 
 def test_verify_worker_count_does_not_change_output(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from gridfourier import (
     cosine,
     discrete_to_continuous_gap,
     exp_cos,
+    get_function,
     integral_gap,
     m_test_majorant,
     reconstruct,
@@ -16,7 +18,8 @@ from gridfourier import (
     sup_error,
     trig_monomial,
 )
-from gridfourier.continuous_fourier import MAJORANT_MODE_CUTOFF
+from gridfourier.continuous_fourier import MAJORANT_MODE_CUTOFF, _coefficient_vector
+from gridfourier.functions import SmoothPeriodicFunction
 
 
 def test_coefficient_orthogonality():
@@ -29,6 +32,18 @@ def test_coefficient_exp_cos():
     got = coefficient(exp_cos(), 0)
     assert got == pytest.approx(2.5321317555040164, abs=1e-12)
     assert got == pytest.approx(2 * iv(0, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["expcos", "combo:0.731*trig:0+1.9*cos:2"])
+@pytest.mark.parametrize("quadrature", [False, True], ids=["exact", "quadrature"])
+def test_coefficient_is_view_on_vector(name, quadrature):
+    f = get_function(name)
+    if quadrature:
+        f = dataclasses.replace(f, exact_coefficient=None)
+    N = 6
+    vector = _coefficient_vector(f, range(-N, N + 1))
+    for m in range(-N, N + 1):
+        assert coefficient(f, m) == vector[m + N]
 
 
 def test_reconstruct_monomial_is_exact():
@@ -77,6 +92,17 @@ def test_sup_error_below_oracle_tail():
 def test_sup_error_validates_samples():
     with pytest.raises(ValueError):
         sup_error(cosine(1), 2, samples=1)
+
+
+def test_sup_error_rejects_non_finite_values():
+    # with an exact coefficient map nothing is sampled on a grid, so the
+    # sup error itself must see the nan (it used to return nan)
+    f = SmoothPeriodicFunction(
+        name="nan-valued", eval=lambda x: math.nan, d1=None, d2=None,
+        exact_coefficient=lambda m: 0j, endpoint_value=0j,
+    )
+    with pytest.raises(ValueError, match=r"nan-valued: non-finite value at x=-1\.0"):
+        sup_error(f, 2, 8)
 
 
 def test_majorant_zero_H():
@@ -136,6 +162,31 @@ def test_rescale_cosine_long_interval():
     assert rf.coefficient(1) == pytest.approx(0.5, abs=1e-10)
     assert rf.coefficient(-1) == pytest.approx(0.5, abs=1e-10)
     assert abs(rf.coefficient(0)) <= 1e-10
+
+
+def test_rescaled_coefficient_is_view_on_vector():
+    rf = rescale(lambda x: math.exp(math.cos(2 * math.pi * x / 2.5)), -1.25, 1.25)
+    N = 5
+    vector = rf.coefficient_vector(N)
+    for m in range(-N, N + 1):
+        assert rf.coefficient(m) == vector[m + N]
+
+
+def test_rescale_chain_rule_factors():
+    # cos(2 pi x / 3) on [0, 3] pulls back to -cos(pi t), so the pulled
+    # derivatives are pi sin(pi t) and pi^2 cos(pi t)
+    w = 2 * math.pi / 3
+    rf = rescale(
+        lambda x: math.cos(w * x),
+        0.0,
+        3.0,
+        d1=lambda x: -w * math.sin(w * x),
+        d2=lambda x: -w * w * math.cos(w * x),
+    )
+    for t in np.linspace(-1.0, 1.0, 9):
+        assert rf.pulled.eval(t) == pytest.approx(-math.cos(math.pi * t), abs=1e-12)
+        assert rf.pulled.d1(t) == pytest.approx(math.pi * math.sin(math.pi * t), abs=1e-12)
+        assert rf.pulled.d2(t) == pytest.approx(math.pi**2 * math.cos(math.pi * t), abs=1e-12)
 
 
 def test_rescale_reproduces_circle_normalization():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -9,6 +10,7 @@ from gridfourier import (
     DEFAULT_CATALOG,
     BoundConstants,
     bound_constants,
+    coefficient,
     combine,
     cosine,
     exp_cos,
@@ -16,7 +18,6 @@ from gridfourier import (
     shift_to_zero_endpoints,
     trig_monomial,
 )
-from gridfourier.continuous_fourier import _quadrature_coefficient
 
 CATALOG = [trig_monomial(0), trig_monomial(1), trig_monomial(-3), cosine(1), cosine(2), exp_cos()]
 
@@ -162,8 +163,9 @@ def test_bound_constants_needs_derivatives():
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.name)
 def test_quadrature_coefficient_matches_exact(f):
+    quadrature = dataclasses.replace(f, exact_coefficient=None)
     for m in range(-16, 17):
-        assert abs(_quadrature_coefficient(f, m) - f.exact_coefficient(m)) <= 1e-8
+        assert abs(coefficient(quadrature, m) - f.exact_coefficient(m)) <= 1e-8
 
 
 def test_shift_to_zero_endpoints():
@@ -234,9 +236,16 @@ def test_bound_constants_fields_must_be_finite_and_nonnegative(field, value):
         BoundConstants(**fields)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_bound_constants_reject_non_finite_values():
-    # finite weights whose sum overflows to inf, then to nan
+    # finite weights whose sum overflows to inf: no RuntimeWarning at
+    # construction or evaluation, one ValueError naming f and the point
     f = get_function("combo:1e308*cos:1+1e308*cos:1")
-    with pytest.raises(ValueError, match=re.escape(f.name)):
+    with pytest.raises(ValueError, match=re.escape(f.name) + r": non-finite value at x=-1\.0"):
+        bound_constants(f)
+
+
+def test_bound_constants_reject_overflowing_norms():
+    # every value is finite, but the Simpson sum of |f''| overflows
+    f = get_function("combo:1e307*cos:1")
+    with pytest.raises(ValueError, match=re.escape(f.name) + ": M must be finite"):
         bound_constants(f)
