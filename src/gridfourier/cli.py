@@ -19,9 +19,15 @@ import sys
 
 import numpy as np
 
-from .continuous_fourier import _interval_partial_sum, rescale
-from .grid import _evaluate
-from .verification import SuiteConfig, run_convergence, run_lemma_suite, run_spectrum_decay
+from .continuous_fourier import MAX_PHASE_CELLS, _interval_partial_sum, rescale
+from .grid import _evaluate, _pointwise
+from .verification import (
+    MAX_SPECTRUM_N,
+    SuiteConfig,
+    run_convergence,
+    run_lemma_suite,
+    run_spectrum_decay,
+)
 
 JSON_SCHEMA_VERSION = 1
 WORKER_ENV_VAR = "FOURIER_WORKERS"
@@ -143,6 +149,12 @@ def _cmd_converge(args) -> int:
         raise _UsageError(f"--N: values must be strictly increasing, got {orders}")
     if args.samples < 2:
         raise _UsageError(f"--samples: must be >= 2, got {args.samples}")
+    cells = (args.samples + 1) * (2 * orders[-1] + 1)
+    if cells > MAX_PHASE_CELLS:
+        raise _UsageError(
+            f"--samples/--N: the ({args.samples}+1) x (2*{orders[-1]}+1) phase matrix"
+            f" has {cells} cells, above the limit of {MAX_PHASE_CELLS}"
+        )
     try:
         rows = run_convergence(args.function, orders, args.samples)
     except ValueError as exc:
@@ -155,8 +167,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.n < 1:
-        raise _UsageError(f"--n: must be >= 1, got {args.n}")
+    if not 1 <= args.n <= MAX_SPECTRUM_N:
+        raise _UsageError(f"--n: must be in [1, {MAX_SPECTRUM_N}], got {args.n}")
     try:
         rows = run_spectrum_decay(args.function, args.n)
     except ValueError as exc:
@@ -187,7 +199,7 @@ def _cmd_rescale_demo(args) -> int:
     ev = _demo_function(args.function, args.a, args.b)
     scaled = rescale(ev, args.a, args.b, name=args.function)
     xs = np.linspace(args.a, args.b, _RESCALE_DEMO_POINTS)
-    fvals = _evaluate(ev, xs, args.function)
+    fvals = _evaluate(_pointwise(ev), xs, args.function)
     coeffs = scaled.coefficient_vector(args.N)
     lines = ["x,f,reconstruction,abs_error"]
     for x, fx in zip(xs, fvals.tolist()):

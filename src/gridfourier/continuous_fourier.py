@@ -17,8 +17,17 @@ path is certified independently by the aliasing oracle and the
 grid-vs-continuum gap checks.
 
 Every point value of a function (grid samples, sup-error points, the dense
-points of the bound constants) comes from ``grid._evaluate``; a non-finite
+points of the bound constants) comes from ``grid._evaluate``, which calls a
+function's array evaluator once on the whole point array; a non-finite
 value there raises ValueError naming the function and the first bad point.
+Scalar-only callables (the user f of ``rescale``) are wrapped in the one
+per-point loop, ``grid._pointwise``, where they enter.
+
+A convergence table is computed in one pass per function: ``sup_errors``
+evaluates f once and builds one phase matrix for the largest order, and
+``m_test_majorants`` builds the terms 1/m^2 once.  The one-N helpers
+``sup_error`` and ``m_test_majorant`` are views on them, and every slot
+equals the one-N computation bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 
 from .discrete_fourier import discrete_coefficients
 from .functions import SmoothPeriodicFunction
-from .grid import _evaluate, build_grid, integrate, sample
+from .grid import _evaluate, _pointwise, build_grid, integrate, sample
 
 __all__ = [
     "ConvergenceRow",
@@ -39,7 +48,9 @@ __all__ = [
     "coefficient",
     "reconstruct",
     "sup_error",
+    "sup_errors",
     "m_test_majorant",
+    "m_test_majorants",
     "rescale",
     "discrete_to_continuous_gap",
     "integral_gap",
@@ -48,6 +59,9 @@ __all__ = [
 # Hard mode cutoff of the majorant sum; the discarded tail is covered by
 # an explicit 2*H*1e-6 slack folded into the returned bound.
 MAJORANT_MODE_CUTOFF = 10**6
+# Largest (samples+1) x (2*N+1) phase matrix ``sup_errors`` will build:
+# 2**22 complex cells, 64 MiB, checked before anything is allocated.
+MAX_PHASE_CELLS = 2**22
 _REFERENCE_GRID = 64
 
 
@@ -88,12 +102,23 @@ def _coefficient_vector(f, ms) -> np.ndarray:
     return out
 
 
-def _partial_sums(coeffs: np.ndarray, N: int, xs: np.ndarray) -> np.ndarray:
+def _phase_matrix(xs: np.ndarray, N: int) -> np.ndarray:
+    """exp(i pi x m) for every x in xs (rows) and m = -N .. N (columns)."""
     # x = 1 is delegated to periodicity: evaluate at -1 instead
     xs = np.where(xs == 1.0, -1.0, np.asarray(xs, dtype=np.float64))
-    ms = np.arange(-N, N + 1)
-    phases = np.exp(1j * np.pi * np.outer(xs, ms))
-    return 0.5 * np.sum(phases * coeffs, axis=1)
+    return np.exp(1j * np.pi * np.outer(xs, np.arange(-N, N + 1)))
+
+
+def _partial_sums(phases: np.ndarray, coeffs: np.ndarray, N: int) -> np.ndarray:
+    """(1/2) sum_{|m| <= N} coeffs[m] phases[:, m] from centred wider tables.
+
+    ``phases`` and ``coeffs`` span modes -K .. K for some K >= N; the sum
+    reduces the centred column slice, so it equals the sum over tables
+    built for N alone bit for bit.
+    """
+    K = len(coeffs) // 2
+    cols = slice(K - N, K + N + 1)
+    return 0.5 * np.sum(phases[:, cols] * coeffs[cols], axis=1)
 
 
 def reconstruct(f: SmoothPeriodicFunction, N: int, x: float) -> complex:
@@ -101,20 +126,68 @@ def reconstruct(f: SmoothPeriodicFunction, N: int, x: float) -> complex:
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     coeffs = _coefficient_vector(f, range(-N, N + 1))
-    return complex(_partial_sums(coeffs, N, np.asarray([float(x)]))[0])
+    phases = _phase_matrix(np.asarray([float(x)]), N)
+    return complex(_partial_sums(phases, coeffs, N)[0])
+
+
+def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = 2048) -> np.ndarray:
+    """sup_error(f, N, samples) for every N in N_values, in one pass.
+
+    f is evaluated once at the samples+1 points, and the phase matrix and
+    the coefficient vector are built once for the largest N; each N then
+    reduces its centred column slice.  Raises ValueError, before any
+    allocation, when that matrix would exceed MAX_PHASE_CELLS cells.
+    """
+    N_values = [int(N) for N in N_values]
+    for N in N_values:
+        if N < 0:
+            raise ValueError(f"N must be nonnegative, got {N}")
+    if samples < 2:
+        raise ValueError(f"samples >= 2 required, got {samples}")
+    if not N_values:
+        return np.empty(0)
+    N_max = max(N_values)
+    cells = (samples + 1) * (2 * N_max + 1)
+    if cells > MAX_PHASE_CELLS:
+        raise ValueError(
+            f"samples={samples} and N={N_max} need a {cells}-cell phase matrix,"
+            f" above the limit of {MAX_PHASE_CELLS}"
+        )
+    xs = np.linspace(-1.0, 1.0, samples + 1)
+    coeffs = _coefficient_vector(f, range(-N_max, N_max + 1))
+    phases = _phase_matrix(xs, N_max)
+    fvals = _evaluate(f.eval, xs, f.name)
+    return np.array(
+        [np.max(np.abs(fvals - _partial_sums(phases, coeffs, N))) for N in N_values]
+    )
 
 
 def sup_error(f: SmoothPeriodicFunction, N: int, samples: int = 2048) -> float:
-    """Max of |f - reconstruction| over samples+1 equispaced points of [-1, 1]."""
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
-    if samples < 2:
-        raise ValueError(f"samples >= 2 required, got {samples}")
-    xs = np.linspace(-1.0, 1.0, samples + 1)
-    coeffs = _coefficient_vector(f, range(-N, N + 1))
-    recon = _partial_sums(coeffs, N, xs)
-    fvals = _evaluate(f.eval, xs, f.name)
-    return float(np.max(np.abs(fvals - recon)))
+    """Max of |f - reconstruction| over samples+1 equispaced points of [-1, 1].
+
+    The one-N view of ``sup_errors``.
+    """
+    return float(sup_errors(f, [N], samples)[0])
+
+
+def m_test_majorants(H: float, N_values) -> np.ndarray:
+    """m_test_majorant(H, N) for every N in N_values, in one pass.
+
+    The terms 1/m^2, m = 1 .. MAJORANT_MODE_CUTOFF, are built once, and
+    the tail for each N is the sum of the terms past index N.
+    """
+    N_values = [int(N) for N in N_values]
+    for N in N_values:
+        if N < 1:
+            raise ValueError(f"N >= 1 required, got {N}")
+    if H < 0:
+        raise ValueError(f"H must be nonnegative, got {H}")
+    if not N_values:
+        return np.empty(0)
+    inv = np.arange(1, MAJORANT_MODE_CUTOFF + 1, dtype=np.float64)
+    np.multiply(inv, inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    return np.array([H * float(np.sum(inv[N:])) + 2.0 * H * 1e-6 for N in N_values])
 
 
 def m_test_majorant(H: float, N: int) -> float:
@@ -122,15 +195,10 @@ def m_test_majorant(H: float, N: int) -> float:
 
     Returns (1/2) * sum_{N < |m| <= 1e6} H/m^2 plus an explicit 2*H*1e-6
     term covering the discarded modes beyond the cutoff, so the result is
-    a rigorous majorant of |f - reconstruct(f, N, .)|.
+    a rigorous majorant of |f - reconstruct(f, N, .)|.  The one-N view of
+    ``m_test_majorants``.
     """
-    if N < 1:
-        raise ValueError(f"N >= 1 required, got {N}")
-    if H < 0:
-        raise ValueError(f"H must be nonnegative, got {H}")
-    ms = np.arange(N + 1, MAJORANT_MODE_CUTOFF + 1, dtype=np.float64)
-    tail = float(np.sum(1.0 / (ms * ms)))
-    return H * tail + 2.0 * H * 1e-6
+    return float(m_test_majorants(H, [N])[0])
 
 
 @dataclass(frozen=True)
@@ -191,8 +259,9 @@ def rescale(
     """Pull a periodic function on [a, b] back to the circle model.
 
     Requires a < b with a finite length L = b - a, and f(a) = f(b) (within
-    1e-12).  Derivative evaluators, when given, are rescaled by the
-    chain-rule factors L/2 and (L/2)^2.
+    1e-12).  f, d1 and d2 take one float; the pulled-back evaluators call
+    them once per point.  Derivative evaluators, when given, are rescaled
+    by the chain-rule factors L/2 and (L/2)^2.
     """
     # written so that a NaN end fails the test
     if not (b > a and math.isfinite(b - a)):
@@ -203,21 +272,27 @@ def rescale(
     if abs(fa - fb) > 1e-12:
         raise ValueError(f"f(a) != f(b): |{fa} - {fb}| = {abs(fa - fb):.3e}")
 
-    def to_x(t: float) -> float:
+    def to_x(t):
         return a + L * (t + 1.0) / 2.0
 
+    f_points = _pointwise(f)
+
     def ev(t):
-        return f(to_x(t))
+        return f_points(to_x(t))
 
     pulled_d1 = None
     if d1 is not None:
+        d1_points = _pointwise(d1)
+
         def pulled_d1(t):
-            return (L / 2.0) * d1(to_x(t))
+            return (L / 2.0) * d1_points(to_x(t))
 
     pulled_d2 = None
     if d2 is not None:
+        d2_points = _pointwise(d2)
+
         def pulled_d2(t):
-            return (L / 2.0) ** 2 * d2(to_x(t))
+            return (L / 2.0) ** 2 * d2_points(to_x(t))
 
     pulled = SmoothPeriodicFunction(
         name=f"{name}[{a},{b}]",

@@ -3,7 +3,8 @@
 Every catalog entry carries first and second derivative evaluators and,
 where a closed form exists, an exact Fourier-coefficient oracle for the
 normalization ghat(m) = integral_{-1}^{1} g(x) exp(-i pi x m) dx.
-Evaluators are pure, so concurrent use is safe.
+Evaluators are pure numpy expressions, evaluated on whole point arrays;
+``combine`` sums its parts' arrays.
 
 Functions are addressable by string name for CLI use:
 
@@ -62,10 +63,16 @@ class SmoothPeriodicFunction:
     name : str
         Catalog identifier.
     eval : callable
-        x in [-1, 1] -> complex value.
+        Array evaluator: maps a float array of points in [-1, 1] to
+        complex values, elementwise and broadcastable to the input's
+        shape, and a single float to a single value.  Points are
+        evaluated in one call (``grid._evaluate``), so eval must not
+        assume a scalar argument; the catalog's numpy expressions qualify,
+        and a scalar-only callable is wrapped in ``grid._pointwise``.
     d1, d2 : callable or None
-        First and second derivative evaluators (None when unavailable,
-        e.g. for pulled-back functions without supplied derivatives).
+        First and second derivative evaluators under the same array
+        contract (None when unavailable, e.g. for pulled-back functions
+        without supplied derivatives).
     exact_coefficient : callable or None
         m -> closed-form Fourier coefficient, when one exists.
     endpoint_value : complex

@@ -147,14 +147,33 @@ def build_grid(n: int) -> Grid:
     return Grid(n)
 
 
-def _evaluate(fn, xs: np.ndarray, name: str, where: str = "") -> np.ndarray:
-    """fn(x) for every x in xs: the package's one per-point evaluation loop.
+def _pointwise(fn):
+    """Array evaluator built from a scalar-only callable: the one per-point loop.
 
-    Overflow inside fn does not warn; instead a non-finite value raises
-    ValueError naming ``name`` and the first bad point, followed by ``where``.
+    The result calls ``fn`` with a Python float at each point, in order, and
+    returns the values as a complex array of the shape of its input (a
+    scalar input gives a 0-d array).
+    """
+
+    def ev(xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        values = [fn(float(x)) for x in xs.reshape(-1)]
+        return np.asarray(values, dtype=np.complex128).reshape(xs.shape)
+
+    return ev
+
+
+def _evaluate(fn, xs: np.ndarray, name: str, where: str = "") -> np.ndarray:
+    """fn(xs) in one call on the whole point array, checked for finiteness.
+
+    ``fn`` is an array evaluator (the contract of a SmoothPeriodicFunction's
+    eval, d1 and d2): it maps the array xs to values broadcastable to its
+    shape.  A scalar-only callable enters through ``_pointwise``.  Overflow
+    inside fn does not warn; instead a non-finite value raises ValueError
+    naming ``name`` and the first bad point, followed by ``where``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.asarray([fn(float(x)) for x in xs], dtype=np.complex128)
+        values = np.broadcast_to(np.asarray(fn(xs), dtype=np.complex128), xs.shape)
     bad = ~np.isfinite(values)
     if bad.any():
         x = float(xs[np.argmax(bad)])
@@ -165,11 +184,13 @@ def _evaluate(fn, xs: np.ndarray, name: str, where: str = "") -> np.ndarray:
 def sample(f, grid: Grid) -> GridFunction:
     """Evaluate f at the grid points (left cell endpoints).
 
-    Accepts either a plain callable or any object with an ``eval``
-    attribute (e.g. a catalog function).  Evaluation failures propagate,
-    and a non-finite value raises ValueError naming f and the point.
+    Accepts either a plain callable, called once per point with a float,
+    or any object with an ``eval`` attribute (e.g. a catalog function),
+    whose eval is called once on the whole point array.  Evaluation
+    failures propagate, and a non-finite value raises ValueError naming f
+    and the point.
     """
-    fn = getattr(f, "eval", f)
+    fn = f.eval if hasattr(f, "eval") else _pointwise(f)
     name = getattr(f, "name", repr(f))
     return GridFunction(grid, _evaluate(fn, grid.points(), name, f" on the n={grid.n} grid"))
 

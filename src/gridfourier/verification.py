@@ -22,8 +22,8 @@ from .continuous_fourier import (
     ConvergenceRow,
     coefficient,
     integral_gap,
-    m_test_majorant,
-    sup_error,
+    m_test_majorants,
+    sup_errors,
 )
 from .discrete_calculus import ftc_residual, parts_residual, product_rule_residual
 from .discrete_fourier import alias_fold, discrete_coefficients, invert
@@ -97,6 +97,8 @@ CONVERGENCE_MODES = (0, -1, 1, -2, 2)
 TAIL_BASE_GRID = 256
 TAIL_BIG_GRID = 4096
 SUP_ERROR_SAMPLES = 2048
+# Largest grid size of a spectrum table: 2n rows, checked before sampling.
+MAX_SPECTRUM_N = 2**16
 
 
 @dataclass(frozen=True)
@@ -362,9 +364,9 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
 
     orders = [N for N in MTEST_ORDERS if N <= cfg.mode_limit]
     for name in names:
-        for N in orders:
-            err = sup_error(fns[name], N, SUP_ERROR_SAMPLES)
-            bound = m_test_majorant(consts[name].H, N)
+        errs = sup_errors(fns[name], orders, SUP_ERROR_SAMPLES)
+        bounds = m_test_majorants(consts[name].H, orders)
+        for N, err, bound in zip(orders, errs.tolist(), bounds.tolist()):
             _offer(worst, "m_test_domination", err - bound, WorstLocation(name, None, N))
 
     # --- reports ---------------------------------------------------------
@@ -396,17 +398,19 @@ def run_convergence(function_name: str, N_values, samples: int = SUP_ERROR_SAMPL
     if not N_values:
         return []
     H = bound_constants(f).H
+    errs = sup_errors(f, N_values, samples)
+    bounds = m_test_majorants(H, N_values)
     return [
-        ConvergenceRow(N=N, sup_error=sup_error(f, N, samples), m_test_bound=m_test_majorant(H, N))
-        for N in N_values
+        ConvergenceRow(N=N, sup_error=err, m_test_bound=bound)
+        for N, err, bound in zip(N_values, errs.tolist(), bounds.tolist())
     ]
 
 
 def run_spectrum_decay(function_name: str, n: int) -> list[tuple[int, float, float]]:
     """Rows (m, |ghat_n(m)|, H/m^2) for every nonzero mode, ascending m."""
     f = get_function(function_name)
-    if n < 1:
-        raise ValueError(f"n >= 1 required, got {n}")
+    if not 1 <= n <= MAX_SPECTRUM_N:
+        raise ValueError(f"1 <= n <= {MAX_SPECTRUM_N} required, got {n}")
     H = bound_constants(f).H
     spec = discrete_coefficients(sample(f, build_grid(n)))
     rows = []

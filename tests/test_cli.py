@@ -203,6 +203,31 @@ def test_converge_validation(capsys):
     assert run_cli(["converge", "--function", "cos:1", "--samples", "1"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # (2048 + 1) x (2*1024 + 1) cells, just above the 2**22 limit
+        (["converge", "--function", "cos:1", "--N", "1,1024"], "--samples/--N"),
+        (["converge", "--function", "cos:1", "--N", "1,2", "--samples", str(10**12)], "--samples/--N"),
+        (["converge", "--function", "cos:1", "--N", str(10**12)], "--samples/--N"),
+        (["spectrum", "--function", "cos:1", "--n", str(2**16 + 1)], "--n"),
+        (["spectrum", "--function", "cos:1", "--n", str(10**12)], "--n"),
+    ],
+)
+def test_oversized_tables_are_rejected_before_allocation(argv, flag, capsys, monkeypatch):
+    import gridfourier.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(cli, "run_convergence", refuse)
+    monkeypatch.setattr(cli, "run_spectrum_decay", refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}: ")
+
+
 def test_spectrum_cosine(capsys):
     code, out, _ = run_cli(["spectrum", "--function", "cos:1", "--n", "8"], capsys)
     assert code == 0
@@ -256,6 +281,8 @@ def test_rescale_demo_agrees_with_circle_model(capsys):
     # truncation error at the same sample points
     import math
 
+    import numpy as np
+
     from gridfourier import sup_error
     from gridfourier.functions import SmoothPeriodicFunction
 
@@ -268,7 +295,7 @@ def test_rescale_demo_agrees_with_circle_model(capsys):
 
     circle = SmoothPeriodicFunction(
         name="exp-neg-cos",
-        eval=lambda x: math.exp(-math.cos(math.pi * x)),
+        eval=lambda x: np.exp(-np.cos(np.pi * x)),
         d1=None,
         d2=None,
         exact_coefficient=None,

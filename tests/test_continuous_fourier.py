@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
+from _oracles import per_n_majorant, per_n_sup_errors
 from gridfourier import (
+    DEFAULT_CATALOG,
+    bound_constants,
     coefficient,
     cosine,
     discrete_to_continuous_gap,
@@ -18,7 +21,14 @@ from gridfourier import (
     sup_error,
     trig_monomial,
 )
-from gridfourier.continuous_fourier import MAJORANT_MODE_CUTOFF, _coefficient_vector
+from gridfourier import continuous_fourier
+from gridfourier.continuous_fourier import (
+    MAJORANT_MODE_CUTOFF,
+    MAX_PHASE_CELLS,
+    _coefficient_vector,
+    m_test_majorants,
+    sup_errors,
+)
 from gridfourier.functions import SmoothPeriodicFunction
 
 
@@ -247,3 +257,54 @@ def test_integral_gap_cosine_exact_cancellation():
 def test_integral_gap_shrinks():
     f = exp_cos()
     assert integral_gap(f, 64) < integral_gap(f, 4)
+
+
+BATCH_FUNCTIONS = [*DEFAULT_CATALOG, "combo:0.731*trig:0+1.9*cos:2"]
+ORDERS = range(1, 65)
+
+
+@pytest.mark.parametrize("samples", [2048, 257])
+@pytest.mark.parametrize("name", BATCH_FUNCTIONS)
+def test_sup_errors_bit_equal_to_per_n_oracle(name, samples):
+    f = get_function(name)
+    batched = sup_errors(f, ORDERS, samples).tolist()
+    assert batched == per_n_sup_errors(f, ORDERS, samples)
+    for N, got in zip(ORDERS, batched):
+        assert sup_error(f, N, samples) == got, N
+
+
+def test_m_test_majorants_bit_equal_to_per_n_oracle():
+    Hs = [bound_constants(get_function(name)).H for name in BATCH_FUNCTIONS]
+    batched = np.array([m_test_majorants(H, ORDERS) for H in Hs])
+    for N, column in zip(ORDERS, batched.T.tolist()):
+        # one oracle call serves every H: the tail sum does not depend on H
+        assert column == per_n_majorant(np.array(Hs), N, MAJORANT_MODE_CUTOFF).tolist(), N
+        assert m_test_majorant(Hs[0], N) == column[0], N
+
+
+def test_sup_errors_rejects_oversized_phase_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(continuous_fourier, "_coefficient_vector", refuse)
+    monkeypatch.setattr(continuous_fourier, "_phase_matrix", refuse)
+    f = cosine(1)
+    # (2048 + 1) * (2 * 1024 + 1) cells is just above 2**22
+    assert 2049 * 2049 > MAX_PHASE_CELLS >= 2049 * 2047
+    with pytest.raises(ValueError, match="phase matrix"):
+        sup_errors(f, [1, 1024], 2048)
+    with pytest.raises(ValueError, match="phase matrix"):
+        sup_error(f, 10**12, 2048)
+
+
+def test_rescale_scalar_callables():
+    # math.cos and math.sin accept only one float: the pulled-back
+    # evaluators call them point by point, on whole arrays too
+    rf = rescale(math.cos, 0.0, 2.0 * math.pi, d1=lambda x: -math.sin(x))
+    ts = np.linspace(-1.0, 1.0, 9)
+    xs = math.pi * (ts + 1.0)
+    np.testing.assert_allclose(rf.pulled.eval(ts), np.cos(xs), atol=1e-15)
+    np.testing.assert_allclose(rf.pulled.d1(ts), -math.pi * np.sin(xs), atol=1e-14)
+    assert complex(rf.pulled.eval(1.0)) == pytest.approx(1.0)
+    assert rf.coefficient(1) == pytest.approx(0.5, abs=1e-12)
+    assert rf.coefficient(2) == pytest.approx(0.0, abs=1e-12)

@@ -10,14 +10,18 @@ from gridfourier import (
     DEFAULT_CATALOG,
     BoundConstants,
     bound_constants,
+    build_grid,
     coefficient,
     combine,
     cosine,
     exp_cos,
     get_function,
+    sample,
     shift_to_zero_endpoints,
     trig_monomial,
 )
+from gridfourier.functions import SUP_NORM_POINTS, SmoothPeriodicFunction
+from gridfourier.grid import _evaluate
 
 CATALOG = [trig_monomial(0), trig_monomial(1), trig_monomial(-3), cosine(1), cosine(2), exp_cos()]
 
@@ -249,3 +253,39 @@ def test_bound_constants_reject_overflowing_norms():
     f = get_function("combo:1e307*cos:1")
     with pytest.raises(ValueError, match=re.escape(f.name) + ": M must be finite"):
         bound_constants(f)
+
+
+ARRAY_FUNCTIONS = [
+    *(get_function(name) for name in DEFAULT_CATALOG),
+    get_function("combo:0.731*trig:0+1.9*cos:2"),
+    shift_to_zero_endpoints(exp_cos()),
+]
+
+
+@pytest.mark.parametrize("f", ARRAY_FUNCTIONS, ids=lambda f: f.name)
+def test_array_evaluation_equals_per_point_loop(f):
+    dense = np.linspace(-1.0, 1.0, SUP_NORM_POINTS)
+    grid = build_grid(4096)
+    for xs in (dense, grid.points()):
+        for fn in (f.eval, f.d1, f.d2):
+            want = np.asarray([fn(float(x)) for x in xs], dtype=np.complex128)
+            assert _evaluate(fn, xs, f.name).tobytes() == want.tobytes()
+    want = np.asarray([f.eval(float(x)) for x in grid.points()], dtype=np.complex128)
+    assert sample(f, grid).values.tobytes() == want.tobytes()
+
+
+def test_scalar_callables_are_evaluated_per_point():
+    # math.cos accepts one float only, so this passes only point by point
+    gf = sample(math.cos, build_grid(4))
+    assert gf.values.tolist() == [complex(math.cos(j / 4)) for j in range(-4, 4)]
+    assert sample(lambda x: 1.0, build_grid(3)).values.tolist() == [1.0 + 0j] * 6
+
+
+def test_array_path_rejects_non_finite_values():
+    f = SmoothPeriodicFunction(
+        name="blowup", eval=lambda x: np.exp(1000.0 * x) + 0j, d1=None, d2=None,
+        exact_coefficient=None, endpoint_value=0j,
+    )
+    # exp(1000 x) first overflows at the grid point x = 0.75
+    with pytest.raises(ValueError, match=r"^blowup: non-finite value at x=0\.75 on the n=4 grid$"):
+        sample(f, build_grid(4))

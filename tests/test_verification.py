@@ -183,6 +183,8 @@ def test_run_convergence_validation():
         run_convergence("cos:1", [2, 2])
     with pytest.raises(ValueError):
         run_convergence("cos:1", [0, 1])
+    with pytest.raises(ValueError, match="phase matrix"):
+        run_convergence("cos:1", [1, 1024])
 
 
 def test_run_spectrum_decay_cosine():
@@ -212,3 +214,5 @@ def test_run_spectrum_decay_validation():
         run_spectrum_decay("nosuch", 8)
     with pytest.raises(ValueError):
         run_spectrum_decay("cos:1", 0)
+    with pytest.raises(ValueError, match="65536"):
+        run_spectrum_decay("cos:1", 2**16 + 1)
