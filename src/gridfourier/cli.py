@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .continuous_fourier import MAX_PHASE_CELLS, _interval_partial_sum, rescale
+from .continuous_fourier import MAX_PHASE_CELLS, rescale
 from .grid import _evaluate, _pointwise
 from .verification import (
     MAX_SPECTRUM_N,
@@ -51,7 +51,7 @@ def _write_output(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _parse_int_list(raw: str, flag: str, minimum: int) -> list[int]:
+def _parse_int_list(raw: str, flag: str, minimum: int, maximum: int | None = None) -> list[int]:
     items = []
     for piece in raw.split(","):
         piece = piece.strip()
@@ -63,6 +63,8 @@ def _parse_int_list(raw: str, flag: str, minimum: int) -> list[int]:
             raise _UsageError(f"{flag}: not an integer: {piece!r}")
         if value < minimum:
             raise _UsageError(f"{flag}: invalid value {value} (must be >= {minimum})")
+        if maximum is not None and value > maximum:
+            raise _UsageError(f"{flag}: invalid value {value} (must be <= {maximum})")
         items.append(value)
     if not items:
         raise _UsageError(f"{flag}: empty list")
@@ -124,7 +126,7 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--format: only 'json' is supported, got {args.format!r}")
     cfg = SuiteConfig(
         function_names=tuple(s.strip() for s in args.functions.split(",") if s.strip()),
-        grid_sizes=tuple(_parse_int_list(args.grid_sizes, "--grid-sizes", 1)),
+        grid_sizes=tuple(_parse_int_list(args.grid_sizes, "--grid-sizes", 1, MAX_SPECTRUM_N)),
         mode_limit=args.mode_limit,
         epsilons=tuple(_parse_float_list(args.epsilons, "--epsilons")),
         seed=args.seed,
@@ -143,18 +145,22 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
+def _check_phase_cells(flag: str, rows: int, rows_text: str, N: int) -> None:
+    cells = rows * (2 * N + 1)
+    if cells > MAX_PHASE_CELLS:
+        raise _UsageError(
+            f"{flag}: the {rows_text} x (2*{N}+1) phase matrix"
+            f" has {cells} cells, above the limit of {MAX_PHASE_CELLS}"
+        )
+
+
 def _cmd_converge(args) -> int:
     orders = _parse_int_list(args.N, "--N", 1)
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise _UsageError(f"--N: values must be strictly increasing, got {orders}")
     if args.samples < 2:
         raise _UsageError(f"--samples: must be >= 2, got {args.samples}")
-    cells = (args.samples + 1) * (2 * orders[-1] + 1)
-    if cells > MAX_PHASE_CELLS:
-        raise _UsageError(
-            f"--samples/--N: the ({args.samples}+1) x (2*{orders[-1]}+1) phase matrix"
-            f" has {cells} cells, above the limit of {MAX_PHASE_CELLS}"
-        )
+    _check_phase_cells("--samples/--N", args.samples + 1, f"({args.samples}+1)", orders[-1])
     try:
         rows = run_convergence(args.function, orders, args.samples)
     except ValueError as exc:
@@ -196,14 +202,14 @@ def _cmd_rescale_demo(args) -> int:
         raise _UsageError(f"need a < b with b - a finite, got a={args.a}, b={args.b}")
     if args.N < 0:
         raise _UsageError(f"--N: must be >= 0, got {args.N}")
+    _check_phase_cells("--N", _RESCALE_DEMO_POINTS, str(_RESCALE_DEMO_POINTS), args.N)
     ev = _demo_function(args.function, args.a, args.b)
     scaled = rescale(ev, args.a, args.b, name=args.function)
     xs = np.linspace(args.a, args.b, _RESCALE_DEMO_POINTS)
     fvals = _evaluate(_pointwise(ev), xs, args.function)
-    coeffs = scaled.coefficient_vector(args.N)
+    recons = scaled.reconstruct(args.N, xs)
     lines = ["x,f,reconstruction,abs_error"]
-    for x, fx in zip(xs, fvals.tolist()):
-        recon = _interval_partial_sum(coeffs, scaled.length, x)
+    for x, fx, recon in zip(xs, fvals.tolist(), recons.tolist()):
         lines.append(
             f"{_fmt(x)},{_fmt(fx.real)},{_fmt(recon.real)},{_fmt(abs(fx - recon))}"
         )

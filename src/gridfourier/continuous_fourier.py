@@ -10,10 +10,10 @@ of ``discrete_fourier`` instead runs over the asymmetric index set
 -n .. n-1; the single-mode mismatch at m = n is inherent to the two
 settings and is not reconciled.)
 
-When no closed-form coefficient exists, the coefficient is taken from the
-grid transform at n* = max(64, 16*(|m|+1)); for smooth periodic
-integrands the grid sum converges faster than any power of 1/n, and that
-path is certified independently by the aliasing oracle and the
+When no closed-form coefficient exists, every requested mode is read from
+one grid transform at n* = max(64, 16*(K+1)), K the largest |m| requested;
+for smooth periodic integrands the grid sum converges geometrically in n,
+and that path is certified independently by the aliasing oracle and the
 grid-vs-continuum gap checks.
 
 Every point value of a function (grid samples, sup-error points, the dense
@@ -26,8 +26,9 @@ per-point loop, ``grid._pointwise``, where they enter.
 A convergence table is computed in one pass per function: ``sup_errors``
 evaluates f once and builds one phase matrix for the largest order, and
 ``m_test_majorants`` builds the terms 1/m^2 once.  The one-N helpers
-``sup_error`` and ``m_test_majorant`` are views on them, and every slot
-equals the one-N computation bit for bit.
+``sup_error`` and ``m_test_majorant`` are views on them; every slot equals
+the one-N computation bit for bit when f has exact coefficients, as every
+catalog function has.
 """
 
 from __future__ import annotations
@@ -79,27 +80,22 @@ class ConvergenceRow:
 
 
 def coefficient(f: SmoothPeriodicFunction, m: int) -> complex:
-    """m'th Fourier coefficient of f.
+    """m'th Fourier coefficient of f: the one-mode view of ``_coefficient_vector``.
 
-    Uses the exact oracle when f carries one, otherwise the grid
-    transform at n* = max(64, 16*(|m|+1)); the two paths agree to 1e-8
-    whenever both exist.
+    Uses the exact oracle when f carries one, otherwise the grid transform
+    at the n* of the largest |m| requested, here n* = max(64, 16*(|m|+1));
+    the two paths agree to 1e-8 whenever both exist.
     """
     return complex(_coefficient_vector(f, [m])[0])
 
 
 def _coefficient_vector(f, ms) -> np.ndarray:
-    """Coefficients for the modes ms, sharing grid transforms across modes."""
+    """Coefficients for the modes ms, all read from one grid transform."""
     if f.exact_coefficient is not None:
         return np.asarray([f.exact_coefficient(m) for m in ms], dtype=np.complex128)
-    spectra = {}
-    out = np.empty(len(ms), dtype=np.complex128)
-    for pos, m in enumerate(ms):
-        n = max(_REFERENCE_GRID, 16 * (abs(m) + 1))
-        if n not in spectra:
-            spectra[n] = discrete_coefficients(sample(f, build_grid(n)))
-        out[pos] = spectra[n].coeff(m)
-    return out
+    ms = np.asarray(ms, dtype=np.int64)
+    n = max(_REFERENCE_GRID, 16 * (int(np.max(np.abs(ms), initial=0)) + 1))
+    return discrete_coefficients(sample(f, build_grid(n))).coefficients[ms + n]
 
 
 def _phase_matrix(xs: np.ndarray, N: int) -> np.ndarray:
@@ -121,13 +117,27 @@ def _partial_sums(phases: np.ndarray, coeffs: np.ndarray, N: int) -> np.ndarray:
     return 0.5 * np.sum(phases[:, cols] * coeffs[cols], axis=1)
 
 
-def reconstruct(f: SmoothPeriodicFunction, N: int, x: float) -> complex:
-    """Truncated series (1/2) sum_{m=-N}^{N} ghat(m) exp(i pi x m) at x."""
+def _check_phase_cells(points: int, N: int, inputs: str) -> None:
+    """Refuse a points x (2N+1) phase matrix above MAX_PHASE_CELLS, before allocating."""
+    cells = points * (2 * N + 1)
+    if cells > MAX_PHASE_CELLS:
+        raise ValueError(
+            f"{inputs} need a {cells}-cell phase matrix, above the limit of {MAX_PHASE_CELLS}"
+        )
+
+
+def reconstruct(f: SmoothPeriodicFunction, N: int, x):
+    """Truncated series (1/2) sum_{m=-N}^{N} ghat(m) exp(i pi x m) at x.
+
+    x is a point (giving a complex) or an array of points (giving an array of its shape).
+    """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
+    xs = np.asarray(x, dtype=np.float64)
+    _check_phase_cells(xs.size, N, f"{xs.size} points and N={N}")
     coeffs = _coefficient_vector(f, range(-N, N + 1))
-    phases = _phase_matrix(np.asarray([float(x)]), N)
-    return complex(_partial_sums(phases, coeffs, N)[0])
+    values = _partial_sums(_phase_matrix(xs.reshape(-1), N), coeffs, N)
+    return complex(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
 def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = 2048) -> np.ndarray:
@@ -147,12 +157,7 @@ def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = 2048) -> np.n
     if not N_values:
         return np.empty(0)
     N_max = max(N_values)
-    cells = (samples + 1) * (2 * N_max + 1)
-    if cells > MAX_PHASE_CELLS:
-        raise ValueError(
-            f"samples={samples} and N={N_max} need a {cells}-cell phase matrix,"
-            f" above the limit of {MAX_PHASE_CELLS}"
-        )
+    _check_phase_cells(samples + 1, N_max, f"samples={samples} and N={N_max}")
     xs = np.linspace(-1.0, 1.0, samples + 1)
     coeffs = _coefficient_vector(f, range(-N_max, N_max + 1))
     phases = _phase_matrix(xs, N_max)
@@ -234,17 +239,10 @@ class RescaledFunction:
         parity = np.where(ms % 2 == 0, 1.0, -1.0)
         return 0.5 * phases * parity * _coefficient_vector(self.pulled, range(-N, N + 1))
 
-    def reconstruct(self, N: int, x: float) -> complex:
-        """sum_{m=-N}^{N} ghat_[a,b](m) exp(2 pi i x m / L) at x in [a, b]."""
-        return _interval_partial_sum(self.coefficient_vector(N), self.length, x)
-
-
-def _interval_partial_sum(coeffs: np.ndarray, length: float, x: float) -> complex:
-    """sum_{m=-N}^{N} coeffs[m] exp(2 pi i x m / length) at one x."""
-    # per point on purpose: a points-by-modes phase matrix cost ~5% peak memory
-    ms = np.arange(len(coeffs)) - len(coeffs) // 2
-    phases = np.exp(2j * np.pi * float(x) * ms / length)
-    return complex(np.sum(coeffs * phases))
+    def reconstruct(self, N: int, x):
+        """sum_{|m|<=N} ghat_[a,b](m) exp(2 pi i x m / L): the circle sum at t = 2(x - a)/L - 1."""
+        t = 2.0 * (np.asarray(x, dtype=np.float64) - self.a) / self.length - 1.0
+        return reconstruct(self.pulled, N, t)
 
 
 def rescale(

@@ -147,9 +147,14 @@ def dft_identity_residual_arrays(gf: GridFunction) -> tuple[np.ndarray, np.ndarr
     Computed on the multiplied-through form and normalized afterwards, to
     avoid cancellation in the reported values.
     """
+    return _dft_identity_residuals(gf, discrete_coefficients(gf))
+
+
+def _dft_identity_residuals(gf: GridFunction, spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """``dft_identity_residual_arrays`` of gf, reading its given spectrum."""
     n = gf.grid.n
     modes = np.arange(-n, n)
-    s0 = discrete_coefficients(gf).coefficients
+    s0 = spectrum.coefficients
     s1 = discrete_coefficients(derivative(gf)).coefficients
     s2 = discrete_coefficients(derivative(derivative(gf))).coefficients
     *_, E, F = _boundary_arrays(gf)
@@ -253,9 +258,9 @@ class UniformBoundReport:
     passed: bool
 
 
-def _uniform_maxima(f, n: int) -> tuple[float, int, float, int]:
-    """(max|F|, its mode, max|ghat''|, its mode) of f sampled at grid size n."""
-    gf = sample(f, build_grid(n))
+def _uniform_maxima(gf: GridFunction) -> tuple[float, int, float, int]:
+    """(max|F|, its mode, max|ghat''|, its mode) of the grid function gf."""
+    n = gf.grid.n
     *_, F = _boundary_arrays(gf)
     second_hat = discrete_coefficients(derivative(derivative(gf))).coefficients
     max_F, m_F = _worst_mode(np.abs(F), n, include_zero=True)
@@ -272,7 +277,7 @@ def unifbounded_checks(f: SmoothPeriodicFunction, n: int) -> UniformBoundReport:
     if abs(complex(f.eval(1.0))) > _ENDPOINT_TOL or abs(complex(f.eval(-1.0))) > _ENDPOINT_TOL:
         raise ValueError(f"{f.name}: endpoint values must vanish (within {_ENDPOINT_TOL})")
     consts = bound_constants(f)
-    max_F, worst_F_mode, max_g2, worst_g2_mode = _uniform_maxima(f, n)
+    max_F, worst_F_mode, max_g2, worst_g2_mode = _uniform_maxima(sample(f, build_grid(n)))
 
     f_bound = 5.0 * consts.D + _UNIFORM_BOUND_TOL
     g2_bound = consts.M + 2.0 * consts.B + _UNIFORM_BOUND_TOL

@@ -27,14 +27,14 @@ from .continuous_fourier import (
 )
 from .discrete_calculus import ftc_residual, parts_residual, product_rule_residual
 from .discrete_fourier import alias_fold, discrete_coefficients, invert
-from .functions import bound_constants, get_function, shift_to_zero_endpoints
+from .functions import bound_constants, get_function
 from .grid import GridFunction, build_grid, sample
 from .spectral_bounds import (
+    _dft_identity_residuals,
     _uniform_maxima,
     _worst_mode,
     adjoint_symbol,
     decay_bound_check,
-    dft_identity_residual_arrays,
     forward_symbol,
     tail_sum,
     tail_threshold,
@@ -97,7 +97,8 @@ CONVERGENCE_MODES = (0, -1, 1, -2, 2)
 TAIL_BASE_GRID = 256
 TAIL_BIG_GRID = 4096
 SUP_ERROR_SAMPLES = 2048
-# Largest grid size of a spectrum table: 2n rows, checked before sampling.
+# Largest grid size of a spectrum table (2n rows) and of a verify grid,
+# checked before sampling.
 MAX_SPECTRUM_N = 2**16
 
 
@@ -162,8 +163,8 @@ def _validate_config(cfg: SuiteConfig) -> None:
     if not cfg.grid_sizes:
         raise ValueError("grid_sizes must be nonempty")
     for n in cfg.grid_sizes:
-        if n < 1:
-            raise ValueError(f"invalid grid size: {n} (must be >= 1)")
+        if not 1 <= n <= MAX_SPECTRUM_N:
+            raise ValueError(f"invalid grid size: {n} (must be in [1, {MAX_SPECTRUM_N}])")
     if cfg.mode_limit < 1:
         raise ValueError(f"mode_limit must be >= 1, got {cfg.mode_limit}")
     if not cfg.epsilons:
@@ -264,14 +265,15 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
             _offer(worst, "parts", abs(parts_residual(u, v)) / (n * su * sv), loc)
 
     # --- transform identities on the catalog, then on random data ------
-    dft_inputs = [(samples[(name, n)], name, n) for name in names for n in ns]
-    dft_inputs += [
-        (random_grid_function(cfg.seed, "dft", n, rep), f"random:{rep}", n)
-        for n in ns
-        for rep in range(DFT_RANDOM_REPS)
+    dft_inputs = [
+        (samples[(name, n)], spectra[(name, n)], name, n) for name in names for n in ns
     ]
-    for gf, label, n in dft_inputs:
-        r1, r2 = dft_identity_residual_arrays(gf)
+    for n in ns:
+        for rep in range(DFT_RANDOM_REPS):
+            gf = random_grid_function(cfg.seed, "dft", n, rep)
+            dft_inputs.append((gf, discrete_coefficients(gf), f"random:{rep}", n))
+    for gf, spectrum, label, n in dft_inputs:
+        r1, r2 = _dft_identity_residuals(gf, spectrum)
         scale = 1.0 + gf.max_abs()
         w1, m1 = _worst_mode(np.abs(r1), n)
         w2, m2 = _worst_mode(np.abs(r2), n)
@@ -306,10 +308,9 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
 
     # --- uniform bounds on the endpoint-centered catalog ----------------
     for name in names:
-        shifted = shift_to_zero_endpoints(fns[name])
-        c = consts[name]
+        c, endpoint = consts[name], fns[name].endpoint_value
         for n in ns:
-            max_F, m_F, max_g2, m_g2 = _uniform_maxima(shifted, n)
+            max_F, m_F, max_g2, m_g2 = _uniform_maxima(samples[(name, n)] - endpoint)
             _offer(worst, "F_bound", max_F - 5.0 * c.D, WorstLocation(name, n, m_F))
             _offer(worst, "g2_bound", max_g2 - (c.M + 2.0 * c.B), WorstLocation(name, n, m_g2))
 

@@ -61,3 +61,14 @@ def per_n_majorant(H, N, cutoff=10**6):
     """
     ms = np.arange(N + 1, cutoff + 1, dtype=np.float64)
     return H * float(np.sum(1.0 / (ms * ms))) + 2.0 * H * 1e-6
+
+
+def interval_partial_sum(coeffs, length, x):
+    """sum_{m=-N}^{N} coeffs[m] exp(2 pi i x m / length) at one x.
+
+    The per-point [a, b] partial sum, phases rebuilt for each x, against
+    which the circle-model reconstruction on [a, b] is checked.
+    """
+    ms = np.arange(len(coeffs)) - len(coeffs) // 2
+    phases = np.exp(2j * np.pi * float(x) * ms / length)
+    return complex(np.sum(coeffs * phases))

@@ -212,6 +212,11 @@ def test_converge_validation(capsys):
         (["converge", "--function", "cos:1", "--N", str(10**12)], "--samples/--N"),
         (["spectrum", "--function", "cos:1", "--n", str(2**16 + 1)], "--n"),
         (["spectrum", "--function", "cos:1", "--n", str(10**12)], "--n"),
+        (["verify", "--grid-sizes", f"4,{2**16 + 1}"], "--grid-sizes"),
+        (["verify", "--grid-sizes", str(10**12)], "--grid-sizes"),
+        # 257 x (2*8160 + 1) cells, just above the 2**22 limit
+        (["rescale-demo", "--a", "0", "--b", "1", "--N", "8160"], "--N"),
+        (["rescale-demo", "--a", "0", "--b", "1", "--N", str(10**12)], "--N"),
     ],
 )
 def test_oversized_tables_are_rejected_before_allocation(argv, flag, capsys, monkeypatch):
@@ -222,6 +227,8 @@ def test_oversized_tables_are_rejected_before_allocation(argv, flag, capsys, mon
 
     monkeypatch.setattr(cli, "run_convergence", refuse)
     monkeypatch.setattr(cli, "run_spectrum_decay", refuse)
+    monkeypatch.setattr(cli, "run_lemma_suite", refuse)
+    monkeypatch.setattr(cli, "rescale", refuse)
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""

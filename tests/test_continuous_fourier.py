@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from _oracles import per_n_majorant, per_n_sup_errors
+from _oracles import interval_partial_sum, per_n_majorant, per_n_sup_errors
 from gridfourier import (
     DEFAULT_CATALOG,
     bound_constants,
@@ -53,7 +53,30 @@ def test_coefficient_is_view_on_vector(name, quadrature):
     N = 6
     vector = _coefficient_vector(f, range(-N, N + 1))
     for m in range(-N, N + 1):
-        assert coefficient(f, m) == vector[m + N]
+        if quadrature:
+            # the quadrature grid follows the largest |m| requested
+            k = abs(m)
+            assert coefficient(f, m) == _coefficient_vector(f, range(-k, k + 1))[m + k]
+        else:
+            assert coefficient(f, m) == vector[m + N]
+
+
+@pytest.mark.parametrize("name", ["expcos", "combo:0.731*trig:0+1.9*cos:2"])
+def test_quadrature_vector_matches_exact_oracle(name):
+    # one transform at the n* of the largest |m| serves every mode
+    f = get_function(name)
+    modes = range(-64, 65)
+    exact = _coefficient_vector(f, modes)
+    quadrature = _coefficient_vector(dataclasses.replace(f, exact_coefficient=None), modes)
+    assert np.max(np.abs(quadrature - exact)) <= 1e-14
+
+
+def test_reconstruct_array_is_view_of_scalar_calls():
+    f = dataclasses.replace(exp_cos(), exact_coefficient=None)
+    xs = np.linspace(-1.0, 1.0, 33).reshape(3, 11)
+    values = reconstruct(f, 7, xs)
+    assert values.shape == xs.shape
+    assert values.tolist() == [[reconstruct(f, 7, x) for x in row] for row in xs.tolist()]
 
 
 def test_reconstruct_monomial_is_exact():
@@ -177,9 +200,36 @@ def test_rescale_cosine_long_interval():
 def test_rescaled_coefficient_is_view_on_vector():
     rf = rescale(lambda x: math.exp(math.cos(2 * math.pi * x / 2.5)), -1.25, 1.25)
     N = 5
-    vector = rf.coefficient_vector(N)
     for m in range(-N, N + 1):
-        assert rf.coefficient(m) == vector[m + N]
+        assert rf.coefficient(m) == rf.coefficient_vector(abs(m))[m + abs(m)]
+
+
+@pytest.mark.parametrize("a, b, N", [(0.0, 3.0, 64), (-1.234, 2.5, 64), (-1.0, 1.0, 8)])
+def test_rescaled_reconstruct_is_circle_partial_sum(a, b, N):
+    w = 2 * math.pi / (b - a)
+    rf = rescale(lambda x: math.exp(math.cos(w * (x - a))), a, b)
+    xs = np.linspace(a, b, 257)
+    values = rf.reconstruct(N, xs)
+    assert values.tolist() == [rf.reconstruct(N, x) for x in xs]
+    # the [a, b] sum of the same coefficients, point by point
+    coeffs = rf.coefficient_vector(N)
+    want = np.array([interval_partial_sum(coeffs, rf.length, x) for x in xs])
+    assert np.max(np.abs(values - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+
+
+def test_reconstruct_rejects_oversized_phase_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(continuous_fourier, "_coefficient_vector", refuse)
+    monkeypatch.setattr(continuous_fourier, "_phase_matrix", refuse)
+    # 257 x (2*8160 + 1) cells is just above 2**22: the rescale-demo limit
+    assert 257 * 16321 > MAX_PHASE_CELLS >= 257 * 16319
+    with pytest.raises(ValueError, match="phase matrix"):
+        reconstruct(cosine(1), 8160, np.zeros(257))
+    rf = rescale(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="phase matrix"):
+        rf.reconstruct(10**12, 0.5)
 
 
 def test_rescale_chain_rule_factors():

@@ -1,10 +1,13 @@
+import collections
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gridfourier import verification
+from gridfourier import discrete_fourier, verification
+from gridfourier.functions import get_function
+from gridfourier.grid import build_grid, sample
 from gridfourier.verification import (
     CHECK_NAMES,
     CHECKS,
@@ -126,6 +129,36 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match="must be finite"):
             run_lemma_suite(SuiteConfig(**bad))
+
+
+def test_grid_size_cap_is_checked_before_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the size check")
+
+    monkeypatch.setattr(verification, "sample", refuse)
+    monkeypatch.setattr(verification, "random_grid_function", refuse)
+    for sizes in ((4, 2**16 + 1), (10**12,)):
+        with pytest.raises(ValueError, match="65536"):
+            run_lemma_suite(SuiteConfig(grid_sizes=sizes))
+
+
+def test_each_catalog_sample_is_transformed_once(monkeypatch):
+    # the transform-identity pass reads the spectrum the engine already holds
+    forward_inputs = collections.Counter()
+    real = discrete_fourier._shifted_dft
+
+    def counting(values, n, sign):
+        if sign < 0:
+            forward_inputs[values.tobytes()] += 1
+        return real(values, n, sign)
+
+    monkeypatch.setattr(discrete_fourier, "_shifted_dft", counting)
+    cfg = SuiteConfig()
+    run_lemma_suite(cfg)
+    for name in cfg.function_names:
+        for n in cfg.grid_sizes:
+            values = sample(get_function(name), build_grid(n)).values
+            assert forward_inputs[values.tobytes()] == 1, (name, n)
 
 
 def test_nan_residual_is_never_dropped(monkeypatch):
