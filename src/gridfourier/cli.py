@@ -19,7 +19,8 @@ import sys
 
 import numpy as np
 
-from .continuous_fourier import MAX_PHASE_CELLS, rescale
+from . import continuous_fourier
+from .continuous_fourier import rescale
 from .grid import _evaluate, _pointwise
 from .verification import (
     MAX_SPECTRUM_N,
@@ -145,13 +146,11 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
-def _check_phase_cells(flag: str, rows: int, rows_text: str, N: int) -> None:
-    cells = rows * (2 * N + 1)
-    if cells > MAX_PHASE_CELLS:
-        raise _UsageError(
-            f"{flag}: the {rows_text} x (2*{N}+1) phase matrix"
-            f" has {cells} cells, above the limit of {MAX_PHASE_CELLS}"
-        )
+def _check_phase_cells(flag: str, points: int, N: int, inputs: str) -> None:
+    try:
+        continuous_fourier._check_phase_cells(points, N, inputs)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}")
 
 
 def _cmd_converge(args) -> int:
@@ -160,7 +159,8 @@ def _cmd_converge(args) -> int:
         raise _UsageError(f"--N: values must be strictly increasing, got {orders}")
     if args.samples < 2:
         raise _UsageError(f"--samples: must be >= 2, got {args.samples}")
-    _check_phase_cells("--samples/--N", args.samples + 1, f"({args.samples}+1)", orders[-1])
+    N = orders[-1]
+    _check_phase_cells("--samples/--N", args.samples + 1, N, f"samples={args.samples} and N={N}")
     try:
         rows = run_convergence(args.function, orders, args.samples)
     except ValueError as exc:
@@ -202,7 +202,8 @@ def _cmd_rescale_demo(args) -> int:
         raise _UsageError(f"need a < b with b - a finite, got a={args.a}, b={args.b}")
     if args.N < 0:
         raise _UsageError(f"--N: must be >= 0, got {args.N}")
-    _check_phase_cells("--N", _RESCALE_DEMO_POINTS, str(_RESCALE_DEMO_POINTS), args.N)
+    points = _RESCALE_DEMO_POINTS
+    _check_phase_cells("--N", points, args.N, f"{points} points and N={args.N}")
     ev = _demo_function(args.function, args.a, args.b)
     scaled = rescale(ev, args.a, args.b, name=args.function)
     xs = np.linspace(args.a, args.b, _RESCALE_DEMO_POINTS)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .discrete_fourier import discrete_coefficients
 from .functions import SmoothPeriodicFunction
-from .grid import _evaluate, _pointwise, build_grid, integrate, sample
+from .grid import GridFunction, _evaluate, _pointwise, build_grid, integrate, sample
 
 __all__ = [
     "ConvergenceRow",
@@ -200,7 +200,8 @@ def m_test_majorant(H: float, N: int) -> float:
 
     Returns (1/2) * sum_{N < |m| <= 1e6} H/m^2 plus an explicit 2*H*1e-6
     term covering the discarded modes beyond the cutoff, so the result is
-    a rigorous majorant of |f - reconstruct(f, N, .)|.  The one-N view of
+    a majorant of |f - reconstruct(f, N, .)| given the sampled constants
+    behind H; certified constants are ROADMAP item 1.  The one-N view of
     ``m_test_majorants``.
     """
     return float(m_test_majorants(H, [N])[0])
@@ -313,4 +314,9 @@ def discrete_to_continuous_gap(f: SmoothPeriodicFunction, m: int, n: int) -> flo
 
 def integral_gap(f: SmoothPeriodicFunction, n: int) -> float:
     """|grid integral - integral of f| = |grid mean-mode - ghat(0)|."""
-    return abs(integrate(sample(f, build_grid(n))) - coefficient(f, 0))
+    return _integral_gap(f, sample(f, build_grid(n)))
+
+
+def _integral_gap(f: SmoothPeriodicFunction, gf: GridFunction) -> float:
+    """``integral_gap`` on a sample of f that is already held."""
+    return abs(integrate(gf) - coefficient(f, 0))

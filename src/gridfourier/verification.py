@@ -1,27 +1,32 @@
 """Orchestrates the lemma checks and convergence experiments.
 
-Every check is one row of ``CHECKS``: its name, the claim it certifies
-and its default tolerance.  A check's worst residual is normalized by the
-scale stated for that check (grid size, input magnitude), so the
-tolerance column is a plain number.  Runs are deterministic: randomized
-grid functions come from named PCG64 streams keyed by (seed, stream id,
-grid size, replicate), the checks run serially in a fixed order and feed
-one worst-case reduction, and worst-case ties resolve to the smallest |m|
-with the negative mode first, then to the earliest (function, n) cell.
+Every check is one row of ``CHECKS``: its name, the claim it certifies,
+its default tolerance, and ``run``, the code that computes it.  A runner
+takes the suite context (config, functions, bound constants, tail plan,
+and the sample and spectrum of every catalog cell, all built once per
+run) and yields (check name, residual, location) candidates; rows that
+share work share one runner, which runs once.  A check's worst residual
+is normalized by the scale stated for that check (grid size, input
+magnitude), so the tolerance column is a plain number.  Runs are
+deterministic: randomized grid functions come from named PCG64 streams
+keyed by (seed, stream id, grid size, replicate), the runners run
+serially in table order and feed one worst-case reduction, and
+worst-case ties resolve to the smallest |m| with the negative mode first,
+then to the earliest (function, n) cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .continuous_fourier import (
     ConvergenceRow,
+    _integral_gap,
     coefficient,
-    integral_gap,
     m_test_majorants,
     sup_errors,
 )
@@ -55,36 +60,13 @@ __all__ = [
 
 
 class Check(NamedTuple):
-    """One row of the check table: name, certified claim, default tolerance."""
+    """One row of the check table: name, certified claim, default tolerance, runner."""
 
     name: str
     claim: str
     tolerance: float
+    run: Callable[[_Suite], Iterator[tuple[str, float, WorstLocation]]]
 
-
-# Budgets: 1e-12*scale for the purely algebraic identities, 1e-10*scale
-# once a symbol division enters, 1e-9*scale for the squared-symbol
-# identity, and the explicit slacks of the bound checks.
-CHECKS = (
-    Check("inversion", "transform-roundtrip-exactness", 1e-10),
-    Check("ftc", "telescoping-fundamental-identity", 1e-12),
-    Check("product_rule", "difference-product-rule", 1e-12),
-    Check("parts", "summation-by-parts", 1e-12),
-    Check("dft_identity_1", "first-derivative-transform-identity", 1e-10),
-    Check("dft_identity_2", "second-derivative-transform-identity", 1e-9),
-    Check("psi_lower", "symbol-quadratic-lower-bound", 1e-9),
-    Check("phi_psi_mag", "symbol-conjugacy-and-magnitude", 1e-12),
-    Check("F_bound", "boundary-term-uniform-bound", 1e-9),
-    Check("g2_bound", "second-difference-spectrum-uniform-bound", 1e-9),
-    Check("decay_H", "quadratic-coefficient-decay", 1.0),
-    Check("tail_eps", "tail-sum-smallness", 1.0),
-    Check("alias_oracle", "alias-folding-identity", 1e-12),
-    Check("coeff_convergence", "grid-to-continuum-coefficient-limit", 1e-10),
-    Check("integral_darboux", "grid-to-continuum-integral-limit", 1e-10),
-    Check("m_test_domination", "uniform-convergence-majorant", 1e-9),
-)
-_CHECK_BY_NAME = {check.name: check for check in CHECKS}
-CHECK_NAMES = tuple(_CHECK_BY_NAME)
 
 _STREAMS = {"inversion": 1, "calculus": 2, "dft": 3}
 
@@ -206,82 +188,81 @@ def _worst_grid_point(values: np.ndarray, n: int) -> float:
     return j / n
 
 
-def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
-    """Run every check over the configured cross-product.
+class _Suite(NamedTuple):
+    """What every runner reads: built once per run, keyed by (function name, n)."""
 
-    Returns one report per check name, sorted by check name.  Raises
-    ValueError for unknown function names or invalid overrides.
-    """
-    _validate_config(cfg)
-    names = list(cfg.function_names)
-    fns = {name: get_function(name) for name in names}
+    cfg: SuiteConfig
+    fns: dict
+    ns: list
+    consts: dict
+    tail_plan: dict
+    samples: dict
+    spectra: dict
+
+
+def _build_suite(cfg: SuiteConfig) -> _Suite:
+    fns = {name: get_function(name) for name in cfg.function_names}
     ns = sorted(set(int(n) for n in cfg.grid_sizes))
-    n_max = ns[-1]
-    n_min = ns[0]
-
-    consts = {name: bound_constants(fns[name]) for name in names}
+    consts = {name: bound_constants(f) for name, f in fns.items()}
 
     # tail grids are pinned by the threshold rule, independent of grid_sizes
     tail_plan = {}
-    for name in names:
+    for name in fns:
         for eps in cfg.epsilons:
             thr = tail_threshold(consts[name].H, eps)
             n_tail = TAIL_BASE_GRID if thr <= TAIL_BASE_GRID else TAIL_BIG_GRID
             tail_plan[(name, eps)] = (thr, n_tail)
 
-    spectra_keys = [(name, n) for name in names for n in ns]
-    spectra_keys += [(name, n_tail) for (name, _), (_, n_tail) in tail_plan.items()]
-    samples = {
-        (name, n): sample(fns[name], build_grid(n)) for name, n in dict.fromkeys(spectra_keys)
-    }
+    keys = [(name, n) for name in fns for n in ns]
+    keys += [(name, n_tail) for (name, _), (_, n_tail) in tail_plan.items()]
+    samples = {(name, n): sample(fns[name], build_grid(n)) for name, n in dict.fromkeys(keys)}
     spectra = {key: discrete_coefficients(gf) for key, gf in samples.items()}
+    return _Suite(cfg, fns, ns, consts, tail_plan, samples, spectra)
 
-    worst: dict[str, tuple[float, WorstLocation]] = {}
 
-    # --- roundtrip and calculus identities on seeded random data -------
-    for n in ns:
+def _inversion(s: _Suite):
+    for n in s.ns:
         for rep in range(RANDOM_REPS):
-            gf = random_grid_function(cfg.seed, "inversion", n, rep)
+            gf = random_grid_function(s.cfg.seed, "inversion", n, rep)
             err = np.abs(invert(discrete_coefficients(gf)).values - gf.values)
-            raw = float(np.max(err))
             loc = WorstLocation(f"random:{rep}", n, None, _worst_grid_point(err, n))
-            _offer(worst, "inversion", raw / (1.0 + gf.max_abs()), loc)
+            yield "inversion", float(np.max(err)) / (1.0 + gf.max_abs()), loc
 
-    for n in ns:
+
+def _calculus(s: _Suite):
+    for n in s.ns:
         for rep in range(RANDOM_REPS):
-            u = random_grid_function(cfg.seed, "calculus", n, rep, part=0)
-            v = random_grid_function(cfg.seed, "calculus", n, rep, part=1)
+            u = random_grid_function(s.cfg.seed, "calculus", n, rep, part=0)
+            v = random_grid_function(s.cfg.seed, "calculus", n, rep, part=1)
             su = max(u.max_abs(), 1e-300)
             sv = max(v.max_abs(), 1e-300)
             loc = WorstLocation(f"random:{rep}", n)
-            _offer(worst, "ftc", abs(ftc_residual(u)) / (n * su), loc)
+            yield "ftc", abs(ftc_residual(u)) / (n * su), loc
             pr = np.abs(product_rule_residual(u, v).values)
-            _offer(
-                worst,
-                "product_rule",
-                float(np.max(pr)) / (n * su * sv),
-                WorstLocation(f"random:{rep}", n, None, _worst_grid_point(pr, n)),
-            )
-            _offer(worst, "parts", abs(parts_residual(u, v)) / (n * su * sv), loc)
+            pr_loc = WorstLocation(f"random:{rep}", n, None, _worst_grid_point(pr, n))
+            yield "product_rule", float(np.max(pr)) / (n * su * sv), pr_loc
+            yield "parts", abs(parts_residual(u, v)) / (n * su * sv), loc
 
-    # --- transform identities on the catalog, then on random data ------
-    dft_inputs = [
-        (samples[(name, n)], spectra[(name, n)], name, n) for name in names for n in ns
-    ]
-    for n in ns:
+
+def _dft_identities(s: _Suite):
+    # the catalog cells first, then seeded random data
+    cells = [(name, n) for name in s.fns for n in s.ns]
+    inputs = [(s.samples[key], s.spectra[key], *key) for key in cells]
+    for n in s.ns:
         for rep in range(DFT_RANDOM_REPS):
-            gf = random_grid_function(cfg.seed, "dft", n, rep)
-            dft_inputs.append((gf, discrete_coefficients(gf), f"random:{rep}", n))
-    for gf, spectrum, label, n in dft_inputs:
+            gf = random_grid_function(s.cfg.seed, "dft", n, rep)
+            inputs.append((gf, discrete_coefficients(gf), f"random:{rep}", n))
+    for gf, spectrum, label, n in inputs:
         r1, r2 = _dft_identity_residuals(gf, spectrum)
         scale = 1.0 + gf.max_abs()
         w1, m1 = _worst_mode(np.abs(r1), n)
         w2, m2 = _worst_mode(np.abs(r2), n)
-        _offer(worst, "dft_identity_1", w1 / scale, WorstLocation(label, n, m1))
-        _offer(worst, "dft_identity_2", w2 / scale, WorstLocation(label, n, m2))
+        yield "dft_identity_1", w1 / scale, WorstLocation(label, n, m1)
+        yield "dft_identity_2", w2 / scale, WorstLocation(label, n, m2)
 
-    # --- symbol sweep ---------------------------------------------------
-    for n in sorted(set(range(1, SYMBOL_SWEEP_MAX + 1)) | set(ns)):
+
+def _symbol_sweep(s: _Suite):
+    for n in sorted(set(range(1, SYMBOL_SWEEP_MAX + 1)) | set(s.ns)):
         modes = np.arange(-n, n)
         psi = forward_symbol(n, modes)
         phi = adjoint_symbol(n, modes)
@@ -293,7 +274,7 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
         msq = 4.0 * modes[nz].astype(float) ** 2
         lower[nz] = (msq - abs_psi[nz] ** 2) / msq
         val, mode = _worst_mode(lower, n)
-        _offer(worst, "psi_lower", val, WorstLocation(None, n, mode))
+        yield "psi_lower", val, WorstLocation(None, n, mode)
 
         mag = np.maximum.reduce(
             [
@@ -304,86 +285,127 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
             ]
         ) / n
         val, mode = _worst_mode(mag, n, include_zero=True)
-        _offer(worst, "phi_psi_mag", val, WorstLocation(None, n, mode))
+        yield "phi_psi_mag", val, WorstLocation(None, n, mode)
 
-    # --- uniform bounds on the endpoint-centered catalog ----------------
-    for name in names:
-        c, endpoint = consts[name], fns[name].endpoint_value
-        for n in ns:
-            max_F, m_F, max_g2, m_g2 = _uniform_maxima(samples[(name, n)] - endpoint)
-            _offer(worst, "F_bound", max_F - 5.0 * c.D, WorstLocation(name, n, m_F))
-            _offer(worst, "g2_bound", max_g2 - (c.M + 2.0 * c.B), WorstLocation(name, n, m_g2))
 
-    # --- decay, tails, aliasing, convergence ----------------------------
-    for name in names:
-        for n in ns:
-            check = decay_bound_check(spectra[(name, n)], consts[name].H)
-            _offer(worst, "decay_H", check.worst_ratio, WorstLocation(name, n, check.worst_m))
+def _uniform_bounds(s: _Suite):
+    # on the endpoint-centered catalog
+    for name, f in s.fns.items():
+        c = s.consts[name]
+        for n in s.ns:
+            max_F, m_F, max_g2, m_g2 = _uniform_maxima(s.samples[(name, n)] - f.endpoint_value)
+            yield "F_bound", max_F - 5.0 * c.D, WorstLocation(name, n, m_F)
+            yield "g2_bound", max_g2 - (c.M + 2.0 * c.B), WorstLocation(name, n, m_g2)
 
-    for name in names:
-        for eps in cfg.epsilons:
-            thr, n_tail = tail_plan[(name, eps)]
+
+def _decay(s: _Suite):
+    for name in s.fns:
+        for n in s.ns:
+            check = decay_bound_check(s.spectra[(name, n)], s.consts[name].H)
+            yield "decay_H", check.worst_ratio, WorstLocation(name, n, check.worst_m)
+
+
+def _tails(s: _Suite):
+    for name in s.fns:
+        for eps in s.cfg.epsilons:
+            thr, n_tail = s.tail_plan[(name, eps)]
             L = math.floor(thr) + 1
             if L > n_tail - 1:
                 # no admissible range below this grid size: vacuous
-                _offer(worst, "tail_eps", 0.0, WorstLocation(name, n_tail))
+                yield "tail_eps", 0.0, WorstLocation(name, n_tail)
                 continue
-            spec = spectra[(name, n_tail)]
+            spec = s.spectra[(name, n_tail)]
             pos = tail_sum(spec, L, n_tail - 1)
             neg = tail_sum(spec, -(n_tail - 1), -L)
             if neg >= pos:
-                _offer(worst, "tail_eps", neg / eps, WorstLocation(name, n_tail, -L))
+                yield "tail_eps", neg / eps, WorstLocation(name, n_tail, -L)
             else:
-                _offer(worst, "tail_eps", pos / eps, WorstLocation(name, n_tail, L))
+                yield "tail_eps", pos / eps, WorstLocation(name, n_tail, L)
 
-    for name in names:
-        for n in ns:
-            spec = spectra[(name, n)]
+
+def _alias(s: _Suite):
+    for name, f in s.fns.items():
+        for n in s.ns:
+            spec = s.spectra[(name, n)]
             # scalar abs on purpose: np.abs can differ in the last ulp
             diffs = np.array(
-                [
-                    abs(spec.coeff(m) - alias_fold(fns[name], n, m, ALIAS_CUTOFF))
-                    for m in range(-n, n)
-                ]
+                [abs(spec.coeff(m) - alias_fold(f, n, m, ALIAS_CUTOFF)) for m in range(-n, n)]
             )
             diff, m = _worst_mode(diffs, n, include_zero=True)
-            _offer(worst, "alias_oracle", diff, WorstLocation(name, n, m))
+            yield "alias_oracle", diff, WorstLocation(name, n, m)
 
-    convergence_modes = [m for m in CONVERGENCE_MODES if -n_min <= m <= n_min - 1]
-    for name in names:
-        for m in convergence_modes:
-            exact = coefficient(fns[name], m)
-            gaps = [abs(spectra[(name, n)].coeff(m) - exact) for n in ns]
-            _offer(worst, "coeff_convergence", gaps[-1], WorstLocation(name, n_max, m))
-            for k in range(1, len(ns)):
+
+def _coeff_convergence(s: _Suite):
+    n_min, n_max = s.ns[0], s.ns[-1]
+    for name, f in s.fns.items():
+        for m in [m for m in CONVERGENCE_MODES if -n_min <= m <= n_min - 1]:
+            exact = coefficient(f, m)
+            gaps = [abs(s.spectra[(name, n)].coeff(m) - exact) for n in s.ns]
+            yield "coeff_convergence", gaps[-1], WorstLocation(name, n_max, m)
+            for k in range(1, len(s.ns)):
                 inc = gaps[k] - gaps[k - 1]
-                _offer(worst, "coeff_convergence", inc, WorstLocation(name, ns[k], m))
+                yield "coeff_convergence", inc, WorstLocation(name, s.ns[k], m)
 
-    for name in names:
-        gap = integral_gap(fns[name], n_max)
-        _offer(worst, "integral_darboux", gap, WorstLocation(name, n_max))
 
-    orders = [N for N in MTEST_ORDERS if N <= cfg.mode_limit]
-    for name in names:
-        errs = sup_errors(fns[name], orders, SUP_ERROR_SAMPLES)
-        bounds = m_test_majorants(consts[name].H, orders)
+def _darboux(s: _Suite):
+    n_max = s.ns[-1]
+    for name, f in s.fns.items():
+        gap = _integral_gap(f, s.samples[(name, n_max)])
+        yield "integral_darboux", gap, WorstLocation(name, n_max)
+
+
+def _m_test(s: _Suite):
+    orders = [N for N in MTEST_ORDERS if N <= s.cfg.mode_limit]
+    for name, f in s.fns.items():
+        errs = sup_errors(f, orders, SUP_ERROR_SAMPLES)
+        bounds = m_test_majorants(s.consts[name].H, orders)
         for N, err, bound in zip(orders, errs.tolist(), bounds.tolist()):
-            _offer(worst, "m_test_domination", err - bound, WorstLocation(name, None, N))
+            yield "m_test_domination", err - bound, WorstLocation(name, None, N)
 
-    # --- reports ---------------------------------------------------------
+
+# Budgets: 1e-12*scale for the purely algebraic identities, 1e-10*scale
+# once a symbol division enters, 1e-9*scale for the squared-symbol
+# identity, and the explicit slacks of the bound checks.
+CHECKS = (
+    Check("inversion", "transform-roundtrip-exactness", 1e-10, _inversion),
+    Check("ftc", "telescoping-fundamental-identity", 1e-12, _calculus),
+    Check("product_rule", "difference-product-rule", 1e-12, _calculus),
+    Check("parts", "summation-by-parts", 1e-12, _calculus),
+    Check("dft_identity_1", "first-derivative-transform-identity", 1e-10, _dft_identities),
+    Check("dft_identity_2", "second-derivative-transform-identity", 1e-9, _dft_identities),
+    Check("psi_lower", "symbol-quadratic-lower-bound", 1e-9, _symbol_sweep),
+    Check("phi_psi_mag", "symbol-conjugacy-and-magnitude", 1e-12, _symbol_sweep),
+    Check("F_bound", "boundary-term-uniform-bound", 1e-9, _uniform_bounds),
+    Check("g2_bound", "second-difference-spectrum-uniform-bound", 1e-9, _uniform_bounds),
+    Check("decay_H", "quadratic-coefficient-decay", 1.0, _decay),
+    Check("tail_eps", "tail-sum-smallness", 1.0, _tails),
+    Check("alias_oracle", "alias-folding-identity", 1e-12, _alias),
+    Check("coeff_convergence", "grid-to-continuum-coefficient-limit", 1e-10, _coeff_convergence),
+    Check("integral_darboux", "grid-to-continuum-integral-limit", 1e-10, _darboux),
+    Check("m_test_domination", "uniform-convergence-majorant", 1e-9, _m_test),
+)
+_CHECK_BY_NAME = {check.name: check for check in CHECKS}
+CHECK_NAMES = tuple(_CHECK_BY_NAME)
+
+
+def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
+    """Run every check over the configured cross-product.
+
+    Returns one report per check name, sorted by check name.  Raises
+    ValueError for unknown function names or invalid overrides.
+    """
+    _validate_config(cfg)
+    suite = _build_suite(cfg)
+    worst: dict[str, tuple[float, WorstLocation]] = {}
+    for run in dict.fromkeys(check.run for check in CHECKS):
+        for name, residual, loc in run(suite):
+            _offer(worst, name, residual, loc)
     reports = []
     for check in sorted(CHECKS):
         tol = float(cfg.tolerance_overrides.get(check.name, check.tolerance))
         residual, loc = worst.get(check.name, (0.0, WorstLocation()))
-        reports.append(
-            LemmaReport(
-                check_name=check.name,
-                status="pass" if residual <= tol else "fail",
-                worst_residual=residual,
-                worst_location=loc,
-                tolerance_used=tol,
-            )
-        )
+        status = "pass" if residual <= tol else "fail"
+        reports.append(LemmaReport(check.name, status, residual, loc, tol))
     return reports
 
 

@@ -1,11 +1,12 @@
 import collections
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gridfourier import discrete_fourier, verification
+from gridfourier import continuous_fourier, discrete_fourier, verification
 from gridfourier.functions import get_function
 from gridfourier.grid import build_grid, sample
 from gridfourier.verification import (
@@ -161,15 +162,52 @@ def test_each_catalog_sample_is_transformed_once(monkeypatch):
             assert forward_inputs[values.tobytes()] == 1, (name, n)
 
 
+def test_each_catalog_cell_is_sampled_once(monkeypatch):
+    # every check reads the samples the engine already holds
+    sampled = collections.Counter()
+
+    def counting(f, grid):
+        sampled[(f.name, grid.n)] += 1
+        return sample(f, grid)
+
+    monkeypatch.setattr(verification, "sample", counting)
+    monkeypatch.setattr(continuous_fourier, "sample", counting)
+    run_lemma_suite(SuiteConfig())
+    assert sampled and set(sampled.values()) == {1}, sampled
+
+
+@functools.lru_cache(maxsize=None)
+def _default_rows():
+    suite = verification._build_suite(SuiteConfig())
+    return suite, {r.check_name: r for r in run_lemma_suite(SuiteConfig())}
+
+
+_RUNNERS = tuple(dict.fromkeys(check.run for check in CHECKS))
+
+
+@pytest.mark.parametrize("run", _RUNNERS, ids=[run.__name__ for run in _RUNNERS])
+def test_each_runner_alone_gives_its_rows_of_the_full_report(run):
+    suite, full = _default_rows()
+    own = {check.name for check in CHECKS if check.run is run}
+    worst = {}
+    for name, residual, loc in run(suite):
+        assert name in own, f"{run.__name__} yields {name}, a row of another runner"
+        verification._offer(worst, name, residual, loc)
+    assert set(worst) == own
+    for name, (residual, loc) in worst.items():
+        assert repr(residual) == repr(full[name].worst_residual), name
+        assert loc == full[name].worst_location, name
+
+
 def test_nan_residual_is_never_dropped(monkeypatch):
     # a NaN arriving after a finite candidate must rank worst, not lose
     # every comparison and leave the check reported as a pass
-    real_gap = verification.integral_gap
+    real_gap = verification._integral_gap
 
-    def gap(f, n):
-        return math.nan if f.name == "trig:1" else real_gap(f, n)
+    def gap(f, gf):
+        return math.nan if f.name == "trig:1" else real_gap(f, gf)
 
-    monkeypatch.setattr(verification, "integral_gap", gap)
+    monkeypatch.setattr(verification, "_integral_gap", gap)
     cfg = SuiteConfig(function_names=("cos:1", "trig:1"), grid_sizes=(4,), mode_limit=3, seed=7)
     reports = {r.check_name: r for r in run_lemma_suite(cfg)}
     darboux = reports["integral_darboux"]

@@ -1,0 +1,52 @@
+"""Record the CLI contract outputs of the gridfourier on PYTHONPATH.
+
+Usage:  python tools/cli_snapshot.py OUTDIR
+
+Runs a fixed list of contract argvs, each as ``python -m gridfourier``
+in a fresh interpreter, and writes for argv number k the files
+``k.argv``, ``k.stdout``, ``k.stderr`` and ``k.exit`` into OUTDIR.  Two
+trees are byte-identical on the contract when ``diff -r`` finds nothing
+between their snapshots.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+_ORDERS = ",".join(str(N) for N in range(1, 65))
+
+ARGVS = (
+    ["verify"],
+    ["verify", "--seed", "7", "--functions", "cos:1,expcos,combo:0.731*trig:0+1.9*cos:2",
+     "--grid-sizes", "3,5,64,100"],
+    ["verify", "--seed", "7", "--functions", "cos:1,expcos,combo:0.731*trig:0+1.9*cos:2",
+     "--grid-sizes", "3,5,64,100", "--epsilons", "0.5,0.05"],
+    ["verify", "--tolerance", "dft_identity_2=1e-30"],
+    ["verify", "--functions", "combo:-1.5*expcos+0.25*trig:3,cos:7", "--grid-sizes", "3,9,50,333"],
+    ["converge", "--function", "expcos", "--N", _ORDERS],
+    ["converge", "--function", "combo:0.7*trig:0+1.3*cos:2", "--N", _ORDERS],
+    ["spectrum", "--function", "expcos", "--n", "4096"],
+    ["spectrum", "--function", "combo:1e308*cos:1+1e308*cos:1", "--n", "4"],
+    ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period", "--N", "8"],
+)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    for k, args in enumerate(ARGVS):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridfourier", *args], capture_output=True, check=False
+        )
+        (outdir / f"{k:02d}.argv").write_text(" ".join(args) + "\n")
+        (outdir / f"{k:02d}.stdout").write_bytes(proc.stdout)
+        (outdir / f"{k:02d}.stderr").write_bytes(proc.stderr)
+        (outdir / f"{k:02d}.exit").write_text(f"{proc.returncode}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
