@@ -7,12 +7,13 @@ and the sample and spectrum of every catalog cell, all built once per
 run) and yields (check name, residual, location) candidates; rows that
 share work share one runner, which runs once.  A check's worst residual
 is normalized by the scale stated for that check (grid size, input
-magnitude), so the tolerance column is a plain number.  Runs are
-deterministic: randomized grid functions come from named PCG64 streams
-keyed by (seed, stream id, grid size, replicate), the runners run
-serially in table order and feed one worst-case reduction, and
-worst-case ties resolve to the smallest |m| with the negative mode first,
-then to the earliest (function, n) cell.
+magnitude; max(1, max|f|) for the checks against continuum values, so a
+function with |f| <= 1 keeps an absolute budget), and the tolerance
+column is a plain number.  Runs are deterministic: randomized grid
+functions come from named PCG64 streams keyed by (seed, stream id, grid
+size, replicate), the runners run serially in table order and feed one
+worst-case reduction, and worst-case ties resolve to the smallest |m|
+with the negative mode first, then to the earliest (function, n) cell.
 """
 
 from __future__ import annotations
@@ -323,6 +324,12 @@ def _tails(s: _Suite):
                 yield "tail_eps", pos / eps, WorstLocation(name, n_tail, L)
 
 
+def _magnitude(s: _Suite, name: str, n: int) -> float:
+    """max(1, max|f|) over the held sample of a cell: the scale of the checks
+    against continuum values, so a function with |f| <= 1 keeps an absolute budget."""
+    return max(1.0, s.samples[(name, n)].max_abs())
+
+
 def _alias(s: _Suite):
     for name, f in s.fns.items():
         for n in s.ns:
@@ -332,15 +339,16 @@ def _alias(s: _Suite):
                 [abs(spec.coeff(m) - alias_fold(f, n, m, ALIAS_CUTOFF)) for m in range(-n, n)]
             )
             diff, m = _worst_mode(diffs, n, include_zero=True)
-            yield "alias_oracle", diff, WorstLocation(name, n, m)
+            yield "alias_oracle", diff / _magnitude(s, name, n), WorstLocation(name, n, m)
 
 
 def _coeff_convergence(s: _Suite):
     n_min, n_max = s.ns[0], s.ns[-1]
     for name, f in s.fns.items():
+        scale = _magnitude(s, name, n_max)
         for m in [m for m in CONVERGENCE_MODES if -n_min <= m <= n_min - 1]:
             exact = coefficient(f, m)
-            gaps = [abs(s.spectra[(name, n)].coeff(m) - exact) for n in s.ns]
+            gaps = [abs(s.spectra[(name, n)].coeff(m) - exact) / scale for n in s.ns]
             yield "coeff_convergence", gaps[-1], WorstLocation(name, n_max, m)
             for k in range(1, len(s.ns)):
                 inc = gaps[k] - gaps[k - 1]
@@ -350,7 +358,7 @@ def _coeff_convergence(s: _Suite):
 def _darboux(s: _Suite):
     n_max = s.ns[-1]
     for name, f in s.fns.items():
-        gap = _integral_gap(f, s.samples[(name, n_max)])
+        gap = _integral_gap(f, s.samples[(name, n_max)]) / _magnitude(s, name, n_max)
         yield "integral_darboux", gap, WorstLocation(name, n_max)
 
 
@@ -365,7 +373,9 @@ def _m_test(s: _Suite):
 
 # Budgets: 1e-12*scale for the purely algebraic identities, 1e-10*scale
 # once a symbol division enters, 1e-9*scale for the squared-symbol
-# identity, and the explicit slacks of the bound checks.
+# identity, and the explicit slacks of the bound checks.  The three
+# checks against continuum values (alias_oracle, coeff_convergence,
+# integral_darboux) take scale = max(1, max|f|) over the cell's sample.
 CHECKS = (
     Check("inversion", "transform-roundtrip-exactness", 1e-10, _inversion),
     Check("ftc", "telescoping-fundamental-identity", 1e-12, _calculus),

@@ -39,6 +39,15 @@ def test_verify_small_config(capsys):
         assert report["status"] == "pass"
 
 
+def test_verify_scales_checks_against_continuum_values(capsys):
+    # alias_oracle, coeff_convergence and integral_darboux divide by
+    # max(1, max|f|), so a large but accurate function passes them
+    code, out, _ = run_cli(["verify", "--functions", "combo:1e300*cos:1"], capsys)
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["status"] for r in reports] == ["pass"] * 16
+
+
 def test_verify_rejects_zero_grid_size(capsys):
     code, _, err = run_cli(["verify", "--grid-sizes", "0"], capsys)
     assert code == 2
