@@ -146,9 +146,9 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
-def _check_phase_cells(flag: str, points: int, N: int, inputs: str) -> None:
+def _check_phase_cells(flag: str, points: int, N: int) -> None:
     try:
-        continuous_fourier._check_phase_cells(points, N, inputs)
+        continuous_fourier._check_phase_cells(points, N, f"{points} points and N={N}")
     except ValueError as exc:
         raise _UsageError(f"{flag}: {exc}")
 
@@ -159,8 +159,7 @@ def _cmd_converge(args) -> int:
         raise _UsageError(f"--N: values must be strictly increasing, got {orders}")
     if args.samples < 2:
         raise _UsageError(f"--samples: must be >= 2, got {args.samples}")
-    N = orders[-1]
-    _check_phase_cells("--samples/--N", args.samples + 1, N, f"samples={args.samples} and N={N}")
+    _check_phase_cells("--samples/--N", args.samples + 1, orders[-1])
     try:
         rows = run_convergence(args.function, orders, args.samples)
     except ValueError as exc:
@@ -202,8 +201,7 @@ def _cmd_rescale_demo(args) -> int:
         raise _UsageError(f"need a < b with b - a finite, got a={args.a}, b={args.b}")
     if args.N < 0:
         raise _UsageError(f"--N: must be >= 0, got {args.N}")
-    points = _RESCALE_DEMO_POINTS
-    _check_phase_cells("--N", points, args.N, f"{points} points and N={args.N}")
+    _check_phase_cells("--N", _RESCALE_DEMO_POINTS, args.N)
     ev = _demo_function(args.function, args.a, args.b)
     scaled = rescale(ev, args.a, args.b, name=args.function)
     xs = np.linspace(args.a, args.b, _RESCALE_DEMO_POINTS)

@@ -325,8 +325,7 @@ def _tails(s: _Suite):
 
 
 def _magnitude(s: _Suite, name: str, n: int) -> float:
-    """max(1, max|f|) over the held sample of a cell: the scale of the checks
-    against continuum values, so a function with |f| <= 1 keeps an absolute budget."""
+    """max(1, max|f|) over the held sample of the cell (name, n)."""
     return max(1.0, s.samples[(name, n)].max_abs())
 
 
@@ -344,9 +343,10 @@ def _alias(s: _Suite):
 
 def _coeff_convergence(s: _Suite):
     n_min, n_max = s.ns[0], s.ns[-1]
+    modes = [m for m in CONVERGENCE_MODES if -n_min <= m <= n_min - 1]
     for name, f in s.fns.items():
         scale = _magnitude(s, name, n_max)
-        for m in [m for m in CONVERGENCE_MODES if -n_min <= m <= n_min - 1]:
+        for m in modes:
             exact = coefficient(f, m)
             gaps = [abs(s.spectra[(name, n)].coeff(m) - exact) / scale for n in s.ns]
             yield "coeff_convergence", gaps[-1], WorstLocation(name, n_max, m)
