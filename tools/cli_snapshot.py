@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 _ORDERS = ",".join(str(N) for N in range(1, 65))
+_SHORT_ORDERS = ",".join(str(N) for N in range(1, 17))
 
 ARGVS = (
     ["verify"],
@@ -28,6 +29,10 @@ ARGVS = (
     ["spectrum", "--function", "expcos", "--n", "4096"],
     ["spectrum", "--function", "combo:1e308*cos:1+1e308*cos:1", "--n", "4"],
     ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period", "--N", "8"],
+    ["rescale-demo", "--a=-1.234", "--b", "2.5", "--function", "cos-period", "--N", "64"],
+    ["converge", "--function", "combo:-0.5*trig:-3+2*expcos", "--N", _SHORT_ORDERS],
+    ["spectrum", "--function", "combo:0.5*trig:0+-0.5*cos:2", "--n", "64"],
+    ["verify", "--functions", "combo:0.5*trig:0+-0.5*cos:2,trig:-2", "--grid-sizes", "4,16"],
 )
 
 
