@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .discrete_fourier import discrete_coefficients
-from .functions import SmoothPeriodicFunction
+from .functions import SmoothPeriodicFunction, _make_function
 from .grid import GridFunction, _evaluate, _pointwise, build_grid, integrate, sample
 
 __all__ = [
@@ -274,33 +274,16 @@ def rescale(
     def to_x(t):
         return a + L * (t + 1.0) / 2.0
 
-    f_points = _pointwise(f)
+    def pull(g, order):
+        # g at to_x(t) times the chain-rule factor (L/2)**order; order 0 skips
+        # the multiply, since a complex times 1.0 can turn -0.0 into +0.0
+        if g is None:
+            return None
+        points = _pointwise(g)
+        factor = (L / 2.0) ** order
+        return lambda t: factor * points(to_x(t)) if order else points(to_x(t))
 
-    def ev(t):
-        return f_points(to_x(t))
-
-    pulled_d1 = None
-    if d1 is not None:
-        d1_points = _pointwise(d1)
-
-        def pulled_d1(t):
-            return (L / 2.0) * d1_points(to_x(t))
-
-    pulled_d2 = None
-    if d2 is not None:
-        d2_points = _pointwise(d2)
-
-        def pulled_d2(t):
-            return (L / 2.0) ** 2 * d2_points(to_x(t))
-
-    pulled = SmoothPeriodicFunction(
-        name=f"{name}[{a},{b}]",
-        eval=ev,
-        d1=pulled_d1,
-        d2=pulled_d2,
-        exact_coefficient=None,
-        endpoint_value=complex(ev(1.0)),
-    )
+    pulled = _make_function(f"{name}[{a},{b}]", pull(f, 0), pull(d1, 1), pull(d2, 2), None)
     return RescaledFunction(pulled=pulled, a=float(a), b=float(b))
 
 

@@ -113,6 +113,14 @@ class BoundConstants:
                 raise ValueError(f"{field_name} must be finite and nonnegative, got {value}")
 
 
+def _make_function(name, ev, d1, d2, exact_coefficient) -> SmoothPeriodicFunction:
+    """The one constructor: records endpoint_value = complex(ev(1.0))."""
+    # an overflowing value is reported where the function is evaluated
+    with np.errstate(over="ignore", invalid="ignore"):
+        endpoint_value = complex(ev(1.0))
+    return SmoothPeriodicFunction(name, ev, d1, d2, exact_coefficient, endpoint_value)
+
+
 def trig_monomial(k: int) -> SmoothPeriodicFunction:
     """exp(i pi k x): the grid transform's eigenfunction at mode k."""
     k = int(k)
@@ -132,14 +140,7 @@ def trig_monomial(k: int) -> SmoothPeriodicFunction:
     def coeff(m):
         return 2.0 + 0.0j if m == k else 0.0j
 
-    return SmoothPeriodicFunction(
-        name=f"trig:{k}",
-        eval=ev,
-        d1=d1,
-        d2=d2,
-        exact_coefficient=coeff,
-        endpoint_value=complex(ev(1.0)),
-    )
+    return _make_function(f"trig:{k}", ev, d1, d2, coeff)
 
 
 def cosine(k: int) -> SmoothPeriodicFunction:
@@ -161,14 +162,7 @@ def cosine(k: int) -> SmoothPeriodicFunction:
     def coeff(m):
         return 1.0 + 0.0j if abs(m) == k else 0.0j
 
-    return SmoothPeriodicFunction(
-        name=f"cos:{k}",
-        eval=ev,
-        d1=d1,
-        d2=d2,
-        exact_coefficient=coeff,
-        endpoint_value=complex(ev(1.0)),
-    )
+    return _make_function(f"cos:{k}", ev, d1, d2, coeff)
 
 
 def _bessel_i_at_one(order: int) -> float:
@@ -215,14 +209,7 @@ def exp_cos() -> SmoothPeriodicFunction:
     def coeff(m):
         return complex(2.0 * _bessel_i_at_one(m))
 
-    return SmoothPeriodicFunction(
-        name="expcos",
-        eval=ev,
-        d1=d1,
-        d2=d2,
-        exact_coefficient=coeff,
-        endpoint_value=complex(ev(1.0)),
-    )
+    return _make_function("expcos", ev, d1, d2, coeff)
 
 
 def combine(parts) -> SmoothPeriodicFunction:
@@ -236,38 +223,15 @@ def combine(parts) -> SmoothPeriodicFunction:
     if not parts:
         raise ValueError("combine needs at least one (weight, function) pair")
 
-    def ev(x):
-        return sum(c * f.eval(x) for c, f in parts)
-
-    d1 = None
-    if all(f.d1 is not None for _, f in parts):
-
-        def d1(x):
-            return sum(c * f.d1(x) for c, f in parts)
-
-    d2 = None
-    if all(f.d2 is not None for _, f in parts):
-
-        def d2(x):
-            return sum(c * f.d2(x) for c, f in parts)
-
-    coeff = None
-    if all(f.exact_coefficient is not None for _, f in parts):
-
-        def coeff(m):
-            return sum(c * f.exact_coefficient(m) for c, f in parts)
+    def lift(attr):
+        # sum of c * part.attr, or None when some part lacks attr
+        terms = [(c, getattr(f, attr)) for c, f in parts]
+        if any(g is None for _, g in terms):
+            return None
+        return lambda x: sum(c * g(x) for c, g in terms)
 
     name = "combo:" + "+".join(f"{c.real:g}*{f.name}" for c, f in parts)
-    # an overflowing sum is reported where the function is evaluated
-    with np.errstate(over="ignore", invalid="ignore"):
-        return SmoothPeriodicFunction(
-            name=name,
-            eval=ev,
-            d1=d1,
-            d2=d2,
-            exact_coefficient=coeff,
-            endpoint_value=complex(ev(1.0)),
-        )
+    return _make_function(name, lift("eval"), lift("d1"), lift("d2"), lift("exact_coefficient"))
 
 
 def shift_to_zero_endpoints(f: SmoothPeriodicFunction) -> SmoothPeriodicFunction:
