@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import continuous_fourier
-from .continuous_fourier import rescale
+from .continuous_fourier import SUP_ERROR_SAMPLES, rescale
 from .grid import _evaluate, _pointwise
 from .verification import (
     MAX_SPECTRUM_N,
@@ -223,12 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = SuiteConfig()
     p_verify = sub.add_parser("verify", help="run the lemma suite, emit JSON reports")
-    p_verify.add_argument("--functions", default="cos:1,trig:1,trig:3,expcos")
-    p_verify.add_argument("--grid-sizes", default="4,16,64,256")
-    p_verify.add_argument("--mode-limit", type=int, default=32)
-    p_verify.add_argument("--epsilons", default="0.1,0.01")
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--functions", default=",".join(defaults.function_names))
+    p_verify.add_argument("--grid-sizes", default=",".join(map(str, defaults.grid_sizes)))
+    p_verify.add_argument("--mode-limit", type=int, default=defaults.mode_limit)
+    p_verify.add_argument("--epsilons", default=",".join(map(str, defaults.epsilons)))
+    p_verify.add_argument("--seed", type=int, default=defaults.seed)
     p_verify.add_argument("--tolerance", action="append", metavar="CHECK=TOL")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", default="json")
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("converge", help="sup-error vs truncation order, CSV")
     p_conv.add_argument("--function", required=True)
     p_conv.add_argument("--N", default="1,2,4,8,16,32")
-    p_conv.add_argument("--samples", type=int, default=2048)
+    p_conv.add_argument("--samples", type=int, default=SUP_ERROR_SAMPLES)
     p_conv.add_argument("--out", default=None)
     p_conv.set_defaults(func=_cmd_converge)
 

@@ -64,6 +64,8 @@ MAJORANT_MODE_CUTOFF = 10**6
 # 2**22 complex cells, 64 MiB, checked before anything is allocated.
 MAX_PHASE_CELLS = 2**22
 _REFERENCE_GRID = 64
+# Default sample count of the sup-error tables: samples+1 equispaced points.
+SUP_ERROR_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,9 @@ def reconstruct(f: SmoothPeriodicFunction, N: int, x):
     return complex(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
-def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = 2048) -> np.ndarray:
+def sup_errors(
+    f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAMPLES
+) -> np.ndarray:
     """sup_error(f, N, samples) for every N in N_values, in one pass.
 
     f is evaluated once at the samples+1 points, and the phase matrix and
@@ -167,7 +171,7 @@ def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = 2048) -> np.n
     )
 
 
-def sup_error(f: SmoothPeriodicFunction, N: int, samples: int = 2048) -> float:
+def sup_error(f: SmoothPeriodicFunction, N: int, samples: int = SUP_ERROR_SAMPLES) -> float:
     """Max of |f - reconstruction| over samples+1 equispaced points of [-1, 1].
 
     The one-N view of ``sup_errors``.

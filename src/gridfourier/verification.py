@@ -25,6 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .continuous_fourier import (
+    SUP_ERROR_SAMPLES,
     ConvergenceRow,
     _integral_gap,
     coefficient,
@@ -33,7 +34,7 @@ from .continuous_fourier import (
 )
 from .discrete_calculus import ftc_residual, parts_residual, product_rule_residual
 from .discrete_fourier import alias_fold, discrete_coefficients, invert
-from .functions import bound_constants, get_function
+from .functions import DEFAULT_CATALOG, bound_constants, get_function
 from .grid import GridFunction, build_grid, sample
 from .spectral_bounds import (
     _dft_identity_residuals,
@@ -79,7 +80,6 @@ MTEST_ORDERS = (2, 4, 8, 16, 32)
 CONVERGENCE_MODES = (0, -1, 1, -2, 2)
 TAIL_BASE_GRID = 256
 TAIL_BIG_GRID = 4096
-SUP_ERROR_SAMPLES = 2048
 # Largest grid size of a spectrum table (2n rows) and of a verify grid,
 # checked before sampling.
 MAX_SPECTRUM_N = 2**16
@@ -89,7 +89,7 @@ MAX_SPECTRUM_N = 2**16
 class SuiteConfig:
     """Inputs of a verification run; identical configs give identical reports."""
 
-    function_names: tuple[str, ...] = ("cos:1", "trig:1", "trig:3", "expcos")
+    function_names: tuple[str, ...] = DEFAULT_CATALOG
     grid_sizes: tuple[int, ...] = (4, 16, 64, 256)
     mode_limit: int = 32
     epsilons: tuple[float, ...] = (0.1, 0.01)
@@ -148,8 +148,8 @@ def _validate_config(cfg: SuiteConfig) -> None:
     for n in cfg.grid_sizes:
         if not 1 <= n <= MAX_SPECTRUM_N:
             raise ValueError(f"invalid grid size: {n} (must be in [1, {MAX_SPECTRUM_N}])")
-    if cfg.mode_limit < 1:
-        raise ValueError(f"mode_limit must be >= 1, got {cfg.mode_limit}")
+    if cfg.mode_limit < MTEST_ORDERS[0]:
+        raise ValueError(f"mode_limit must be >= {MTEST_ORDERS[0]}, got {cfg.mode_limit}")
     if not cfg.epsilons:
         raise ValueError("epsilons must be nonempty")
     for eps in cfg.epsilons:
@@ -310,11 +310,12 @@ def _tails(s: _Suite):
     for name in s.fns:
         for eps in s.cfg.epsilons:
             thr, n_tail = s.tail_plan[(name, eps)]
-            L = math.floor(thr) + 1
-            if L > n_tail - 1:
+            # tested before the floor, which an infinite threshold overflows
+            if thr >= n_tail - 1:
                 # no admissible range below this grid size: vacuous
                 yield "tail_eps", 0.0, WorstLocation(name, n_tail)
                 continue
+            L = math.floor(thr) + 1
             spec = s.spectra[(name, n_tail)]
             pos = tail_sum(spec, L, n_tail - 1)
             neg = tail_sum(spec, -(n_tail - 1), -L)
@@ -413,7 +414,7 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
     reports = []
     for check in sorted(CHECKS):
         tol = float(cfg.tolerance_overrides.get(check.name, check.tolerance))
-        residual, loc = worst.get(check.name, (0.0, WorstLocation()))
+        residual, loc = worst[check.name]
         status = "pass" if residual <= tol else "fail"
         reports.append(LemmaReport(check.name, status, residual, loc, tol))
     return reports

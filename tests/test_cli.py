@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from gridfourier import cli
 from gridfourier.cli import main
+from gridfourier.verification import SuiteConfig
 
 SMALL_VERIFY = [
     "verify",
@@ -46,6 +48,31 @@ def test_verify_scales_checks_against_continuum_values(capsys):
     assert code == 0
     reports = json.loads(out)["reports"]
     assert [r["status"] for r in reports] == ["pass"] * 16
+
+
+def test_verify_tiny_epsilon_makes_tail_check_vacuous(capsys):
+    # 2H/eps overflows to inf; math.floor(inf) used to raise OverflowError
+    # and exit 1, the code of a verification failure
+    code, out, _ = run_cli(["verify", "--epsilons", "5e-324"], capsys)
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["status"] for r in reports] == ["pass"] * 16
+
+
+def test_verify_rejects_mode_limit_below_every_m_test_order(capsys):
+    # m_test_domination used to pass with residual 0.0 and no location
+    code, out, err = run_cli(["verify", "--mode-limit", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "mode_limit" in err
+
+
+def test_verify_defaults_are_the_suite_defaults(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_lemma_suite", lambda cfg: seen.append(cfg) or [])
+    code, _, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    assert seen == [SuiteConfig()]
 
 
 def test_verify_rejects_zero_grid_size(capsys):

@@ -120,8 +120,10 @@ def test_config_validation():
         run_lemma_suite(SuiteConfig(tolerance_overrides={"not_a_check": 1.0}))
     with pytest.raises(ValueError):
         run_lemma_suite(SuiteConfig(epsilons=(0.0,)))
-    with pytest.raises(ValueError):
-        run_lemma_suite(SuiteConfig(mode_limit=0))
+    for mode_limit in (0, 1):
+        # below the smallest M-test order, m_test_domination has no candidate
+        with pytest.raises(ValueError, match="mode_limit"):
+            run_lemma_suite(SuiteConfig(mode_limit=mode_limit))
     for bad in (
         {"tolerance_overrides": {"ftc": math.nan}},
         {"tolerance_overrides": {"ftc": math.inf}},
