@@ -6,6 +6,12 @@ normalization ghat(m) = integral_{-1}^{1} g(x) exp(-i pi x m) dx.
 Evaluators are pure numpy expressions, evaluated on whole point arrays;
 ``combine`` sums its parts' arrays.
 
+Every function (catalog entry, combination or ``rescale`` pullback) is
+built by one private constructor, ``_make_function``, which records the
+endpoint value g(1) that the decay bounds centre on.  ``combine`` derives
+eval, d1, d2 and the coefficient map by one linear lift, present only when
+every part carries that attribute.
+
 Functions are addressable by string name for CLI use:
 
     "trig:k"        exp(i pi k x)
@@ -76,7 +82,8 @@ class SmoothPeriodicFunction:
     exact_coefficient : callable or None
         m -> closed-form Fourier coefficient, when one exists.
     endpoint_value : complex
-        The common value g(-1) = g(1), recorded as eval(1).
+        The common value g(-1) = g(1), recorded as complex(eval(1.0)) by
+        ``_make_function``, the constructor every function is built by.
     """
 
     name: str

@@ -73,8 +73,7 @@ class Grid:
 class GridFunction:
     """Complex step function on a grid: value on cell j is values[j + n].
 
-    Values are frozen at construction; all operations return new objects,
-    so instances are safe to share across threads.
+    Values are frozen at construction; all operations return new objects.
     """
 
     grid: Grid
