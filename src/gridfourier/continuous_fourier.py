@@ -64,7 +64,6 @@ MAJORANT_MODE_CUTOFF = 10**6
 # 2**22 complex cells, 64 MiB, checked before anything is allocated.
 MAX_PHASE_CELLS = 2**22
 _REFERENCE_GRID = 64
-# Default sample count of the sup-error tables: samples+1 equispaced points.
 SUP_ERROR_SAMPLES = 2048
 
 
@@ -142,9 +141,7 @@ def reconstruct(f: SmoothPeriodicFunction, N: int, x):
     return complex(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
-def sup_errors(
-    f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAMPLES
-) -> np.ndarray:
+def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAMPLES) -> np.ndarray:
     """sup_error(f, N, samples) for every N in N_values, in one pass.
 
     f is evaluated once at the samples+1 points, and the phase matrix and

@@ -7,10 +7,9 @@ Evaluators are pure numpy expressions, evaluated on whole point arrays;
 ``combine`` sums its parts' arrays.
 
 Every function (catalog entry, combination or ``rescale`` pullback) is
-built by one private constructor, ``_make_function``, which records the
-endpoint value g(1) that the decay bounds centre on.  ``combine`` derives
-eval, d1, d2 and the coefficient map by one linear lift, present only when
-every part carries that attribute.
+built by ``_make_function``, which records the endpoint value g(1);
+``combine`` lifts eval, d1, d2 and the coefficient map linearly, each
+present only when every part carries it.
 
 Functions are addressable by string name for CLI use:
 
