@@ -7,6 +7,9 @@ LF line endings and 17-significant-digit floats; rerunning a command with
 identical flags yields byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
+Bad input has one error path: every check, here and in the library,
+raises ValueError, and ``main`` alone turns it into one ``error:`` line
+on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ WORKER_ENV_VAR = "FOURIER_WORKERS"
 _RESCALE_DEMO_POINTS = 257
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -52,44 +51,39 @@ def _write_output(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _parse_int_list(raw: str, flag: str, minimum: int, maximum: int | None = None) -> list[int]:
+def _parse_list(raw: str, flag: str, convert, what: str, check) -> list:
+    """Convert the nonempty comma-separated pieces in order; check(value, piece) vets each."""
     items = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in filter(None, map(str.strip, raw.split(","))):
         try:
-            value = int(piece)
+            value = convert(piece)
         except ValueError:
-            raise _UsageError(f"{flag}: not an integer: {piece!r}")
-        if value < minimum:
-            raise _UsageError(f"{flag}: invalid value {value} (must be >= {minimum})")
-        if maximum is not None and value > maximum:
-            raise _UsageError(f"{flag}: invalid value {value} (must be <= {maximum})")
+            raise ValueError(f"{flag}: {what}: {piece!r}") from None
+        check(value, piece)
         items.append(value)
     if not items:
-        raise _UsageError(f"{flag}: empty list")
+        raise ValueError(f"{flag}: empty list")
     return items
+
+
+def _parse_int_list(raw: str, flag: str, minimum: int, maximum: float = math.inf) -> list[int]:
+    def check(value, _):
+        if value < minimum:
+            raise ValueError(f"{flag}: invalid value {value} (must be >= {minimum})")
+        if value > maximum:
+            raise ValueError(f"{flag}: invalid value {value} (must be <= {maximum})")
+
+    return _parse_list(raw, flag, int, "not an integer", check)
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
-    items = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            value = float(piece)
-        except ValueError:
-            raise _UsageError(f"{flag}: not a number: {piece!r}")
+    def check(value, piece):
         if not math.isfinite(value):
-            raise _UsageError(f"{flag}: non-finite value {piece!r}")
+            raise ValueError(f"{flag}: non-finite value {piece!r}")
         if value <= 0:
-            raise _UsageError(f"{flag}: invalid value {value} (must be > 0)")
-        items.append(value)
-    if not items:
-        raise _UsageError(f"{flag}: empty list")
-    return items
+            raise ValueError(f"{flag}: invalid value {value} (must be > 0)")
+
+    return _parse_list(raw, flag, float, "not a number", check)
 
 
 def _parse_overrides(pairs) -> dict:
@@ -97,13 +91,13 @@ def _parse_overrides(pairs) -> dict:
     for pair in pairs or []:
         name, sep, value = pair.partition("=")
         if not sep:
-            raise _UsageError(f"--tolerance: expected name=value, got {pair!r}")
+            raise ValueError(f"--tolerance: expected name=value, got {pair!r}")
         try:
             tol = float(value)
         except ValueError:
-            raise _UsageError(f"--tolerance: not a number: {value!r}")
+            raise ValueError(f"--tolerance: not a number: {value!r}") from None
         if not math.isfinite(tol):
-            raise _UsageError(f"--tolerance: non-finite value for {name}: {value!r}")
+            raise ValueError(f"--tolerance: non-finite value for {name}: {value!r}")
         overrides[name] = tol
     return overrides
 
@@ -117,14 +111,14 @@ def _validate_worker_env() -> None:
     try:
         count = int(raw)
     except ValueError:
-        raise _UsageError(f"{WORKER_ENV_VAR}: not an integer: {raw!r}")
+        raise ValueError(f"{WORKER_ENV_VAR}: not an integer: {raw!r}") from None
     if count < 1:
-        raise _UsageError(f"{WORKER_ENV_VAR}: must be a positive integer, got {count}")
+        raise ValueError(f"{WORKER_ENV_VAR}: must be a positive integer, got {count}")
 
 
 def _cmd_verify(args) -> int:
     if args.format != "json":
-        raise _UsageError(f"--format: only 'json' is supported, got {args.format!r}")
+        raise ValueError(f"--format: only 'json' is supported, got {args.format!r}")
     cfg = SuiteConfig(
         function_names=tuple(s.strip() for s in args.functions.split(",") if s.strip()),
         grid_sizes=tuple(_parse_int_list(args.grid_sizes, "--grid-sizes", 1, MAX_SPECTRUM_N)),
@@ -134,10 +128,7 @@ def _cmd_verify(args) -> int:
         tolerance_overrides=_parse_overrides(args.tolerance),
     )
     _validate_worker_env()
-    try:
-        reports = run_lemma_suite(cfg)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    reports = run_lemma_suite(cfg)
     payload = {
         "schema": JSON_SCHEMA_VERSION,
         "reports": [r.to_dict() for r in reports],
@@ -147,23 +138,17 @@ def _cmd_verify(args) -> int:
 
 
 def _check_phase_cells(flag: str, points: int, N: int) -> None:
-    try:
-        continuous_fourier._check_phase_cells(points, N, f"{points} points and N={N}")
-    except ValueError as exc:
-        raise _UsageError(f"{flag}: {exc}")
+    continuous_fourier._check_phase_cells(points, N, f"{flag}: {points} points and N={N}")
 
 
 def _cmd_converge(args) -> int:
     orders = _parse_int_list(args.N, "--N", 1)
     if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise _UsageError(f"--N: values must be strictly increasing, got {orders}")
+        raise ValueError(f"--N: values must be strictly increasing, got {orders}")
     if args.samples < 2:
-        raise _UsageError(f"--samples: must be >= 2, got {args.samples}")
+        raise ValueError(f"--samples: must be >= 2, got {args.samples}")
     _check_phase_cells("--samples/--N", args.samples + 1, orders[-1])
-    try:
-        rows = run_convergence(args.function, orders, args.samples)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    rows = run_convergence(args.function, orders, args.samples)
     lines = ["N,sup_error,m_test_bound"]
     for row in rows:
         lines.append(f"{row.N},{_fmt(row.sup_error)},{_fmt(row.m_test_bound)}")
@@ -173,11 +158,8 @@ def _cmd_converge(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     if not 1 <= args.n <= MAX_SPECTRUM_N:
-        raise _UsageError(f"--n: must be in [1, {MAX_SPECTRUM_N}], got {args.n}")
-    try:
-        rows = run_spectrum_decay(args.function, args.n)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError(f"--n: must be in [1, {MAX_SPECTRUM_N}], got {args.n}")
+    rows = run_spectrum_decay(args.function, args.n)
     lines = ["m,abs_coeff,decay_bound"]
     for m, abs_coeff, bound in rows:
         lines.append(f"{m},{_fmt(abs_coeff)},{_fmt(bound)}")
@@ -188,19 +170,19 @@ def _cmd_spectrum(args) -> int:
 def _demo_function(kind: str, a: float, b: float):
     w = 2.0 * math.pi / (b - a)
     if not math.isfinite(w):
-        raise _UsageError(f"interval too short: 2*pi/(b - a) overflows for a={a}, b={b}")
+        raise ValueError(f"interval too short: 2*pi/(b - a) overflows for a={a}, b={b}")
     if kind == "cos-period":
         return lambda x: math.cos(w * (x - a))
     if kind == "exp-cos-period":
         return lambda x: math.exp(math.cos(w * (x - a)))
-    raise _UsageError(f"--function: unknown demo function {kind!r}")
+    raise ValueError(f"--function: unknown demo function {kind!r}")
 
 
 def _cmd_rescale_demo(args) -> int:
     if not (args.b > args.a and math.isfinite(args.b - args.a)):
-        raise _UsageError(f"need a < b with b - a finite, got a={args.a}, b={args.b}")
+        raise ValueError(f"need a < b with b - a finite, got a={args.a}, b={args.b}")
     if args.N < 0:
-        raise _UsageError(f"--N: must be >= 0, got {args.N}")
+        raise ValueError(f"--N: must be >= 0, got {args.N}")
     _check_phase_cells("--N", _RESCALE_DEMO_POINTS, args.N)
     ev = _demo_function(args.function, args.a, args.b)
     scaled = rescale(ev, args.a, args.b, name=args.function)
@@ -268,7 +250,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

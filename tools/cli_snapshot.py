@@ -33,6 +33,23 @@ ARGVS = (
     ["converge", "--function", "combo:-0.5*trig:-3+2*expcos", "--N", _SHORT_ORDERS],
     ["spectrum", "--function", "combo:0.5*trig:0+-0.5*cos:2", "--n", "64"],
     ["verify", "--functions", "combo:0.5*trig:0+-0.5*cos:2,trig:-2", "--grid-sizes", "4,16"],
+    # refused inputs: one argv per distinct error message
+    ["verify", "--grid-sizes", "4,x"],
+    ["verify", "--grid-sizes", ","],
+    ["verify", "--epsilons", "0"],
+    ["verify", "--tolerance", "ftc"],
+    ["verify", "--tolerance", "nosuch=1"],
+    ["verify", "--functions", "nosuch"],
+    ["verify", "--mode-limit", "1"],
+    ["verify", "--format", "xml"],
+    ["converge", "--function", "cos:1", "--N", "3,2"],
+    ["converge", "--function", "cos:1", "--samples", "1"],
+    ["converge", "--function", "combo:nan*cos:1", "--N", "1"],
+    ["spectrum", "--function", "cos:1", "--n", "0"],
+    ["spectrum", "--function", "trig:2000000"],
+    ["rescale-demo", "--a", "0", "--b", "0"],
+    ["rescale-demo", "--a", "0", "--b", "5e-324"],
+    ["rescale-demo", "--a", "0", "--b", "1", "--function", "nosuch"],
 )
 
 
