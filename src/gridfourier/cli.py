@@ -46,9 +46,12 @@ def _fmt(value: float) -> str:
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out: {exc}") from None
 
 
 def _parse_list(raw: str, flag: str, convert, what: str, check) -> list:

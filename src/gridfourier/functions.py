@@ -83,6 +83,11 @@ class SmoothPeriodicFunction:
     endpoint_value : complex
         The common value g(-1) = g(1), recorded as complex(eval(1.0)) by
         ``_make_function``, the constructor every function is built by.
+    degree : int or None
+        The largest |m| at which exact_coefficient can be nonzero, for a
+        trigonometric polynomial (|k| for ``trig:k``, k for ``cos:k``, the
+        largest part's degree for a combination); None when unknown or
+        unbounded, as for ``expcos`` and ``rescale`` pullbacks.
     """
 
     name: str
@@ -91,6 +96,7 @@ class SmoothPeriodicFunction:
     d2: Optional[Callable[[float], complex]]
     exact_coefficient: Optional[Callable[[int], complex]]
     endpoint_value: complex
+    degree: Optional[int] = None
 
     def __call__(self, x: float) -> complex:
         return self.eval(x)
@@ -119,12 +125,12 @@ class BoundConstants:
                 raise ValueError(f"{field_name} must be finite and nonnegative, got {value}")
 
 
-def _make_function(name, ev, d1, d2, exact_coefficient) -> SmoothPeriodicFunction:
+def _make_function(name, ev, d1, d2, exact_coefficient, degree=None) -> SmoothPeriodicFunction:
     """The one constructor: records endpoint_value = complex(ev(1.0))."""
     # an overflowing value is reported where the function is evaluated
     with np.errstate(over="ignore", invalid="ignore"):
         endpoint_value = complex(ev(1.0))
-    return SmoothPeriodicFunction(name, ev, d1, d2, exact_coefficient, endpoint_value)
+    return SmoothPeriodicFunction(name, ev, d1, d2, exact_coefficient, endpoint_value, degree)
 
 
 def trig_monomial(k: int) -> SmoothPeriodicFunction:
@@ -146,7 +152,7 @@ def trig_monomial(k: int) -> SmoothPeriodicFunction:
     def coeff(m):
         return 2.0 + 0.0j if m == k else 0.0j
 
-    return _make_function(f"trig:{k}", ev, d1, d2, coeff)
+    return _make_function(f"trig:{k}", ev, d1, d2, coeff, abs(k))
 
 
 def cosine(k: int) -> SmoothPeriodicFunction:
@@ -168,7 +174,7 @@ def cosine(k: int) -> SmoothPeriodicFunction:
     def coeff(m):
         return 1.0 + 0.0j if abs(m) == k else 0.0j
 
-    return _make_function(f"cos:{k}", ev, d1, d2, coeff)
+    return _make_function(f"cos:{k}", ev, d1, d2, coeff, k)
 
 
 def _bessel_i_at_one(order: int) -> float:
@@ -223,7 +229,8 @@ def combine(parts) -> SmoothPeriodicFunction:
 
     ``parts`` is a nonempty sequence of (weight, function) pairs.  The
     derivatives combine linearly; the exact coefficient map is present
-    iff every part carries one.
+    iff every part carries one, and the degree is the largest part's,
+    or None when some part has none.
     """
     parts = [(complex(c), f) for c, f in parts]
     if not parts:
@@ -237,7 +244,11 @@ def combine(parts) -> SmoothPeriodicFunction:
         return lambda x: sum(c * g(x) for c, g in terms)
 
     name = "combo:" + "+".join(f"{c.real:g}*{f.name}" for c, f in parts)
-    return _make_function(name, lift("eval"), lift("d1"), lift("d2"), lift("exact_coefficient"))
+    degrees = [f.degree for _, f in parts]
+    degree = None if None in degrees else max(degrees)
+    return _make_function(
+        name, lift("eval"), lift("d1"), lift("d2"), lift("exact_coefficient"), degree
+    )
 
 
 def shift_to_zero_endpoints(f: SmoothPeriodicFunction) -> SmoothPeriodicFunction:

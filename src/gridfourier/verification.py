@@ -332,11 +332,13 @@ def _magnitude(s: _Suite, name: str, n: int) -> float:
 
 def _alias(s: _Suite):
     for name, f in s.fns.items():
+        # fold far enough to reach every nonzero coefficient of a polynomial
+        cutoff = ALIAS_CUTOFF if f.degree is None else max(ALIAS_CUTOFF, f.degree)
         for n in s.ns:
             spec = s.spectra[(name, n)]
             # scalar abs on purpose: np.abs can differ in the last ulp
             diffs = np.array(
-                [abs(spec.coeff(m) - alias_fold(f, n, m, ALIAS_CUTOFF)) for m in range(-n, n)]
+                [abs(spec.coeff(m) - alias_fold(f, n, m, cutoff)) for m in range(-n, n)]
             )
             diff, m = _worst_mode(diffs, n, include_zero=True)
             yield "alias_oracle", diff / _magnitude(s, name, n), WorstLocation(name, n, m)

@@ -205,6 +205,34 @@ def test_verify_out_file(tmp_path, capsys):
     assert json.loads(raw)["schema"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SMALL_VERIFY,
+        ["converge", "--function", "cos:1", "--N", "1,2"],
+        ["spectrum", "--function", "cos:1", "--n", "4"],
+        ["rescale-demo", "--a", "0", "--b", "1", "--N", "2"],
+    ],
+)
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, target):
+    out_path = tmp_path if target == "directory" else tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_folds_high_degree_polynomials_up_to_their_degree(capsys):
+    functions = "trig:33,cos:40,trig:341,trig:-341,cos:1000,combo:0.5*trig:40+2*cos:100"
+    code, out, _ = run_cli(["verify", "--functions", functions], capsys)
+    reports = json.loads(out)["reports"]
+    assert code == 0
+    assert len(reports) == 16
+    assert all(r["status"] == "pass" for r in reports)
+
+
 def test_converge_trig(capsys):
     code, out, _ = run_cli(
         ["converge", "--function", "trig:2", "--N", "1,2,3", "--samples", "256"], capsys

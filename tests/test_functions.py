@@ -110,6 +110,25 @@ def test_combine_coefficients_are_linear():
     assert c.exact_coefficient(0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "name, degree",
+    [
+        ("trig:0", 0),
+        ("trig:-5", 5),
+        ("cos:3", 3),
+        ("expcos", None),
+        ("combo:0.5*trig:40+2*cos:100", 100),
+        ("combo:1*cos:2+1*expcos", None),
+    ],
+)
+def test_degree_bounds_the_nonzero_exact_coefficients(name, degree):
+    f = get_function(name)
+    assert f.degree == degree
+    if degree is not None:
+        assert f.exact_coefficient(degree) != 0 or f.exact_coefficient(-degree) != 0
+        assert all(f.exact_coefficient(m) == 0 for m in (-degree - 2, -degree - 1, degree + 1))
+
+
 def test_combine_rejects_empty():
     with pytest.raises(ValueError):
         combine([])
