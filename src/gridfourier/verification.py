@@ -41,6 +41,7 @@ from .spectral_bounds import (
     _uniform_maxima,
     _worst_mode,
     adjoint_symbol,
+    canonical_mode_order,
     decay_bound_check,
     forward_symbol,
     tail_sum,
@@ -264,18 +265,17 @@ def _dft_identities(s: _Suite):
 
 def _symbol_sweep(s: _Suite):
     for n in sorted(set(range(1, SYMBOL_SWEEP_MAX + 1)) | set(s.ns)):
-        modes = np.arange(-n, n)
+        # canonical order, so the first maximum is the tie-break winner; 0 leads
+        modes = canonical_mode_order(n, include_zero=True)
         psi = forward_symbol(n, modes)
         phi = adjoint_symbol(n, modes)
         abs_psi = np.abs(psi)
         abs_phi = np.abs(phi)
 
-        lower = np.zeros(2 * n)
-        nz = modes != 0
-        msq = 4.0 * modes[nz].astype(float) ** 2
-        lower[nz] = (msq - abs_psi[nz] ** 2) / msq
-        val, mode = _worst_mode(lower, n)
-        yield "psi_lower", val, WorstLocation(None, n, mode)
+        msq = 4.0 * modes[1:].astype(float) ** 2
+        lower = (msq - abs_psi[1:] ** 2) / msq
+        k = int(np.argmax(lower))
+        yield "psi_lower", float(lower[k]), WorstLocation(None, n, int(modes[1 + k]))
 
         mag = np.maximum.reduce(
             [
@@ -285,8 +285,8 @@ def _symbol_sweep(s: _Suite):
                 np.abs(abs_phi - abs_psi),
             ]
         ) / n
-        val, mode = _worst_mode(mag, n, include_zero=True)
-        yield "phi_psi_mag", val, WorstLocation(None, n, mode)
+        k = int(np.argmax(mag))
+        yield "phi_psi_mag", float(mag[k]), WorstLocation(None, n, int(modes[k]))
 
 
 def _uniform_bounds(s: _Suite):
@@ -317,12 +317,11 @@ def _tails(s: _Suite):
                 continue
             L = math.floor(thr) + 1
             spec = s.spectra[(name, n_tail)]
-            pos = tail_sum(spec, L, n_tail - 1)
+            # negative range first: _offer keeps it on a tie
             neg = tail_sum(spec, -(n_tail - 1), -L)
-            if neg >= pos:
-                yield "tail_eps", neg / eps, WorstLocation(name, n_tail, -L)
-            else:
-                yield "tail_eps", pos / eps, WorstLocation(name, n_tail, L)
+            yield "tail_eps", neg / eps, WorstLocation(name, n_tail, -L)
+            pos = tail_sum(spec, L, n_tail - 1)
+            yield "tail_eps", pos / eps, WorstLocation(name, n_tail, L)
 
 
 def _magnitude(s: _Suite, name: str, n: int) -> float:
@@ -368,10 +367,9 @@ def _darboux(s: _Suite):
 def _m_test(s: _Suite):
     orders = [N for N in MTEST_ORDERS if N <= s.cfg.mode_limit]
     for name, f in s.fns.items():
-        errs = sup_errors(f, orders, SUP_ERROR_SAMPLES)
-        bounds = m_test_majorants(s.consts[name].H, orders)
-        for N, err, bound in zip(orders, errs.tolist(), bounds.tolist()):
-            yield "m_test_domination", err - bound, WorstLocation(name, None, N)
+        for row in _convergence_rows(f, s.consts[name].H, orders, SUP_ERROR_SAMPLES):
+            residual = row.sup_error - row.m_test_bound
+            yield "m_test_domination", residual, WorstLocation(name, None, row.N)
 
 
 # Budgets: 1e-12*scale for the purely algebraic identities, 1e-10*scale
@@ -433,7 +431,11 @@ def run_convergence(function_name: str, N_values, samples: int = SUP_ERROR_SAMPL
         raise ValueError(f"N values must be strictly increasing, got {N_values}")
     if not N_values:
         return []
-    H = bound_constants(f).H
+    return _convergence_rows(f, bound_constants(f).H, N_values, samples)
+
+
+def _convergence_rows(f, H: float, N_values: list, samples: int) -> list[ConvergenceRow]:
+    """The rows of ``run_convergence`` for f with decay constant H, unvalidated."""
     errs = sup_errors(f, N_values, samples)
     bounds = m_test_majorants(H, N_values)
     return [

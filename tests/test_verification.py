@@ -219,6 +219,34 @@ def test_nan_residual_is_never_dropped(monkeypatch):
     assert all(r.status == "pass" for name, r in reports.items() if name != "integral_darboux")
 
 
+def test_nan_negative_tail_is_never_dropped(monkeypatch):
+    # both tail ranges are offered, so a NaN on the negative side fails the check
+    real_tail_sum = verification.tail_sum
+
+    def tail_sum(spec, L, Lp):
+        return math.nan if L < 0 else real_tail_sum(spec, L, Lp)
+
+    monkeypatch.setattr(verification, "tail_sum", tail_sum)
+    cfg = SuiteConfig(function_names=("cos:1",), grid_sizes=(4,), mode_limit=3, seed=7)
+    tails = {r.check_name: r for r in run_lemma_suite(cfg)}["tail_eps"]
+    assert tails.status == "fail"
+    assert math.isnan(tails.worst_residual)
+    assert tails.worst_location.m < 0
+
+
+def test_symbol_sweep_reads_canonical_order_without_reordering(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symbol sweep reorders a mode array")
+
+    suite, full = _default_rows()
+    monkeypatch.setattr(verification, "_worst_mode", refuse)
+    worst = {}
+    for name, residual, loc in verification._symbol_sweep(suite):
+        verification._offer(worst, name, residual, loc)
+    for name, (residual, loc) in worst.items():
+        assert (residual, loc) == (full[name].worst_residual, full[name].worst_location)
+
+
 def test_random_generator_reproducible():
     a = random_grid_function(42, "inversion", 8, 3)
     b = random_grid_function(42, "inversion", 8, 3)
