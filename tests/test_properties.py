@@ -1,9 +1,12 @@
-"""Property tests for the rules every function is built by.
+"""Property tests for the rules every function is built by and the uniform-in-n claims.
 
 ``combine`` is linear in each evaluator and in the coefficient map,
 ``rescale`` applies the chain-rule factors, every constructor records the
 endpoint value as eval(1.0), and the grid transform inverts exactly at any
-size.  Examples are derandomized, so a run is reproducible.
+size.  The calculus and derivative-transform identities, the decay and
+uniform bounds, and alias folding hold at random grid sizes within the
+budgets of their ``CHECKS`` rows, on the engine's scales.  Examples are
+derandomized, so a run is reproducible.
 """
 
 import dataclasses
@@ -14,16 +17,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridfourier import (
+    alias_fold,
+    bound_constants,
+    build_grid,
     combine,
     cosine,
+    decay_bound_check,
     discrete_coefficients,
     exp_cos,
+    ftc_residual,
     invert,
+    parts_residual,
+    product_rule_residual,
     rescale,
+    sample,
     shift_to_zero_endpoints,
     trig_monomial,
 )
-from gridfourier.verification import CHECKS, random_grid_function
+from gridfourier.spectral_bounds import _uniform_maxima, dft_identity_residual_arrays
+from gridfourier.verification import ALIAS_CUTOFF, CHECKS, random_grid_function
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -35,7 +47,14 @@ PART = st.one_of(
 WEIGHT = st.floats(-1e6, 1e6)
 PARTS = st.lists(st.tuples(WEIGHT, PART), min_size=1, max_size=3)
 POINTS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8).map(np.array)
-INVERSION_TOLERANCE = next(c.tolerance for c in CHECKS if c.name == "inversion")
+SIZES = st.integers(1, 4096)
+SEEDS = st.integers(0, 2**32 - 1)
+# |k| <= 64: trigonometric polynomials of degree up to 64, and combos with expcos
+TRIG_PART = st.one_of(st.integers(-64, 64).map(trig_monomial), st.integers(1, 64).map(cosine))
+TRIG_PARTS = st.lists(st.tuples(WEIGHT, TRIG_PART), min_size=1, max_size=3)
+COMBO_PART = st.one_of(TRIG_PART, st.builds(exp_cos))
+COMBO_PARTS = st.lists(st.tuples(WEIGHT, COMBO_PART), min_size=1, max_size=3)
+TOLERANCE = {c.name: c.tolerance for c in CHECKS}
 
 
 @SETTINGS
@@ -115,4 +134,52 @@ def test_shift_to_zero_endpoints_vanishes_at_both_ends(parts):
 def test_inversion_is_exact_within_its_budget(n, seed):
     gf = random_grid_function(seed, "inversion", n, 0)
     err = np.max(np.abs(invert(discrete_coefficients(gf)).values - gf.values))
-    assert err / (1.0 + gf.max_abs()) <= INVERSION_TOLERANCE
+    assert err / (1.0 + gf.max_abs()) <= TOLERANCE["inversion"]
+
+
+@SETTINGS
+@given(n=SIZES, seed=SEEDS)
+def test_calculus_identities_hold_within_their_budgets(n, seed):
+    u = random_grid_function(seed, "calculus", n, 0, part=0)
+    v = random_grid_function(seed, "calculus", n, 0, part=1)
+    su = max(u.max_abs(), 1e-300)
+    sv = max(v.max_abs(), 1e-300)
+    assert abs(ftc_residual(u)) / (n * su) <= TOLERANCE["ftc"]
+    product = np.max(np.abs(product_rule_residual(u, v).values))
+    assert product / (n * su * sv) <= TOLERANCE["product_rule"]
+    assert abs(parts_residual(u, v)) / (n * su * sv) <= TOLERANCE["parts"]
+
+
+@SETTINGS
+@given(n=SIZES, seed=SEEDS)
+def test_derivative_transform_identities_hold_within_their_budgets(n, seed):
+    gf = random_grid_function(seed, "dft", n, 0)
+    r1, r2 = dft_identity_residual_arrays(gf)
+    scale = 1.0 + gf.max_abs()
+    assert np.max(np.abs(r1)) / scale <= TOLERANCE["dft_identity_1"]
+    assert np.max(np.abs(r2)) / scale <= TOLERANCE["dft_identity_2"]
+
+
+@SETTINGS
+@given(parts=COMBO_PARTS, n=SIZES)
+def test_decay_and_uniform_bounds_hold_for_random_combos(parts, n):
+    f = combine(parts)
+    c = bound_constants(f)
+    gf = sample(f, build_grid(n))
+    assert decay_bound_check(discrete_coefficients(gf), c.H).worst_ratio <= TOLERANCE["decay_H"]
+    max_F, _, max_g2, _ = _uniform_maxima(gf - f.endpoint_value)
+    assert max_F - 5.0 * c.D <= TOLERANCE["F_bound"]
+    assert max_g2 - (c.M + 2.0 * c.B) <= TOLERANCE["g2_bound"]
+
+
+@SETTINGS
+@given(parts=TRIG_PARTS, n=st.integers(1, 128))
+@example(parts=[(1.0, trig_monomial(64))], n=4)
+@example(parts=[(0.5, cosine(40)), (2.0, trig_monomial(-33))], n=3)
+def test_alias_fold_up_to_the_degree_gives_the_grid_coefficients(parts, n):
+    f = combine(parts)
+    gf = sample(f, build_grid(n))
+    spec = discrete_coefficients(gf)
+    cutoff = max(ALIAS_CUTOFF, f.degree)
+    worst = max(abs(spec.coeff(m) - alias_fold(f, n, m, cutoff)) for m in range(-n, n))
+    assert worst / max(1.0, gf.max_abs()) <= TOLERANCE["alias_oracle"]
