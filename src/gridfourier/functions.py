@@ -156,10 +156,13 @@ def trig_monomial(k: int) -> SmoothPeriodicFunction:
 
 
 def cosine(k: int) -> SmoothPeriodicFunction:
-    """cos(pi k x) for k >= 1; coefficients 1 at m = +-k, 0 elsewhere."""
+    """cos(pi k x) for 1 <= k <= 10**6; coefficients 1 at m = +-k, 0 elsewhere."""
     k = int(k)
     if k < 1:
         raise ValueError(f"cosine needs k >= 1, got k={k}")
+    # the trig cap, which also bounds the alias fold over |m| <= degree
+    if k > _MAX_MONOMIAL_DEGREE:
+        raise ValueError(f"k <= {_MAX_MONOMIAL_DEGREE} required, got k={k}")
     w = math.pi * k
 
     def ev(x):

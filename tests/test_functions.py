@@ -44,6 +44,12 @@ def test_trig_monomial_rejects_huge_mode():
         trig_monomial(10**6 + 1)
 
 
+def test_cosine_rejects_huge_mode():
+    assert cosine(10**6).degree == 10**6
+    with pytest.raises(ValueError, match="k <= 1000000 required"):
+        cosine(10**6 + 1)
+
+
 def test_cosine_basic():
     f = cosine(1)
     assert f.eval(0.0) == pytest.approx(1.0)
