@@ -23,12 +23,18 @@ value there raises ValueError naming the function and the first bad point.
 Scalar-only callables (the user f of ``rescale``) are wrapped in the one
 per-point loop, ``grid._pointwise``, where they enter.
 
-A convergence table is computed in one pass per function: ``sup_errors``
-evaluates f once and builds one phase matrix for the largest order, and
-``m_test_majorants`` builds the terms 1/m^2 once.  The one-N helpers
-``sup_error`` and ``m_test_majorant`` are views on them; every slot equals
-the one-N computation bit for bit when f has exact coefficients, as every
-catalog function has.
+A convergence table costs O(points * N_max + |N values|).  ``sup_errors``
+evaluates f once and builds one table of running partial sums up to the
+largest order: the phases exp(i pi x m) are evaluated for m = 0 .. N_max
+only (column -m is the conjugate of column m), weighted by the
+coefficients, folded pairwise (m with -m) and accumulated mode by mode, so
+the order-N partial sum is one row of the table and ``reconstruct`` reads
+the same row.  ``m_test_majorants`` takes each tail sum_{N < m <= C} 1/m^2,
+C = MAJORANT_MODE_CUTOFF, in closed form as zeta(2, N+1) - zeta(2, C+1),
+with the Hurwitz zeta function from its Euler-Maclaurin series (DLMF
+5.15.8).  The one-N helpers ``sup_error`` and ``m_test_majorant`` are
+views on the batched forms; every slot equals the one-N computation bit
+for bit, since no slot depends on the other orders requested.
 """
 
 from __future__ import annotations
@@ -60,9 +66,12 @@ __all__ = [
 # Hard mode cutoff of the majorant sum; the discarded tail is covered by
 # an explicit 2*H*1e-6 slack folded into the returned bound.
 MAJORANT_MODE_CUTOFF = 10**6
-# Largest (samples+1) x (2*N+1) phase matrix ``sup_errors`` will build:
+# Largest (samples+1) x (2*N+1) mode table ``sup_errors`` will admit:
 # 2**22 complex cells, 64 MiB, checked before anything is allocated.
 MAX_PHASE_CELLS = 2**22
+# zeta(2, x) comes from its Euler-Maclaurin series for x >= this; the
+# terms 1/m^2 below it are summed one by one.
+_ZETA_SERIES_FROM = 64
 _REFERENCE_GRID = 64
 SUP_ERROR_SAMPLES = 2048
 
@@ -100,22 +109,31 @@ def _coefficient_vector(f, ms) -> np.ndarray:
 
 
 def _phase_matrix(xs: np.ndarray, N: int) -> np.ndarray:
-    """exp(i pi x m) for every x in xs (rows) and m = -N .. N (columns)."""
+    """exp(i pi x m) for m = 0 .. N (rows) and every x in xs (columns).
+
+    Row -m would be the conjugate of row m, so it is never evaluated.
+    """
     # x = 1 is delegated to periodicity: evaluate at -1 instead
     xs = np.where(xs == 1.0, -1.0, np.asarray(xs, dtype=np.float64))
-    return np.exp(1j * np.pi * np.outer(xs, np.arange(-N, N + 1)))
+    return np.exp(1j * np.pi * np.outer(np.arange(N + 1), xs))
 
 
-def _partial_sums(phases: np.ndarray, coeffs: np.ndarray, N: int) -> np.ndarray:
-    """(1/2) sum_{|m| <= N} coeffs[m] phases[:, m] from centred wider tables.
+def _running_sums(xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Row N = (1/2) sum_{|m| <= N} coeffs[m] exp(i pi x m), for N = 0 .. K.
 
-    ``phases`` and ``coeffs`` span modes -K .. K for some K >= N; the sum
-    reduces the centred column slice, so it equals the sum over tables
-    built for N alone bit for bit.
+    ``coeffs`` spans modes -K .. K.  The phase rows are weighted in place,
+    the conjugate row of mode -m is added into row m, and the rows are
+    accumulated in order of m, so row N does not depend on K.
     """
     K = len(coeffs) // 2
-    cols = slice(K - N, K + N + 1)
-    return 0.5 * np.sum(phases[:, cols] * coeffs[cols], axis=1)
+    sums = _phase_matrix(xs, K)
+    negative = np.conj(sums[1:])
+    negative *= coeffs[:K][::-1, None]
+    sums *= coeffs[K:, None]
+    sums[1:] += negative
+    np.cumsum(sums, axis=0, out=sums)
+    sums *= 0.5
+    return sums
 
 
 def _check_phase_cells(points: int, N: int, inputs: str) -> None:
@@ -137,17 +155,17 @@ def reconstruct(f: SmoothPeriodicFunction, N: int, x):
     xs = np.asarray(x, dtype=np.float64)
     _check_phase_cells(xs.size, N, f"{xs.size} points and N={N}")
     coeffs = _coefficient_vector(f, range(-N, N + 1))
-    values = _partial_sums(_phase_matrix(xs.reshape(-1), N), coeffs, N)
+    values = _running_sums(xs.reshape(-1), coeffs)[N]
     return complex(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
 def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAMPLES) -> np.ndarray:
     """sup_error(f, N, samples) for every N in N_values, in one pass.
 
-    f is evaluated once at the samples+1 points, and the phase matrix and
-    the coefficient vector are built once for the largest N; each N then
-    reduces its centred column slice.  Raises ValueError, before any
-    allocation, when that matrix would exceed MAX_PHASE_CELLS cells.
+    f is evaluated once at the samples+1 points, and one table of running
+    partial sums is built for the largest N; each N reads its row.  Raises
+    ValueError, before any allocation, when the modes -N .. N at the
+    samples+1 points would exceed MAX_PHASE_CELLS cells.
     """
     N_values = [int(N) for N in N_values]
     for N in N_values:
@@ -161,11 +179,9 @@ def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAM
     _check_phase_cells(samples + 1, N_max, f"samples={samples} and N={N_max}")
     xs = np.linspace(-1.0, 1.0, samples + 1)
     coeffs = _coefficient_vector(f, range(-N_max, N_max + 1))
-    phases = _phase_matrix(xs, N_max)
     fvals = _evaluate(f.eval, xs, f.name)
-    return np.array(
-        [np.max(np.abs(fvals - _partial_sums(phases, coeffs, N))) for N in N_values]
-    )
+    sums = _running_sums(xs, coeffs)
+    return np.array([np.max(np.abs(fvals - sums[N])) for N in N_values])
 
 
 def sup_error(f: SmoothPeriodicFunction, N: int, samples: int = SUP_ERROR_SAMPLES) -> float:
@@ -176,11 +192,35 @@ def sup_error(f: SmoothPeriodicFunction, N: int, samples: int = SUP_ERROR_SAMPLE
     return float(sup_errors(f, [N], samples)[0])
 
 
+def _hurwitz_zeta2(x):
+    """zeta(2, x) = sum_{k >= 0} 1/(x + k)^2 for x >= _ZETA_SERIES_FROM, a float or an array.
+
+    The Euler-Maclaurin series 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1)
+    (DLMF 5.15.8), cut after B_8; the remainder is below (5/66)/x^11,
+    about 1e-21 at x = 64.
+    """
+    inv = 1.0 / x
+    inv2 = inv * inv
+    return inv + inv2 * (0.5 + inv * (1 / 6 + inv2 * (-1 / 30 + inv2 * (1 / 42 - inv2 / 30))))
+
+
+_ZETA2_PAST_CUTOFF = _hurwitz_zeta2(MAJORANT_MODE_CUTOFF + 1.0)
+# sum_{N < m <= C} 1/m^2 for N below _ZETA_SERIES_FROM: the terms up to 63
+# one by one and zeta(2, 64) - zeta(2, C+1), in one correctly rounded sum
+_MAJORANT_HEADS = tuple(
+    math.fsum(
+        [1.0 / (m * m) for m in range(N + 1, _ZETA_SERIES_FROM)]
+        + [_hurwitz_zeta2(float(_ZETA_SERIES_FROM)), -_ZETA2_PAST_CUTOFF]
+    )
+    for N in range(_ZETA_SERIES_FROM)
+)
+
+
 def m_test_majorants(H: float, N_values) -> np.ndarray:
     """m_test_majorant(H, N) for every N in N_values, in one pass.
 
-    The terms 1/m^2, m = 1 .. MAJORANT_MODE_CUTOFF, are built once, and
-    the tail for each N is the sum of the terms past index N.
+    Each tail sum_{N < m <= C} 1/m^2 is zeta(2, N+1) - zeta(2, C+1),
+    C = MAJORANT_MODE_CUTOFF, and 0 for N >= C; no term array is built.
     """
     N_values = [int(N) for N in N_values]
     for N in N_values:
@@ -190,20 +230,28 @@ def m_test_majorants(H: float, N_values) -> np.ndarray:
         raise ValueError(f"H must be nonnegative, got {H}")
     if not N_values:
         return np.empty(0)
-    inv = np.arange(1, MAJORANT_MODE_CUTOFF + 1, dtype=np.float64)
-    np.multiply(inv, inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    return np.array([H * float(np.sum(inv[N:])) + 2.0 * H * 1e-6 for N in N_values])
+    Ns = np.array([min(N, MAJORANT_MODE_CUTOFF) for N in N_values], dtype=np.float64)
+    tails = _hurwitz_zeta2(np.maximum(Ns + 1.0, _ZETA_SERIES_FROM)) - _ZETA2_PAST_CUTOFF
+    for i, N in enumerate(N_values):
+        if N < _ZETA_SERIES_FROM:
+            tails[i] = _MAJORANT_HEADS[N]
+    tails[Ns == MAJORANT_MODE_CUTOFF] = 0.0
+    return H * tails + 2.0 * H * 1e-6
 
 
 def m_test_majorant(H: float, N: int) -> float:
     """Uniform bound on the truncation error implied by |ghat(m)| <= H/m^2.
 
-    Returns (1/2) * sum_{N < |m| <= 1e6} H/m^2 plus an explicit 2*H*1e-6
-    term covering the discarded modes beyond the cutoff, so the result is
-    a majorant of |f - reconstruct(f, N, .)| given the sampled constants
-    behind H; certified constants are ROADMAP item 1.  The one-N view of
-    ``m_test_majorants``.
+    Returns (1/2) * sum_{N < |m| <= C} H/m^2, C = MAJORANT_MODE_CUTOFF =
+    1e6, plus an explicit 2*H*1e-6 term covering the discarded modes beyond
+    the cutoff, so the result is a majorant of |f - reconstruct(f, N, .)|
+    given the sampled constants behind H; certified constants are ROADMAP
+    item 1.  The tail is H * (zeta(2, N+1) - zeta(2, C+1)) in closed form:
+    the terms 1/m^2 for m < 64 are summed exactly rounded, and zeta(2, x)
+    for x >= 64 comes from 1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) +
+    1/(42x^7) - 1/(30x^9), whose remainder is below (5/66)/x^11.  For
+    N >= C the tail is empty and the result is 2*H*1e-6 exactly.  The
+    one-N view of ``m_test_majorants``.
     """
     return float(m_test_majorants(H, [N])[0])
 

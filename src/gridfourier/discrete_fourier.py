@@ -135,3 +135,20 @@ def alias_fold(f, n: int, m: int, cutoff: int) -> complex:
     for t in range(t_low, t_high + 1):
         total += complex(f.exact_coefficient(m + period * t))
     return total
+
+
+def _alias_fold_table(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """``alias_fold`` at every mode m = -n .. n-1, from one coefficient vector.
+
+    ``coeffs`` holds the exact coefficients of modes -K .. K, and the fold
+    uses cutoff K.  Each mode k is added into the mode congruent to it mod
+    2n in increasing k, the real and imaginary parts apart, which is the
+    order of ``alias_fold``; every slot equals it bit for bit.
+    """
+    K = len(coeffs) // 2
+    bins = np.arange(n - K, n + K + 1)
+    np.remainder(bins, 2 * n, out=bins)
+    folded = np.empty(2 * n, dtype=np.complex128)
+    folded.real = np.bincount(bins, weights=coeffs.real, minlength=2 * n)
+    folded.imag = np.bincount(bins, weights=coeffs.imag, minlength=2 * n)
+    return folded

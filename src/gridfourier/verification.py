@@ -33,7 +33,7 @@ from .continuous_fourier import (
     sup_errors,
 )
 from .discrete_calculus import ftc_residual, parts_residual, product_rule_residual
-from .discrete_fourier import alias_fold, discrete_coefficients, invert
+from .discrete_fourier import _alias_fold_table, discrete_coefficients, invert
 from .functions import DEFAULT_CATALOG, bound_constants, get_function
 from .grid import GridFunction, build_grid, sample
 from .spectral_bounds import (
@@ -333,12 +333,14 @@ def _alias(s: _Suite):
     for name, f in s.fns.items():
         # fold far enough to reach every nonzero coefficient of a polynomial
         cutoff = ALIAS_CUTOFF if f.degree is None else max(ALIAS_CUTOFF, f.degree)
+        # every exact coefficient the folds reach, evaluated once for all n
+        ks = range(-cutoff, cutoff + 1)
+        exact = np.fromiter(map(f.exact_coefficient, ks), np.complex128, len(ks))
         for n in s.ns:
-            spec = s.spectra[(name, n)]
+            grid = s.spectra[(name, n)].coefficients.tolist()
+            folded = _alias_fold_table(exact, n).tolist()
             # scalar abs on purpose: np.abs can differ in the last ulp
-            diffs = np.array(
-                [abs(spec.coeff(m) - alias_fold(f, n, m, cutoff)) for m in range(-n, n)]
-            )
+            diffs = np.array([abs(g - a) for g, a in zip(grid, folded)])
             diff, m = _worst_mode(diffs, n, include_zero=True)
             yield "alias_oracle", diff / _magnitude(s, name, n), WorstLocation(name, n, m)
 

@@ -2,14 +2,16 @@
 
 The transform oracles deliberately avoid the library's code paths: plain
 cmath phases (no modular reduction), naive left-to-right summation, no
-compensation.  The per-N oracles instead repeat the numpy arithmetic of
-one truncation order computed on its own, so that the batched forms can
-be compared with them bit for bit.
+compensation.  ``per_n_sup_errors`` instead repeats the numpy arithmetic
+of one truncation order computed on its own, so that the batched form
+can be compared with it bit for bit, and the ``mp_`` oracles give the
+convergence tables in 200-bit mpmath.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -38,29 +40,62 @@ def brute_invert(coeffs, n):
 def per_n_sup_errors(f, orders, samples):
     """Sup error at each truncation order, each computed as on its own.
 
-    f is evaluated point by point (its values do not depend on N), and the
-    coefficients and the (samples+1) x (2N+1) phase matrix are built
-    afresh for every N; f must carry an exact coefficient map.
+    f is evaluated point by point (its values do not depend on N).  For
+    every N the phases of each mode are rebuilt by the direct formula
+    exp(i pi x m), negative modes included, and the order-N sum is run
+    up mode by mode: c_0 e_0, then c_m e_m + c_{-m} e_{-m} for m = 1 .. N;
+    f must carry an exact coefficient map.
     """
     xs = np.linspace(-1.0, 1.0, samples + 1)
     fvals = np.asarray([f.eval(float(x)) for x in xs], dtype=np.complex128)
+    px = np.where(xs == 1.0, -1.0, xs)
+
+    def term(m):
+        return complex(f.exact_coefficient(m)) * np.exp(1j * np.pi * (px * m))
+
     out = []
     for N in orders:
-        ms = np.arange(-N, N + 1)
-        coeffs = np.asarray([f.exact_coefficient(m) for m in ms], dtype=np.complex128)
-        phases = np.exp(1j * np.pi * np.outer(np.where(xs == 1.0, -1.0, xs), ms))
-        recon = 0.5 * np.sum(phases * coeffs, axis=1)
-        out.append(float(np.max(np.abs(fvals - recon))))
+        acc = term(0)
+        for m in range(1, N + 1):
+            acc = acc + (term(m) + term(-m))
+        out.append(float(np.max(np.abs(fvals - 0.5 * acc))))
     return out
 
 
-def per_n_majorant(H, N, cutoff=10**6):
-    """H * sum_{N < m <= cutoff} 1/m^2 + 2*H*1e-6, the terms built for this N alone.
+def mp_majorant(H, N, cutoff=10**6):
+    """H * (zeta(2, N+1) - zeta(2, cutoff+1)) + 2*H*1e-6 in 200-bit mpmath.
 
-    H may be an array of constants; each slot then equals the scalar result.
+    The Hurwitz zeta difference is the tail sum_{N < m <= cutoff} 1/m^2,
+    empty for N >= cutoff.
     """
-    ms = np.arange(N + 1, cutoff + 1, dtype=np.float64)
-    return H * float(np.sum(1.0 / (ms * ms))) + 2.0 * H * 1e-6
+    with mpmath.workprec(200):
+        H = mpmath.mpf(H)
+        tail = mpmath.zeta(2, N + 1) - mpmath.zeta(2, cutoff + 1) if N < cutoff else 0
+        return H * tail + 2 * H * mpmath.mpf(1e-6)
+
+
+def mp_sup_errors(f, orders, samples):
+    """Sup error at each order, the partial sums taken in 200-bit mpmath.
+
+    f's values and coefficients are the float ones; only the phases and
+    the running sum are exact to 200 bits, so the result is the sup error
+    the float arithmetic approximates.
+    """
+    xs = np.linspace(-1.0, 1.0, samples + 1)
+    fvals = [complex(f.eval(float(x))) for x in xs]
+    K = max(orders)
+    coeffs = {m: mpmath.mpc(complex(f.exact_coefficient(m))) for m in range(-K, K + 1)}
+    worst = dict.fromkeys(orders, mpmath.mpf(0))
+    with mpmath.workprec(200):
+        for x, fx in zip(xs, fvals):
+            x = -1.0 if x == 1.0 else float(x)
+            acc = coeffs[0]
+            for m in range(1, K + 1):
+                phase = mpmath.expjpi(mpmath.mpf(x) * m)
+                acc += coeffs[m] * phase + coeffs[-m] * mpmath.conj(phase)
+                if m in worst:
+                    worst[m] = max(worst[m], abs(mpmath.mpc(fx) - acc / 2))
+    return [float(worst[N]) for N in orders]
 
 
 def interval_partial_sum(coeffs, length, x):

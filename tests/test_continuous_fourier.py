@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import iv
 
-from _oracles import interval_partial_sum, per_n_majorant, per_n_sup_errors
+from _oracles import interval_partial_sum, mp_majorant, mp_sup_errors, per_n_sup_errors
 from gridfourier import (
     DEFAULT_CATALOG,
     bound_constants,
@@ -323,13 +324,57 @@ def test_sup_errors_bit_equal_to_per_n_oracle(name, samples):
         assert sup_error(f, N, samples) == got, N
 
 
-def test_m_test_majorants_bit_equal_to_per_n_oracle():
-    Hs = [bound_constants(get_function(name)).H for name in BATCH_FUNCTIONS]
-    batched = np.array([m_test_majorants(H, ORDERS) for H in Hs])
-    for N, column in zip(ORDERS, batched.T.tolist()):
-        # one oracle call serves every H: the tail sum does not depend on H
-        assert column == per_n_majorant(np.array(Hs), N, MAJORANT_MODE_CUTOFF).tolist(), N
-        assert m_test_majorant(Hs[0], N) == column[0], N
+@pytest.mark.parametrize("name", BATCH_FUNCTIONS)
+def test_reconstruct_reads_the_sup_error_running_sum(name):
+    f = get_function(name)
+    samples = 257
+    xs = np.linspace(-1.0, 1.0, samples + 1)
+    fvals = f.eval(xs)
+    for N in (1, 2, 7, 64):
+        want = float(np.max(np.abs(fvals - reconstruct(f, N, xs))))
+        assert sup_error(f, N, samples) == want, N
+
+
+@pytest.mark.parametrize("name", BATCH_FUNCTIONS)
+def test_sup_errors_match_mpmath_partial_sums(name):
+    f = get_function(name)
+    orders, samples = [1, 2, 5, 16, 24], 64
+    got = sup_errors(f, orders, samples)
+    want = np.array(mp_sup_errors(f, orders, samples))
+    scale = max(1.0, float(np.max(np.abs(f.eval(np.linspace(-1.0, 1.0, samples + 1))))))
+    assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+MAJORANT_ORDERS = [*range(1, 129), 10**3, 10**4, 10**5, 699050, 999999]
+
+
+def test_m_test_majorants_match_mpmath_hurwitz_tail():
+    for H in (1.0, 3.7, 1e300):
+        batched = m_test_majorants(H, MAJORANT_ORDERS).tolist()
+        for N, got in zip(MAJORANT_ORDERS, batched):
+            want = mp_majorant(H, N, MAJORANT_MODE_CUTOFF)
+            assert abs(got - want) <= 1e-15 * want, (H, N)
+            # the one-N view is its batched slot
+            assert m_test_majorant(H, N) == got, (H, N)
+
+
+@pytest.mark.parametrize("H", [1.0, 3.7, 1e300])
+def test_majorant_at_and_past_the_cutoff(H):
+    want = H * 1e-12 + 2.0 * H * 1e-6
+    assert abs(m_test_majorant(H, MAJORANT_MODE_CUTOFF - 1) - want) <= 1e-15 * want
+    # the tail is empty: only the slack for the discarded modes is left
+    for N in (MAJORANT_MODE_CUTOFF, 2 * MAJORANT_MODE_CUTOFF, 10**400):
+        assert m_test_majorant(H, N) == 2.0 * H * 1e-6, N
+
+
+def test_m_test_majorants_builds_no_term_array():
+    tracemalloc.start()
+    try:
+        m_test_majorants(1.0, range(1, 65))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sup_errors_rejects_oversized_phase_matrix(monkeypatch):

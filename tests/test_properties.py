@@ -34,6 +34,7 @@ from gridfourier import (
     shift_to_zero_endpoints,
     trig_monomial,
 )
+from gridfourier.discrete_fourier import _alias_fold_table
 from gridfourier.spectral_bounds import _uniform_maxima, dft_identity_residual_arrays
 from gridfourier.verification import ALIAS_CUTOFF, CHECKS, random_grid_function
 
@@ -183,3 +184,17 @@ def test_alias_fold_up_to_the_degree_gives_the_grid_coefficients(parts, n):
     cutoff = max(ALIAS_CUTOFF, f.degree)
     worst = max(abs(spec.coeff(m) - alias_fold(f, n, m, cutoff)) for m in range(-n, n))
     assert worst / max(1.0, gf.max_abs()) <= TOLERANCE["alias_oracle"]
+
+
+@SETTINGS
+@given(parts=TRIG_PARTS, n=st.integers(1, 128), cutoff=st.integers(1, 200))
+@example(parts=[(-0.0, trig_monomial(0)), (1e-300, cosine(7))], n=1, cutoff=9)
+def test_alias_fold_table_is_alias_fold_bit_for_bit(parts, n, cutoff):
+    f = combine(parts)
+    exact = np.asarray(
+        [f.exact_coefficient(k) for k in range(-cutoff, cutoff + 1)], dtype=np.complex128
+    )
+    table = _alias_fold_table(exact, n).tolist()
+    scalar = [alias_fold(f, n, m, cutoff) for m in range(-n, n)]
+    # repr tells signed zeros apart
+    assert [repr(z) for z in table] == [repr(z) for z in scalar]

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import json
 import math
@@ -176,6 +177,26 @@ def test_each_catalog_cell_is_sampled_once(monkeypatch):
     monkeypatch.setattr(continuous_fourier, "sample", counting)
     run_lemma_suite(SuiteConfig())
     assert sampled and set(sampled.values()) == {1}, sampled
+
+
+@pytest.mark.parametrize("name", ["expcos", "trig:40", "combo:0.5*cos:3+2*trig:-70"])
+def test_alias_reads_each_exact_coefficient_once(name):
+    # the folds of every grid size share one coefficient vector
+    cfg = SuiteConfig(function_names=(name,), grid_sizes=(3, 4, 16, 64, 100))
+    suite = verification._build_suite(cfg)
+    f = suite.fns[name]
+    calls = collections.Counter()
+
+    def counting(m):
+        calls[m] += 1
+        return f.exact_coefficient(m)
+
+    suite.fns[name] = dataclasses.replace(f, exact_coefficient=counting)
+    rows = list(verification._alias(suite))
+    cutoff = max(verification.ALIAS_CUTOFF, f.degree or 0)
+    assert len(rows) == len(cfg.grid_sizes)
+    assert sum(calls.values()) <= 2 * cutoff + 1
+    assert set(calls.values()) == {1}
 
 
 @functools.lru_cache(maxsize=None)

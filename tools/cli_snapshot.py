@@ -50,6 +50,10 @@ ARGVS = (
     ["rescale-demo", "--a", "0", "--b", "0"],
     ["rescale-demo", "--a", "0", "--b", "5e-324"],
     ["rescale-demo", "--a", "0", "--b", "1", "--function", "nosuch"],
+    # the largest converge table admitted at 3 points (N = 699050 is next
+    # to the majorant cutoff), and the first one refused before allocating
+    ["converge", "--function", "cos:1", "--samples", "2", "--N", "1,1000,100000,699050"],
+    ["converge", "--function", "cos:1", "--samples", "2", "--N", "699051"],
 )
 
 
