@@ -8,7 +8,7 @@ into a temporary directory.  Each tree is timed in its own interpreter:
 every layer runs once as a warm-up and then K times (default 7, at
 least 5), and the median is kept.  The import floor is the median of K
 fresh interpreters timing ``import gridfourier.cli``, after one more that
-warms the file cache.  The JSON on stdout, or in FILE, holds each layer's
+warms the file cache; the two trees take turns.  The JSON on stdout, or in FILE, holds each layer's
 seconds for the parent and the change side by side, with the git SHAs,
 the numpy version and nproc.
 
@@ -71,21 +71,28 @@ def _child(runs: int) -> None:
     print(json.dumps(medians))
 
 
-def _measure(src: Path, runs: int) -> dict:
+def _run(src: Path, *args: str) -> str:
+    """stdout of this interpreter run with args, importing gridfourier from src."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, __file__, "--child", "--runs", str(runs)],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    layers = json.loads(out.splitlines()[-1])
-    imports = [
-        float(subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                             capture_output=True, text=True, check=True).stdout)
-        for _ in range(runs + 1)
-    ]
-    # the first interpreter warms the file cache
-    layers["import_cli"] = statistics.median(imports[1:])
-    return layers
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def _measure(srcs: dict, runs: int) -> dict:
+    """Tree name -> layer medians, for every tree in srcs (tree name -> src path)."""
+    results = {
+        tree: json.loads(_run(src, __file__, "--child", "--runs", str(runs)).splitlines()[-1])
+        for tree, src in srcs.items()
+    }
+    # the trees take turns, so a drift of the host speed reaches both alike;
+    # the first round warms the file cache
+    imports = {tree: [] for tree in srcs}
+    for _ in range(runs + 1):
+        for tree, src in srcs.items():
+            imports[tree].append(float(_run(src, "-c", IMPORT_PROBE)))
+    for tree in srcs:
+        results[tree]["import_cli"] = statistics.median(imports[tree][1:])
+    return results
 
 
 def _git(*args: str) -> str:
@@ -110,7 +117,7 @@ def main(argv: list[str]) -> int:
 
     trees = {"change": {"sha": _git("rev-parse", "HEAD"),
                         "src_modified": bool(_git("status", "--porcelain", "--", "src"))}}
-    results = {}
+    srcs = {}
     with tempfile.TemporaryDirectory() as tmp:
         if args.parent:
             trees["parent"] = {"sha": _git("rev-parse", args.parent)}
@@ -118,8 +125,9 @@ def main(argv: list[str]) -> int:
             _git("archive", "--output", str(archive), trees["parent"]["sha"], "src")
             with tarfile.open(archive) as tar:
                 tar.extractall(tmp, filter="data")
-            results["parent"] = _measure(Path(tmp) / "src", args.runs)
-        results["change"] = _measure(ROOT / "src", args.runs)
+            srcs["parent"] = Path(tmp) / "src"
+        srcs["change"] = ROOT / "src"
+        results = _measure(srcs, args.runs)
 
     layers = {}
     for name in results["change"]:
