@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .discrete_fourier import discrete_coefficients
+from .discrete_fourier import _check_mode, discrete_coefficients
 from .functions import SmoothPeriodicFunction, _make_function
 from .grid import GridFunction, _evaluate, _pointwise, build_grid, integrate, sample
 
@@ -338,8 +338,7 @@ def rescale(
 
 def discrete_to_continuous_gap(f: SmoothPeriodicFunction, m: int, n: int) -> float:
     """|grid coefficient at size n - continuous coefficient| at mode m."""
-    if not -n <= m <= n - 1:
-        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
+    _check_mode(n, m)
     grid_value = discrete_coefficients(sample(f, build_grid(n))).coeff(m)
     return abs(grid_value - coefficient(f, m))
 

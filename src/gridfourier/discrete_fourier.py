@@ -56,12 +56,16 @@ class Spectrum:
         return np.arange(-self.n, self.n)
 
     def coeff(self, m: int) -> complex:
-        if not -self.n <= m <= self.n - 1:
-            raise ValueError(f"mode {m} outside [{-self.n}, {self.n - 1}]")
+        _check_mode(self.n, m)
         return complex(self.coefficients[m + self.n])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coefficients)))
+
+
+def _check_mode(n: int, m: int) -> None:
+    if not -n <= m <= n - 1:
+        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
 
 
 def _shifted_dft(values: np.ndarray, n: int, sign: int) -> np.ndarray:
@@ -105,8 +109,7 @@ def character(n: int, m: int, j: int) -> complex:
     """
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
-    if not -n <= m <= n - 1:
-        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
+    _check_mode(n, m)
     if not -n <= j <= n - 1:
         raise ValueError(f"index {j} outside [{-n}, {n - 1}]")
     r = (j * m) % (2 * n)
@@ -117,15 +120,14 @@ def alias_fold(f, n: int, m: int, cutoff: int) -> complex:
     """Sum of exact coefficients over all modes congruent to m mod 2n.
 
     Independent oracle for grid coefficients: for a trigonometric
-    polynomial of degree below ``cutoff`` this equals
+    polynomial whose support lies in |m| <= ``cutoff`` this equals
     ``discrete_coefficients(sample(f, grid))`` at mode m exactly.
     """
     if f.exact_coefficient is None:
         raise ValueError(f"{f.name}: no exact coefficient oracle available")
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
-    if not -n <= m <= n - 1:
-        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
+    _check_mode(n, m)
     if cutoff < 1:
         raise ValueError(f"cutoff >= 1 required, got {cutoff}")
     period = 2 * n
@@ -137,17 +139,16 @@ def alias_fold(f, n: int, m: int, cutoff: int) -> complex:
     return total
 
 
-def _alias_fold_table(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """``alias_fold`` at every mode m = -n .. n-1, from one coefficient vector.
+def _alias_fold_table(modes, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """``alias_fold`` at every mode m = -n .. n-1, from the coefficients of ``modes``.
 
-    ``coeffs`` holds the exact coefficients of modes -K .. K, and the fold
-    uses cutoff K.  Each mode k is added into the mode congruent to it mod
-    2n in increasing k, the real and imaginary parts apart, which is the
-    order of ``alias_fold``; every slot equals it bit for bit.
+    ``modes`` ascend and hold every mode whose coefficient is nonzero.
+    Each mode k is added into the slot (k + n) mod 2n in increasing k, the
+    real and imaginary parts apart, which is the order of ``alias_fold``;
+    a left-out zero never changes a partial sum that starts from +0.0, so
+    every slot equals ``alias_fold`` with cutoff max|k| bit for bit.
     """
-    K = len(coeffs) // 2
-    bins = np.arange(n - K, n + K + 1)
-    np.remainder(bins, 2 * n, out=bins)
+    bins = np.remainder(np.add(modes, n), 2 * n)
     folded = np.empty(2 * n, dtype=np.complex128)
     folded.real = np.bincount(bins, weights=coeffs.real, minlength=2 * n)
     folded.imag = np.bincount(bins, weights=coeffs.imag, minlength=2 * n)

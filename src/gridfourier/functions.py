@@ -56,7 +56,9 @@ SUP_NORM_POINTS = 4096 + 1
 SIMPSON_PANELS = 4096
 
 _BESSEL_TERM_FLOOR = 1e-18
-_MAX_MONOMIAL_DEGREE = 10**6
+# exp(cos(pi x)) has coefficients 2 I_m(1), and 2 I_33(1) < 1e-46
+_EXPCOS_SUPPORT = tuple(range(-32, 33))
+_MAX_MODE = 10**6
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,12 @@ class SmoothPeriodicFunction:
     endpoint_value : complex
         The common value g(-1) = g(1), recorded as complex(eval(1.0)) by
         ``_make_function``, the constructor every function is built by.
-    degree : int or None
-        The largest |m| at which exact_coefficient can be nonzero, for a
-        trigonometric polynomial (|k| for ``trig:k``, k for ``cos:k``, the
-        largest part's degree for a combination); None when unknown or
-        unbounded, as for ``expcos`` and ``rescale`` pullbacks.
+    support : tuple of int or None
+        The ascending modes outside which exact_coefficient is zero or
+        negligible: (k,) for ``trig:k``, (-k, k) for ``cos:k``, -32 .. 32
+        for ``expcos`` and the sorted union of the parts' supports for a
+        combination; None when there is no exact coefficient, as for
+        ``rescale`` pullbacks.
     """
 
     name: str
@@ -96,7 +99,7 @@ class SmoothPeriodicFunction:
     d2: Optional[Callable[[float], complex]]
     exact_coefficient: Optional[Callable[[int], complex]]
     endpoint_value: complex
-    degree: Optional[int] = None
+    support: Optional[tuple[int, ...]] = None
 
     def __call__(self, x: float) -> complex:
         return self.eval(x)
@@ -125,19 +128,19 @@ class BoundConstants:
                 raise ValueError(f"{field_name} must be finite and nonnegative, got {value}")
 
 
-def _make_function(name, ev, d1, d2, exact_coefficient, degree=None) -> SmoothPeriodicFunction:
+def _make_function(name, ev, d1, d2, exact_coefficient, support=None) -> SmoothPeriodicFunction:
     """The one constructor: records endpoint_value = complex(ev(1.0))."""
     # an overflowing value is reported where the function is evaluated
     with np.errstate(over="ignore", invalid="ignore"):
         endpoint_value = complex(ev(1.0))
-    return SmoothPeriodicFunction(name, ev, d1, d2, exact_coefficient, endpoint_value, degree)
+    return SmoothPeriodicFunction(name, ev, d1, d2, exact_coefficient, endpoint_value, support)
 
 
 def trig_monomial(k: int) -> SmoothPeriodicFunction:
     """exp(i pi k x): the grid transform's eigenfunction at mode k."""
     k = int(k)
-    if abs(k) > _MAX_MONOMIAL_DEGREE:
-        raise ValueError(f"|k| <= {_MAX_MONOMIAL_DEGREE} required, got k={k}")
+    if abs(k) > _MAX_MODE:
+        raise ValueError(f"|k| <= {_MAX_MODE} required, got k={k}")
     w = math.pi * k
 
     def ev(x):
@@ -152,7 +155,7 @@ def trig_monomial(k: int) -> SmoothPeriodicFunction:
     def coeff(m):
         return 2.0 + 0.0j if m == k else 0.0j
 
-    return _make_function(f"trig:{k}", ev, d1, d2, coeff, abs(k))
+    return _make_function(f"trig:{k}", ev, d1, d2, coeff, (k,))
 
 
 def cosine(k: int) -> SmoothPeriodicFunction:
@@ -160,9 +163,9 @@ def cosine(k: int) -> SmoothPeriodicFunction:
     k = int(k)
     if k < 1:
         raise ValueError(f"cosine needs k >= 1, got k={k}")
-    # the trig cap, which also bounds the alias fold over |m| <= degree
-    if k > _MAX_MONOMIAL_DEGREE:
-        raise ValueError(f"k <= {_MAX_MONOMIAL_DEGREE} required, got k={k}")
+    # the trig cap: rounding the phase pi*k*x already costs 1.5e-10 at k = 10**6
+    if k > _MAX_MODE:
+        raise ValueError(f"k <= {_MAX_MODE} required, got k={k}")
     w = math.pi * k
 
     def ev(x):
@@ -177,7 +180,7 @@ def cosine(k: int) -> SmoothPeriodicFunction:
     def coeff(m):
         return 1.0 + 0.0j if abs(m) == k else 0.0j
 
-    return _make_function(f"cos:{k}", ev, d1, d2, coeff, k)
+    return _make_function(f"cos:{k}", ev, d1, d2, coeff, (-k, k))
 
 
 def _bessel_i_at_one(order: int) -> float:
@@ -224,7 +227,7 @@ def exp_cos() -> SmoothPeriodicFunction:
     def coeff(m):
         return complex(2.0 * _bessel_i_at_one(m))
 
-    return _make_function("expcos", ev, d1, d2, coeff)
+    return _make_function("expcos", ev, d1, d2, coeff, _EXPCOS_SUPPORT)
 
 
 def combine(parts) -> SmoothPeriodicFunction:
@@ -232,8 +235,8 @@ def combine(parts) -> SmoothPeriodicFunction:
 
     ``parts`` is a nonempty sequence of (weight, function) pairs.  The
     derivatives combine linearly; the exact coefficient map is present
-    iff every part carries one, and the degree is the largest part's,
-    or None when some part has none.
+    iff every part carries one, and the support is the sorted union of
+    the parts', or None when some part has none.
     """
     parts = [(complex(c), f) for c, f in parts]
     if not parts:
@@ -247,10 +250,10 @@ def combine(parts) -> SmoothPeriodicFunction:
         return lambda x: sum(c * g(x) for c, g in terms)
 
     name = "combo:" + "+".join(f"{c.real:g}*{f.name}" for c, f in parts)
-    degrees = [f.degree for _, f in parts]
-    degree = None if None in degrees else max(degrees)
+    supports = [f.support for _, f in parts]
+    support = None if None in supports else tuple(sorted(set().union(*supports)))
     return _make_function(
-        name, lift("eval"), lift("d1"), lift("d2"), lift("exact_coefficient"), degree
+        name, lift("eval"), lift("d1"), lift("d2"), lift("exact_coefficient"), support
     )
 
 

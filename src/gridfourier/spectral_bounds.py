@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete_calculus import derivative
-from .discrete_fourier import Spectrum, discrete_coefficients
+from .discrete_fourier import Spectrum, _check_mode, discrete_coefficients
 from .functions import SmoothPeriodicFunction, bound_constants
 from .grid import GridFunction, build_grid, sample
 
@@ -107,11 +107,6 @@ def _boundary_arrays(gf: GridFunction) -> tuple[np.ndarray, ...]:
     E = phi * D - C
     F = psi * phi * D - psi * C + phi * Dp - Cp
     return C, D, Cp, Dp, E, F
-
-
-def _check_mode(n: int, m: int) -> None:
-    if not -n <= m <= n - 1:
-        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
 
 
 def boundary_terms(gf: GridFunction, m: int) -> BoundaryTerms:

@@ -76,7 +76,6 @@ _STREAMS = {"inversion": 1, "calculus": 2, "dft": 3}
 RANDOM_REPS = 8
 DFT_RANDOM_REPS = 4
 SYMBOL_SWEEP_MAX = 512
-ALIAS_CUTOFF = 32
 MTEST_ORDERS = (2, 4, 8, 16, 32)
 CONVERGENCE_MODES = (0, -1, 1, -2, 2)
 TAIL_BASE_GRID = 256
@@ -331,14 +330,11 @@ def _magnitude(s: _Suite, name: str, n: int) -> float:
 
 def _alias(s: _Suite):
     for name, f in s.fns.items():
-        # fold far enough to reach every nonzero coefficient of a polynomial
-        cutoff = ALIAS_CUTOFF if f.degree is None else max(ALIAS_CUTOFF, f.degree)
-        # every exact coefficient the folds reach, evaluated once for all n
-        ks = range(-cutoff, cutoff + 1)
-        exact = np.fromiter(map(f.exact_coefficient, ks), np.complex128, len(ks))
+        # the exact coefficients of the support, evaluated once for all n
+        exact = np.fromiter(map(f.exact_coefficient, f.support), np.complex128, len(f.support))
         for n in s.ns:
             grid = s.spectra[(name, n)].coefficients.tolist()
-            folded = _alias_fold_table(exact, n).tolist()
+            folded = _alias_fold_table(f.support, exact, n).tolist()
             # scalar abs on purpose: np.abs can differ in the last ulp
             diffs = np.array([abs(g - a) for g, a in zip(grid, folded)])
             diff, m = _worst_mode(diffs, n, include_zero=True)

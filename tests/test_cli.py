@@ -233,6 +233,15 @@ def test_verify_folds_high_degree_polynomials_up_to_their_degree(capsys):
     assert all(r["status"] == "pass" for r in reports)
 
 
+def test_verify_folds_a_combo_of_expcos_and_a_high_mode(capsys):
+    # the fold reads the union of expcos's modes |m| <= 32 and the mode 100
+    code, out, _ = run_cli(["verify", "--functions", "combo:1*expcos+1*trig:100"], capsys)
+    reports = json.loads(out)["reports"]
+    assert code == 0
+    assert len(reports) == 16
+    assert all(r["status"] == "pass" for r in reports)
+
+
 def test_converge_trig(capsys):
     code, out, _ = run_cli(
         ["converge", "--function", "trig:2", "--N", "1,2,3", "--samples", "256"], capsys

@@ -189,6 +189,8 @@ def test_rescale_unit_interval_exponential():
 def test_rescale_constant():
     rf = rescale(lambda x: 4.25, 1.0, 3.5)
     assert rf.coefficient(0) == pytest.approx(4.25, abs=1e-12)
+    # a pullback has no exact coefficient, hence no support
+    assert rf.pulled.exact_coefficient is None and rf.pulled.support is None
 
 
 def test_rescale_cosine_long_interval():

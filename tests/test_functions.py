@@ -45,7 +45,7 @@ def test_trig_monomial_rejects_huge_mode():
 
 
 def test_cosine_rejects_huge_mode():
-    assert cosine(10**6).degree == 10**6
+    assert cosine(10**6).support == (-(10**6), 10**6)
     with pytest.raises(ValueError, match="k <= 1000000 required"):
         cosine(10**6 + 1)
 
@@ -128,11 +128,30 @@ def test_combine_coefficients_are_linear():
     ],
 )
 def test_degree_bounds_the_nonzero_exact_coefficients(name, degree):
+    # a polynomial's support reaches its degree; expcos's stops at |m| = 32
     f = get_function(name)
-    assert f.degree == degree
+    assert f.support == tuple(sorted(f.support))
+    assert max(map(abs, f.support)) == (32 if degree is None else degree)
+    # off the support, within 3 of it, every exact coefficient is exactly 0
+    near = set(range(f.support[0] - 3, f.support[-1] + 4)) - set(f.support)
+    assert all(f.exact_coefficient(m) == 0 for m in near)
     if degree is not None:
         assert f.exact_coefficient(degree) != 0 or f.exact_coefficient(-degree) != 0
-        assert all(f.exact_coefficient(m) == 0 for m in (-degree - 2, -degree - 1, degree + 1))
+
+
+@pytest.mark.parametrize(
+    "name, support",
+    [
+        ("trig:7", (7,)),
+        ("trig:-5", (-5,)),
+        ("cos:3", (-3, 3)),
+        ("expcos", tuple(range(-32, 33))),
+        ("combo:0.5*trig:40+2*cos:3+1*trig:-3", (-3, 3, 40)),
+        ("combo:1*expcos+1*trig:100", tuple(range(-32, 33)) + (100,)),
+    ],
+)
+def test_support_is_the_sorted_union_of_the_parts(name, support):
+    assert get_function(name).support == support
 
 
 def test_combine_rejects_empty():

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,10 +194,22 @@ def test_alias_reads_each_exact_coefficient_once(name):
 
     suite.fns[name] = dataclasses.replace(f, exact_coefficient=counting)
     rows = list(verification._alias(suite))
-    cutoff = max(verification.ALIAS_CUTOFF, f.degree or 0)
     assert len(rows) == len(cfg.grid_sizes)
-    assert sum(calls.values()) <= 2 * cutoff + 1
+    assert sorted(calls) == list(f.support)
     assert set(calls.values()) == {1}
+
+
+def test_alias_runner_memory_does_not_grow_with_the_mode():
+    # one coefficient per support mode: nothing of size k for trig:1000000
+    suite = verification._build_suite(SuiteConfig(function_names=("trig:1000000",)))
+    tracemalloc.start()
+    try:
+        rows = list(verification._alias(suite))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(suite.ns)
+    assert peak < 2**20
 
 
 @functools.lru_cache(maxsize=None)

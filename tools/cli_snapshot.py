@@ -54,6 +54,10 @@ ARGVS = (
     # to the majorant cutoff), and the first one refused before allocating
     ["converge", "--function", "cos:1", "--samples", "2", "--N", "1,1000,100000,699050"],
     ["converge", "--function", "cos:1", "--samples", "2", "--N", "699051"],
+    # the alias fold over each function's support: modes near the 10^6 cap,
+    # and the union of expcos's modes |m| <= 32 with the mode 100
+    ["verify", "--functions", "trig:100000,trig:1000000,trig:-999999,cos:1000000"],
+    ["verify", "--functions", "combo:1*expcos+1*trig:100"],
 )
 
 
