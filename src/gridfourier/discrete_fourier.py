@@ -139,7 +139,7 @@ def alias_fold(f, n: int, m: int, cutoff: int) -> complex:
     return total
 
 
-def _alias_fold_table(modes, coeffs: np.ndarray, n: int) -> np.ndarray:
+def _alias_fold_table(modes: tuple[int, ...], coeffs: np.ndarray, n: int) -> np.ndarray:
     """``alias_fold`` at every mode m = -n .. n-1, from the coefficients of ``modes``.
 
     ``modes`` ascend and hold every mode whose coefficient is nonzero.

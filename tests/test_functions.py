@@ -142,7 +142,6 @@ def test_degree_bounds_the_nonzero_exact_coefficients(name, degree):
 @pytest.mark.parametrize(
     "name, support",
     [
-        ("trig:7", (7,)),
         ("trig:-5", (-5,)),
         ("cos:3", (-3, 3)),
         ("expcos", tuple(range(-32, 33))),
