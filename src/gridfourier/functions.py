@@ -52,8 +52,8 @@ DEFAULT_CATALOG = ("cos:1", "trig:1", "trig:3", "expcos")
 # sampling at SUP_NORM_POINTS equispaced points, L1 norms by composite
 # Simpson quadrature on SIMPSON_PANELS uniform panels.  Both fixed so that
 # BoundConstants are reproducible bit for bit.
-SUP_NORM_POINTS = 4096 + 1
 SIMPSON_PANELS = 4096
+SUP_NORM_POINTS = SIMPSON_PANELS + 1
 
 _BESSEL_TERM_FLOOR = 1e-18
 # exp(cos(pi x)) has coefficients 2 I_m(1), and 2 I_33(1) < 1e-46

@@ -2,9 +2,9 @@
 
 The forward difference maps the mode exp(i pi x m) to psi_n(m) times
 itself, where psi_n(m) = n*(exp(i pi m / n) - 1) plays the role of i*pi*m
-on the grid; its conjugate phi_n(m) = n*(exp(-i pi m / n) - 1) shows up
-when the difference is summed by parts.  Because the derivative and shift
-are forced to zero at the last grid point, summation by parts leaves
+on the grid; its conjugate phi_n(m) = psi_n(-m) shows up when the
+difference is summed by parts.  Because the derivative and shift are
+forced to zero at the last grid point, summation by parts leaves
 boundary corrections C, D (values of g) and C', D' (values of g'), which
 combine into E and F so that, exactly,
 
@@ -60,8 +60,8 @@ def forward_symbol(n: int, m):
 
 
 def adjoint_symbol(n: int, m):
-    """phi_n(m) = n*(exp(-i pi m / n) - 1): conjugate symbol from parts."""
-    return n * (np.exp(-1j * np.pi * np.asarray(m) / n) - 1.0)
+    """phi_n(m) = psi_n(-m) = n*(exp(-i pi m / n) - 1): conjugate symbol from parts."""
+    return forward_symbol(n, -np.asarray(m))
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,13 @@ class BoundaryTerms:
     F: complex
 
 
-def _boundary_arrays(gf: GridFunction) -> tuple[np.ndarray, ...]:
-    """(C, D, Cp, Dp, E, F) for every mode m = -n .. n-1 at once."""
+def _boundary_arrays(gf: GridFunction, psi: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(C, D, Cp, Dp, E, F) for every mode m = -n .. n-1; psi, if given, is psi_n there."""
     n = gf.grid.n
     modes = np.arange(-n, n)
     g_last = complex(gf.values[-1])
     g_first = complex(gf.values[0])
-    gp_first = complex(derivative(gf).values[0])
+    gp_first = complex(n * (gf.values[1] - gf.values[0]))
 
     # exp(+-i pi m) for integer m, without trig rounding
     par = np.where(modes % 2 == 0, 1.0, -1.0)
@@ -103,7 +103,7 @@ def _boundary_arrays(gf: GridFunction) -> tuple[np.ndarray, ...]:
     Dp = -(1.0 / n) * gp_first * e_step * par
 
     phi = adjoint_symbol(n, modes)
-    psi = forward_symbol(n, modes)
+    psi = forward_symbol(n, modes) if psi is None else psi
     E = phi * D - C
     F = psi * phi * D - psi * C + phi * Dp - Cp
     return C, D, Cp, Dp, E, F
@@ -149,11 +149,12 @@ def _dft_identity_residuals(gf: GridFunction, spectrum: Spectrum) -> tuple[np.nd
     """``dft_identity_residual_arrays`` of gf, reading its given spectrum."""
     n = gf.grid.n
     modes = np.arange(-n, n)
-    s0 = spectrum.coefficients
-    s1 = discrete_coefficients(derivative(gf)).coefficients
-    s2 = discrete_coefficients(derivative(derivative(gf))).coefficients
-    *_, E, F = _boundary_arrays(gf)
     psi = forward_symbol(n, modes)
+    *_, E, F = _boundary_arrays(gf, psi)
+    d1 = derivative(gf)
+    s0 = spectrum.coefficients
+    s1 = discrete_coefficients(d1).coefficients
+    s2 = discrete_coefficients(derivative(d1)).coefficients
     r1 = np.zeros(2 * n, dtype=np.complex128)
     r2 = np.zeros(2 * n, dtype=np.complex128)
     nz = modes != 0
@@ -187,7 +188,8 @@ def canonical_mode_order(n: int, include_zero: bool = False) -> np.ndarray:
     """Modes ordered by |m| ascending, negative before positive.
 
     The order is 0, -1, 1, -2, 2, ..., -(n-1), n-1, -n: position k holds
-    -(k+1)//2 for odd k and k//2 for even k.  Worst-case selections take
+    -(k+1)//2 for odd k and k//2 for even k, whatever n is, so the order of
+    n is the first 2n terms of one sequence.  Worst-case selections take
     the first maximum in this order, so ties resolve to the smallest |m|
     and then to the negative mode.
     """

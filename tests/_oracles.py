@@ -5,7 +5,10 @@ cmath phases (no modular reduction), naive left-to-right summation, no
 compensation.  ``per_n_sup_errors`` instead repeats the numpy arithmetic
 of one truncation order computed on its own, so that the batched form
 can be compared with it bit for bit, and the ``mp_`` oracles give the
-convergence tables in 200-bit mpmath.
+convergence tables in 200-bit mpmath.  ``reference_boundary_arrays`` and
+``reference_identity_residuals`` likewise spell out the boundary and
+transform-identity arithmetic step by step, each symbol from its own
+exp formula and each difference taken afresh, for bitwise comparison.
 """
 
 import cmath
@@ -13,6 +16,9 @@ import math
 
 import mpmath
 import numpy as np
+
+from gridfourier.discrete_calculus import derivative
+from gridfourier.discrete_fourier import discrete_coefficients
 
 
 def brute_coefficients(values, n):
@@ -107,3 +113,49 @@ def interval_partial_sum(coeffs, length, x):
     ms = np.arange(len(coeffs)) - len(coeffs) // 2
     phases = np.exp(2j * np.pi * float(x) * ms / length)
     return complex(np.sum(coeffs * phases))
+
+
+def reference_boundary_arrays(gf):
+    """(C, D, Cp, Dp, E, F) over m = -n .. n-1, every term built on its own.
+
+    g' is the full forward difference, read at its first point; psi and
+    phi are n*(exp(+-i pi m / n) - 1), each with its own exp.
+    """
+    n = gf.grid.n
+    modes = np.arange(-n, n)
+    g_last = complex(gf.values[-1])
+    g_first = complex(gf.values[0])
+    gp_first = complex(derivative(gf).values[0])
+    par = np.where(modes % 2 == 0, 1.0, -1.0)
+    e_right = np.exp(1j * np.pi * ((-(n - 1) * modes) % (2 * n)) / n)
+    e_step = np.exp(1j * np.pi * (modes % (2 * n)) / n)
+    C = g_last * e_right - g_first * par
+    D = -(1.0 / n) * g_first * e_step * par
+    Cp = -gp_first * par
+    Dp = -(1.0 / n) * gp_first * e_step * par
+    phi = n * (np.exp(-1j * np.pi * modes / n) - 1.0)
+    psi = n * (np.exp(1j * np.pi * modes / n) - 1.0)
+    E = phi * D - C
+    F = psi * phi * D - psi * C + phi * Dp - Cp
+    return C, D, Cp, Dp, E, F
+
+
+def reference_identity_residuals(gf):
+    """(r1, r2) of the two transform identities, the m = 0 slot 0.
+
+    Both differences are taken from gf afresh, and psi is evaluated again
+    after the boundary terms.
+    """
+    n = gf.grid.n
+    modes = np.arange(-n, n)
+    s0 = discrete_coefficients(gf).coefficients
+    s1 = discrete_coefficients(derivative(gf)).coefficients
+    s2 = discrete_coefficients(derivative(derivative(gf))).coefficients
+    *_, E, F = reference_boundary_arrays(gf)
+    psi = n * (np.exp(1j * np.pi * modes / n) - 1.0)
+    r1 = np.zeros(2 * n, dtype=np.complex128)
+    r2 = np.zeros(2 * n, dtype=np.complex128)
+    nz = modes != 0
+    r1[nz] = (s0[nz] * psi[nz] - (s1[nz] + E[nz])) / psi[nz]
+    r2[nz] = (s0[nz] * psi[nz] ** 2 - (s2[nz] + F[nz])) / psi[nz] ** 2
+    return r1, r2

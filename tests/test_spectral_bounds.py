@@ -30,6 +30,9 @@ from gridfourier.spectral_bounds import (
     canonical_mode_order,
     dft_identity_residual_arrays,
 )
+from gridfourier.verification import random_grid_function
+
+from _oracles import reference_boundary_arrays, reference_identity_residuals
 
 
 def _random_gf(rng, n):
@@ -59,6 +62,27 @@ def test_symbols_conjugate_and_bounded(n):
     assert np.max(np.abs(psi - np.conj(phi))) <= 1e-12 * n
     assert np.max(np.abs(phi)) <= 2 * n * (1 + 1e-12)
     assert np.max(np.abs(np.abs(phi) - np.abs(psi))) <= 1e-12 * n
+
+
+def test_adjoint_symbol_bytes_equal_its_own_exp_formula():
+    # phi_n(m) = psi_n(-m) takes the same bits as n*(exp(-i pi m / n) - 1)
+    for n in [*range(1, 513), 1000, 4096, 65536]:
+        modes = np.arange(-n, n)
+        want = n * (np.exp(-1j * np.pi * modes / n) - 1.0)
+        assert adjoint_symbol(n, modes).tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 333, 1000])
+def test_boundary_and_identity_arrays_bytes_equal_reference(n):
+    # the one-difference, one-symbol-evaluation forms keep every bit
+    for rep in range(3):
+        gf = random_grid_function(2024, "dft", n, rep)
+        got = _boundary_arrays(gf)
+        want = reference_boundary_arrays(gf)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], rep
+        got = dft_identity_residual_arrays(gf)
+        want = reference_identity_residuals(gf)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], rep
 
 
 def test_boundary_terms_zero_function():
@@ -156,6 +180,15 @@ def test_canonical_mode_order_matches_sort_key(include_zero):
     for n in range(1, 65):
         got = canonical_mode_order(n, include_zero)
         assert got.tolist() == _sorted_mode_order(n, include_zero), f"n={n}"
+
+
+@pytest.mark.parametrize("include_zero", [False, True])
+def test_canonical_mode_order_is_a_prefix_of_the_longest(include_zero):
+    # position k does not depend on n, so one order serves every smaller size
+    longest = canonical_mode_order(4096, include_zero)
+    for n in range(1, 4097):
+        length = 2 * n if include_zero else 2 * n - 1
+        assert np.array_equal(canonical_mode_order(n, include_zero), longest[:length]), n
 
 
 def test_tail_threshold():

@@ -281,6 +281,33 @@ def test_symbol_sweep_reads_canonical_order_without_reordering(monkeypatch):
         assert (residual, loc) == (full[name].worst_residual, full[name].worst_location)
 
 
+def test_symbol_sweep_orders_the_modes_once(monkeypatch):
+    # one order, of the largest swept size, whose prefixes serve every n
+    calls = []
+    real = verification.canonical_mode_order
+
+    def counting(n, include_zero=False):
+        calls.append((n, include_zero))
+        return real(n, include_zero)
+
+    monkeypatch.setattr(verification, "canonical_mode_order", counting)
+    suite, _ = _default_rows()
+    for ns, largest in (([4, 16, 64, 256], 512), ([1, 2, 513, 1000], 1000)):
+        calls.clear()
+        list(verification._symbol_sweep(suite._replace(ns=ns)))
+        assert calls == [(largest, True)]
+
+
+def test_phi_psi_mag_compares_two_symbol_evaluations(monkeypatch):
+    # phi is evaluated on its own, so a perturbed phi fails the conjugacy half
+    real = verification.adjoint_symbol
+    monkeypatch.setattr(verification, "adjoint_symbol", lambda n, m: real(n, m) * np.exp(1e-9j))
+    reports = {r.check_name: r for r in run_lemma_suite(SMALL)}
+    assert reports["phi_psi_mag"].status == "fail"
+    assert reports["phi_psi_mag"].worst_residual > 1e-10
+    assert all(r.status == "pass" for name, r in reports.items() if name != "phi_psi_mag")
+
+
 def test_random_generator_reproducible():
     a = random_grid_function(42, "inversion", 8, 3)
     b = random_grid_function(42, "inversion", 8, 3)
@@ -342,6 +369,17 @@ def test_run_spectrum_decay_constant():
 def test_run_spectrum_decay_bound_holds():
     for m, abs_coeff, bound in run_spectrum_decay("expcos", 64):
         assert abs_coeff <= bound, f"decay bound violated at m={m}"
+
+
+@pytest.mark.parametrize("name", ["expcos", "cos:1", "combo:0.5*trig:0+-0.5*cos:2"])
+@pytest.mark.parametrize("n", [1, 4, 4096])
+def test_run_spectrum_decay_rows_equal_scalar_form(name, n):
+    # the array form keeps the scalar abs and the bits of H / float(m * m)
+    f = get_function(name)
+    H = verification.bound_constants(f).H
+    spec = verification.discrete_coefficients(sample(f, build_grid(n)))
+    want = [(m, abs(spec.coeff(m)), H / float(m * m)) for m in range(-n, n) if m != 0]
+    assert repr(run_spectrum_decay(name, n)) == repr(want)
 
 
 def test_run_spectrum_decay_validation():

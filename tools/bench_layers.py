@@ -1,24 +1,30 @@
-"""Time the convergence-table layers in process and write a BENCH json.
+"""Time the gridfourier layers in process and write a BENCH json.
 
 Usage:  python tools/bench_layers.py [--parent REV] [--runs K] [--out FILE]
 
 Measures the gridfourier of this checkout (its ``src``) and, with
 ``--parent``, the one of git revision REV, extracted with ``git archive``
-into a temporary directory.  Each tree is timed in its own interpreter:
-every layer runs once as a warm-up and then K times (default 7, at
-least 5), and the median is kept.  The import floor is the median of K
-fresh interpreters timing ``import gridfourier.cli``, after one more that
-warms the file cache; the two trees take turns.  The JSON on stdout, or in FILE, holds each layer's
-seconds for the parent and the change side by side, with the git SHAs,
-the numpy version and nproc.
+into a temporary directory.  Every layer, the import floor included, is
+timed in one loop of K + 1 rounds (K defaults to 7, at least 5).  Each
+round starts one fresh interpreter per tree, and the tree that goes
+first flips from round to round, so a drift of the host speed reaches
+both trees alike.  Each interpreter times ``import gridfourier.cli``
+first, then each layer once after one warm-up call.  Round 0 warms the
+file cache and is dropped; every layer keeps the median of the other K
+rounds.  The JSON on stdout, or in FILE, holds each layer's seconds for
+the parent and the change side by side, with the git SHAs, the numpy
+version and nproc.
 
 Layers:
+  import_cli         import gridfourier.cli, first thing in the interpreter
   m_test_majorants   m_test_majorants(H, 1..64), H of expcos
   sup_errors         sup_errors(expcos, 1..64) at the default 2048 samples
   run_convergence    run_convergence("expcos", 1..64)
   m_test_runner      the m_test_domination runner on the default verify suite
   alias_runner       the alias_oracle runner on trig:1000000 at 4 grid sizes
-  import_cli         import gridfourier.cli in a fresh interpreter
+  symbol_sweep       the psi_lower / phi_psi_mag runner on the default verify suite
+  dft_identities     the dft_identity runner on the default verify suite
+  spectrum_rows      run_spectrum_decay("expcos", 4096)
 """
 
 import argparse
@@ -35,7 +41,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = range(1, 65)
-IMPORT_PROBE = "import time; t = time.perf_counter(); import gridfourier.cli; print(time.perf_counter() - t)"
 
 
 def _layers():
@@ -43,7 +48,7 @@ def _layers():
     from gridfourier import verification
     from gridfourier.continuous_fourier import m_test_majorants, sup_errors
     from gridfourier.functions import bound_constants, get_function
-    from gridfourier.verification import SuiteConfig, run_convergence
+    from gridfourier.verification import SuiteConfig, run_convergence, run_spectrum_decay
 
     f = get_function("expcos")
     H = bound_constants(f).H
@@ -55,44 +60,41 @@ def _layers():
         "run_convergence": lambda: run_convergence("expcos", ORDERS),
         "m_test_runner": lambda: list(verification._m_test(suite)),
         "alias_runner": lambda: list(verification._alias(alias_suite)),
+        "symbol_sweep": lambda: list(verification._symbol_sweep(suite)),
+        "dft_identities": lambda: list(verification._dft_identities(suite)),
+        "spectrum_rows": lambda: run_spectrum_decay("expcos", 4096),
     }
 
 
-def _child(runs: int) -> None:
-    medians = {}
+def _child() -> None:
+    start = time.perf_counter()
+    import gridfourier.cli  # noqa: F401
+
+    seconds = {"import_cli": time.perf_counter() - start}
     for name, run in _layers().items():
         run()
-        times = []
-        for _ in range(runs):
-            start = time.perf_counter()
-            run()
-            times.append(time.perf_counter() - start)
-        medians[name] = statistics.median(times)
-    print(json.dumps(medians))
-
-
-def _run(src: Path, *args: str) -> str:
-    """stdout of this interpreter run with args, importing gridfourier from src."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          check=True).stdout
+        start = time.perf_counter()
+        run()
+        seconds[name] = time.perf_counter() - start
+    print(json.dumps(seconds))
 
 
 def _measure(srcs: dict, runs: int) -> dict:
     """Tree name -> layer medians, for every tree in srcs (tree name -> src path)."""
-    results = {
-        tree: json.loads(_run(src, __file__, "--child", "--runs", str(runs)).splitlines()[-1])
-        for tree, src in srcs.items()
-    }
-    # the trees take turns, so a drift of the host speed reaches both alike;
-    # the first round warms the file cache
-    imports = {tree: [] for tree in srcs}
+    rounds = {tree: [] for tree in srcs}
+    order = list(srcs)
     for _ in range(runs + 1):
-        for tree, src in srcs.items():
-            imports[tree].append(float(_run(src, "-c", IMPORT_PROBE)))
-    for tree in srcs:
-        results[tree]["import_cli"] = statistics.median(imports[tree][1:])
-    return results
+        for tree in order:
+            env = {**os.environ, "PYTHONPATH": str(srcs[tree])}
+            out = subprocess.run([sys.executable, __file__, "--child"], env=env,
+                                 capture_output=True, text=True, check=True).stdout
+            rounds[tree].append(json.loads(out.splitlines()[-1]))
+        order.reverse()
+    # round 0 warmed the file cache
+    return {
+        tree: {name: statistics.median(r[name] for r in kept[1:]) for name in kept[0]}
+        for tree, kept in rounds.items()
+    }
 
 
 def _git(*args: str) -> str:
@@ -107,11 +109,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--out", help="write the JSON here instead of stdout")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.child:
+        _child()
+        return 0
     if args.runs < 5:
         parser.error("--runs must be at least 5")
-    if args.child:
-        _child(args.runs)
-        return 0
 
     import numpy as np
 
@@ -137,7 +139,9 @@ def main(argv: list[str]) -> int:
         layers[name] = row
     payload = {
         "tool": "tools/bench_layers.py",
-        "statistic": f"median seconds of {args.runs} runs after one warm-up",
+        "statistic": (f"median seconds over {args.runs} rounds after one warm-up round; "
+                      "each round times every layer once in one fresh interpreter per tree, "
+                      "after one warm-up call, and the tree that goes first flips each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),

@@ -58,6 +58,9 @@ ARGVS = (
     # and the union of expcos's modes |m| <= 32 with the mode 100
     ["verify", "--functions", "trig:100000,trig:1000000,trig:-999999,cos:1000000"],
     ["verify", "--functions", "combo:1*expcos+1*trig:100"],
+    # a symbol sweep whose largest size is above its default range, and the
+    # two-point grid, where the derivative at the left end reads both values
+    ["verify", "--grid-sizes", "1,2,513,1000"],
 )
 
 
