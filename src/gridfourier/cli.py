@@ -155,7 +155,8 @@ def _cmd_converge(args) -> int:
     lines = ["N,sup_error,m_test_bound"]
     for row in rows:
         lines.append(f"{row.N},{_fmt(row.sup_error)},{_fmt(row.m_test_bound)}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    lines.append("")  # the trailing newline, without a second copy of the text
+    _write_output("\n".join(lines), args.out)
     return 0
 
 
@@ -166,7 +167,8 @@ def _cmd_spectrum(args) -> int:
     lines = ["m,abs_coeff,decay_bound"]
     for m, abs_coeff, bound in rows:
         lines.append(f"{m},{_fmt(abs_coeff)},{_fmt(bound)}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    lines.append("")  # the trailing newline, without a second copy of the text
+    _write_output("\n".join(lines), args.out)
     return 0
 
 
@@ -197,7 +199,8 @@ def _cmd_rescale_demo(args) -> int:
         lines.append(
             f"{_fmt(x)},{_fmt(fx.real)},{_fmt(recon.real)},{_fmt(abs(fx - recon))}"
         )
-    _write_output("\n".join(lines) + "\n", args.out)
+    lines.append("")  # the trailing newline, without a second copy of the text
+    _write_output("\n".join(lines), args.out)
     return 0
 
 

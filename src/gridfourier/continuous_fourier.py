@@ -24,12 +24,14 @@ Scalar-only callables (the user f of ``rescale``) are wrapped in the one
 per-point loop, ``grid._pointwise``, where they enter.
 
 A convergence table costs O(points * N_max + |N values|).  ``sup_errors``
-evaluates f once and builds one table of running partial sums up to the
-largest order: the phases exp(i pi x m) are evaluated for m = 0 .. N_max
-only (column -m is the conjugate of column m), weighted by the
-coefficients, folded pairwise (m with -m) and accumulated mode by mode, so
-the order-N partial sum is one row of the table and ``reconstruct`` reads
-the same row.  ``m_test_majorants`` takes each tail sum_{N < m <= C} 1/m^2,
+evaluates f once and builds running partial sums up to the largest order:
+the phases exp(i pi x m) are evaluated for m = 0 .. N_max only (column -m
+is the conjugate of column m), weighted by the coefficients, folded
+pairwise (m with -m) and accumulated mode by mode, so the order-N partial
+sum is one row of the table and ``reconstruct`` reads the same row.  The
+table is built over column chunks of a fixed number of cells, each chunk's
+phases serving every function of one ``_sup_error_table`` call (the
+catalog of the M-test check), and the per-chunk maxima combine exactly.  ``m_test_majorants`` takes each tail sum_{N < m <= C} 1/m^2,
 C = MAJORANT_MODE_CUTOFF, in closed form as zeta(2, N+1) - zeta(2, C+1),
 with the Hurwitz zeta function from its Euler-Maclaurin series (DLMF
 5.15.8).  The one-N helpers ``sup_error`` and ``m_test_majorant`` are
@@ -74,6 +76,10 @@ MAX_PHASE_CELLS = 2**22
 _ZETA_SERIES_FROM = 64
 _REFERENCE_GRID = 64
 SUP_ERROR_SAMPLES = 2048
+# Phase cells (modes x points) of one column chunk of ``_sup_error_table``:
+# 256 KiB per complex array, so a chunk's phases and running sums stay in
+# cache, and the table's memory does not grow with the point count.
+_CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -118,18 +124,19 @@ def _phase_matrix(xs: np.ndarray, N: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.outer(np.arange(N + 1), xs))
 
 
-def _running_sums(xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _running_sums(phases: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Row N = (1/2) sum_{|m| <= N} coeffs[m] exp(i pi x m), for N = 0 .. K.
 
-    ``coeffs`` spans modes -K .. K.  The phase rows are weighted in place,
-    the conjugate row of mode -m is added into row m, and the rows are
-    accumulated in order of m, so row N does not depend on K.
+    ``phases`` is ``_phase_matrix`` of the points for K, and ``coeffs``
+    spans modes -K .. K.  The phase rows are weighted into a new array, so
+    one phase matrix serves several functions; the conjugate row of mode
+    -m is added into row m, and the rows are accumulated in order of m, so
+    row N does not depend on K.
     """
     K = len(coeffs) // 2
-    sums = _phase_matrix(xs, K)
-    negative = np.conj(sums[1:])
+    sums = phases * coeffs[K:, None]
+    negative = np.conj(phases[1:])
     negative *= coeffs[:K][::-1, None]
-    sums *= coeffs[K:, None]
     sums[1:] += negative
     np.cumsum(sums, axis=0, out=sums)
     sums *= 0.5
@@ -155,17 +162,29 @@ def reconstruct(f: SmoothPeriodicFunction, N: int, x):
     xs = np.asarray(x, dtype=np.float64)
     _check_phase_cells(xs.size, N, f"{xs.size} points and N={N}")
     coeffs = _coefficient_vector(f, range(-N, N + 1))
-    values = _running_sums(xs.reshape(-1), coeffs)[N]
+    values = _running_sums(_phase_matrix(xs.reshape(-1), N), coeffs)[N]
     return complex(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
 def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAMPLES) -> np.ndarray:
     """sup_error(f, N, samples) for every N in N_values, in one pass.
 
-    f is evaluated once at the samples+1 points, and one table of running
-    partial sums is built for the largest N; each N reads its row.  Raises
-    ValueError, before any allocation, when the modes -N .. N at the
-    samples+1 points would exceed MAX_PHASE_CELLS cells.
+    The one-function view of ``_sup_error_table``.  Raises ValueError,
+    before any allocation, when the modes -N .. N at the samples+1 points
+    would exceed MAX_PHASE_CELLS cells.
+    """
+    return _sup_error_table([f], N_values, samples)[0]
+
+
+def _sup_error_table(fs: list, N_values, samples: int) -> np.ndarray:
+    """Row i holds sup_error(fs[i], N, samples) for every N in N_values.
+
+    Each f is evaluated once at the samples+1 points.  The points are taken
+    in column chunks of at most _CHUNK_CELLS phase cells; the phases of a
+    chunk are evaluated once for all of fs, each f weights them into its
+    own table of running partial sums up to the largest N, and each N reads
+    its row.  The chunk maxima combine by max, which is exact and keeps a
+    NaN, so every slot equals the unchunked computation bit for bit.
     """
     N_values = [int(N) for N in N_values]
     for N in N_values:
@@ -174,14 +193,25 @@ def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAM
     if samples < 2:
         raise ValueError(f"samples >= 2 required, got {samples}")
     if not N_values:
-        return np.empty(0)
+        return np.empty((len(fs), 0))
     N_max = max(N_values)
     _check_phase_cells(samples + 1, N_max, f"samples={samples} and N={N_max}")
     xs = np.linspace(-1.0, 1.0, samples + 1)
-    coeffs = _coefficient_vector(f, range(-N_max, N_max + 1))
-    fvals = _evaluate(f.eval, xs, f.name)
-    sums = _running_sums(xs, coeffs)
-    return np.array([np.max(np.abs(fvals - sums[N])) for N in N_values])
+    # (coefficients, values) of each f in turn, so the first bad input raises first
+    inputs = [
+        (_coefficient_vector(f, range(-N_max, N_max + 1)), _evaluate(f.eval, xs, f.name))
+        for f in fs
+    ]
+    width = max(1, _CHUNK_CELLS // (N_max + 1))
+    chunk_maxima = []
+    for start in range(0, len(xs), width):
+        chunk = slice(start, start + width)
+        phases = _phase_matrix(xs[chunk], N_max)
+        chunk_maxima.append([
+            np.abs(fvals[chunk] - _running_sums(phases, coeffs)[N_values]).max(axis=1)
+            for coeffs, fvals in inputs
+        ])
+    return np.max(chunk_maxima, axis=0)
 
 
 def sup_error(f: SmoothPeriodicFunction, N: int, samples: int = SUP_ERROR_SAMPLES) -> float:

@@ -8,7 +8,8 @@ can be compared with it bit for bit, and the ``mp_`` oracles give the
 convergence tables in 200-bit mpmath.  ``reference_boundary_arrays`` and
 ``reference_identity_residuals`` likewise spell out the boundary and
 transform-identity arithmetic step by step, each symbol from its own
-exp formula and each difference taken afresh, for bitwise comparison.
+exp formula and each difference taken afresh, for bitwise comparison,
+and ``reference_symbol_sweep`` is the symbol sweep one size at a time.
 """
 
 import cmath
@@ -19,6 +20,7 @@ import numpy as np
 
 from gridfourier.discrete_calculus import derivative
 from gridfourier.discrete_fourier import discrete_coefficients
+from gridfourier.spectral_bounds import adjoint_symbol, canonical_mode_order, forward_symbol
 
 
 def brute_coefficients(values, n):
@@ -113,6 +115,41 @@ def interval_partial_sum(coeffs, length, x):
     ms = np.arange(len(coeffs)) - len(coeffs) // 2
     phases = np.exp(2j * np.pi * float(x) * ms / length)
     return complex(np.sum(coeffs * phases))
+
+
+def reference_symbol_sweep(sizes):
+    """(check, residual, n, m) candidates of the symbol sweep, one size at a time.
+
+    The per-n loop the blocked sweep replaced: psi and phi at every mode of
+    n's canonical order, each from its own evaluation, all four terms of
+    phi_psi_mag at every mode, and a first maximum per size.
+    """
+    sizes = sorted(sizes)
+    order = canonical_mode_order(sizes[-1], include_zero=True)
+    out = []
+    for n in sizes:
+        modes = order[: 2 * n]
+        psi = forward_symbol(n, modes)
+        phi = adjoint_symbol(n, modes)
+        abs_psi = np.abs(psi)
+        abs_phi = np.abs(phi)
+
+        msq = 4.0 * modes[1:].astype(float) ** 2
+        lower = (msq - abs_psi[1:] ** 2) / msq
+        k = int(np.argmax(lower))
+        out.append(("psi_lower", float(lower[k]), n, int(modes[1 + k])))
+
+        mag = np.maximum.reduce(
+            [
+                np.abs(psi - np.conj(phi)),
+                abs_phi - 2.0 * n,
+                abs_psi - 2.0 * n,
+                np.abs(abs_phi - abs_psi),
+            ]
+        ) / n
+        k = int(np.argmax(mag))
+        out.append(("phi_psi_mag", float(mag[k]), n, int(modes[k])))
+    return out
 
 
 def reference_boundary_arrays(gf):

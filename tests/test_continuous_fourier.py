@@ -318,12 +318,16 @@ ORDERS = range(1, 65)
 
 @pytest.mark.parametrize("samples", [2048, 257])
 @pytest.mark.parametrize("name", BATCH_FUNCTIONS)
-def test_sup_errors_bit_equal_to_per_n_oracle(name, samples):
+def test_sup_errors_bit_equal_to_per_n_oracle(monkeypatch, name, samples):
     f = get_function(name)
+    want = per_n_sup_errors(f, ORDERS, samples)
     batched = sup_errors(f, ORDERS, samples).tolist()
-    assert batched == per_n_sup_errors(f, ORDERS, samples)
+    assert batched == want
     for N, got in zip(ORDERS, batched):
         assert sup_error(f, N, samples) == got, N
+    # 65 modes in chunks of 100 columns, which divide neither 2049 nor 258 points
+    monkeypatch.setattr(continuous_fourier, "_CHUNK_CELLS", 65 * 100)
+    assert sup_errors(f, ORDERS, samples).tolist() == want
 
 
 @pytest.mark.parametrize("name", BATCH_FUNCTIONS)
@@ -377,6 +381,18 @@ def test_m_test_majorants_builds_no_term_array():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_sup_errors_memory_stays_in_chunks():
+    f = exp_cos()
+    sup_errors(f, ORDERS)
+    tracemalloc.start()
+    try:
+        sup_errors(f, ORDERS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
 
 
 def test_sup_errors_rejects_oversized_phase_matrix(monkeypatch):

@@ -7,9 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _oracles import per_n_sup_errors, reference_symbol_sweep
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfourier import continuous_fourier, discrete_fourier, verification
-from gridfourier.functions import get_function
+from gridfourier.functions import DEFAULT_CATALOG, get_function
 from gridfourier.grid import build_grid, sample
 from gridfourier.verification import (
     CHECK_NAMES,
@@ -306,6 +309,82 @@ def test_phi_psi_mag_compares_two_symbol_evaluations(monkeypatch):
     assert reports["phi_psi_mag"].status == "fail"
     assert reports["phi_psi_mag"].worst_residual > 1e-10
     assert all(r.status == "pass" for name, r in reports.items() if name != "phi_psi_mag")
+
+
+def test_phi_psi_mag_fails_on_a_perturbed_psi(monkeypatch):
+    # the pair's one conjugacy value compares psi against the separate phi
+    real = verification.forward_symbol
+    monkeypatch.setattr(verification, "forward_symbol", lambda n, m: real(n, m) * np.exp(1e-9j))
+    reports = {r.check_name: r for r in run_lemma_suite(SMALL)}
+    assert reports["phi_psi_mag"].status == "fail"
+    assert reports["phi_psi_mag"].worst_residual > 1e-10
+    assert all(r.status == "pass" for name, r in reports.items() if name != "phi_psi_mag")
+
+
+def _assert_sweep_is_the_per_n_loop(ns):
+    suite, _ = _default_rows()
+    got = [
+        (name, residual.hex(), loc)
+        for name, residual, loc in verification._symbol_sweep(suite._replace(ns=ns))
+    ]
+    sizes = set(range(1, verification.SYMBOL_SWEEP_MAX + 1)) | set(ns)
+    want = [
+        (name, residual.hex(), WorstLocation(None, n, m))
+        for name, residual, n, m in reference_symbol_sweep(sizes)
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("block_pairs", [1, verification._SWEEP_BLOCK_PAIRS])
+@pytest.mark.parametrize("ns", [[4, 16, 64, 256], [513, 1000, 4096]])
+def test_symbol_sweep_candidates_equal_the_per_n_oracle(monkeypatch, block_pairs, ns):
+    # every (value bits, mode) candidate of every size, blocks of one size or of many
+    monkeypatch.setattr(verification, "_SWEEP_BLOCK_PAIRS", block_pairs)
+    _assert_sweep_is_the_per_n_loop(ns)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(st.lists(st.integers(1, 4096), min_size=1, max_size=5))
+def test_symbol_sweep_one_size_per_block_equals_the_per_n_oracle(ns):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "_SWEEP_BLOCK_PAIRS", 1)
+        _assert_sweep_is_the_per_n_loop(ns)
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_symbol_sweep_memory_stays_in_blocks():
+    suite, _ = _default_rows()
+    assert _peak_bytes(lambda: list(verification._symbol_sweep(suite))) <= 2**19
+
+
+def test_m_test_memory_stays_in_chunks():
+    suite, _ = _default_rows()
+    assert _peak_bytes(lambda: list(verification._m_test(suite))) < 2**21
+
+
+@pytest.mark.parametrize("chunk_cells", [continuous_fourier._CHUNK_CELLS, 33 * 100])
+def test_m_test_rows_bit_equal_to_per_n_oracle(monkeypatch, chunk_cells):
+    # 33 modes at 2049 points: the second table takes chunks of 100 columns,
+    # and its last chunk holds 49
+    monkeypatch.setattr(continuous_fourier, "_CHUNK_CELLS", chunk_cells)
+    names = (*DEFAULT_CATALOG, "combo:0.731*trig:0+1.9*cos:2")
+    suite = verification._build_suite(SuiteConfig(function_names=names, grid_sizes=(4,)))
+    orders = list(verification.MTEST_ORDERS)
+    want = []
+    for name, f in suite.fns.items():
+        errs = per_n_sup_errors(f, orders, continuous_fourier.SUP_ERROR_SAMPLES)
+        bounds = continuous_fourier.m_test_majorants(suite.consts[name].H, orders).tolist()
+        want += [(err - bound, WorstLocation(name, None, N)) for N, err, bound in zip(orders, errs, bounds)]
+    got = [(residual, loc) for _, residual, loc in verification._m_test(suite)]
+    assert got == want
 
 
 def test_random_generator_reproducible():

@@ -9,11 +9,14 @@ timed in one loop of K + 1 rounds (K defaults to 7, at least 5).  Each
 round starts one fresh interpreter per tree, and the tree that goes
 first flips from round to round, so a drift of the host speed reaches
 both trees alike.  Each interpreter times ``import gridfourier.cli``
-first, then each layer once after one warm-up call.  Round 0 warms the
-file cache and is dropped; every layer keeps the median of the other K
-rounds.  The JSON on stdout, or in FILE, holds each layer's seconds for
-the parent and the change side by side, with the git SHAs, the numpy
-version and nproc.
+first, then each layer after one warm-up call: the layer is called
+until MIN_ROUND_S seconds have passed, at least once, and its time is
+the elapsed time over the number of calls, so a layer far below a
+millisecond is timed over many calls.  Round 0 warms the file cache and
+is dropped; every layer keeps the median of the other K rounds.  The
+JSON on stdout, or in FILE, holds each layer's seconds per call for the
+parent and the change side by side, with the git SHAs, the numpy version
+and nproc.
 
 Layers:
   import_cli         import gridfourier.cli, first thing in the interpreter
@@ -25,6 +28,7 @@ Layers:
   symbol_sweep       the psi_lower / phi_psi_mag runner on the default verify suite
   dft_identities     the dft_identity runner on the default verify suite
   spectrum_rows      run_spectrum_decay("expcos", 4096)
+  verify_suite       run_lemma_suite(SuiteConfig()), the default verify in process
 """
 
 import argparse
@@ -41,6 +45,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = range(1, 65)
+# Least time spent in one layer per round; import_cli is timed once.
+MIN_ROUND_S = 0.1
 
 
 def _layers():
@@ -48,7 +54,12 @@ def _layers():
     from gridfourier import verification
     from gridfourier.continuous_fourier import m_test_majorants, sup_errors
     from gridfourier.functions import bound_constants, get_function
-    from gridfourier.verification import SuiteConfig, run_convergence, run_spectrum_decay
+    from gridfourier.verification import (
+        SuiteConfig,
+        run_convergence,
+        run_lemma_suite,
+        run_spectrum_decay,
+    )
 
     f = get_function("expcos")
     H = bound_constants(f).H
@@ -63,6 +74,7 @@ def _layers():
         "symbol_sweep": lambda: list(verification._symbol_sweep(suite)),
         "dft_identities": lambda: list(verification._dft_identities(suite)),
         "spectrum_rows": lambda: run_spectrum_decay("expcos", 4096),
+        "verify_suite": lambda: run_lemma_suite(SuiteConfig()),
     }
 
 
@@ -73,9 +85,12 @@ def _child() -> None:
     seconds = {"import_cli": time.perf_counter() - start}
     for name, run in _layers().items():
         run()
+        calls = 0
         start = time.perf_counter()
-        run()
-        seconds[name] = time.perf_counter() - start
+        while calls == 0 or time.perf_counter() - start < MIN_ROUND_S:
+            run()
+            calls += 1
+        seconds[name] = (time.perf_counter() - start) / calls
     print(json.dumps(seconds))
 
 
@@ -139,9 +154,10 @@ def main(argv: list[str]) -> int:
         layers[name] = row
     payload = {
         "tool": "tools/bench_layers.py",
-        "statistic": (f"median seconds over {args.runs} rounds after one warm-up round; "
-                      "each round times every layer once in one fresh interpreter per tree, "
-                      "after one warm-up call, and the tree that goes first flips each round"),
+        "statistic": (f"median seconds per call over {args.runs} rounds after one warm-up "
+                      "round; each round times every layer in one fresh interpreter per tree, "
+                      f"after one warm-up call, over as many calls as fill {MIN_ROUND_S} s "
+                      "(import_cli once), and the tree that goes first flips each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),

@@ -61,6 +61,11 @@ ARGVS = (
     # a symbol sweep whose largest size is above its default range, and the
     # two-point grid, where the derivative at the left end reads both values
     ["verify", "--grid-sizes", "1,2,513,1000"],
+    # a sweep whose sizes past 512 fill several blocks, a sup-error table of
+    # 3 modes, and a point count that leaves the last column chunk part full
+    ["verify", "--grid-sizes", "5,777,4096"],
+    ["verify", "--mode-limit", "3"],
+    ["converge", "--function", "expcos", "--samples", "1000", "--N", "1,7,64"],
 )
 
 
