@@ -54,6 +54,16 @@ def _write_output(text: str, out: str | None) -> None:
         raise ValueError(f"--out: {exc}") from None
 
 
+def _write_lines(lines: list[str], out: str | None) -> None:
+    """Write the lines, each ending in LF, through ``_write_output``.
+
+    An empty last line makes one join end the text with LF, so the text
+    is not copied a second time to append it.
+    """
+    lines.append("")
+    _write_output("\n".join(lines), out)
+
+
 def _parse_list(raw: str, flag: str, convert, what: str, check) -> list:
     """Convert the nonempty comma-separated pieces in order; check(value, piece) vets each."""
     items = []
@@ -155,8 +165,7 @@ def _cmd_converge(args) -> int:
     lines = ["N,sup_error,m_test_bound"]
     for row in rows:
         lines.append(f"{row.N},{_fmt(row.sup_error)},{_fmt(row.m_test_bound)}")
-    lines.append("")  # the trailing newline, without a second copy of the text
-    _write_output("\n".join(lines), args.out)
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -167,8 +176,7 @@ def _cmd_spectrum(args) -> int:
     lines = ["m,abs_coeff,decay_bound"]
     for m, abs_coeff, bound in rows:
         lines.append(f"{m},{_fmt(abs_coeff)},{_fmt(bound)}")
-    lines.append("")  # the trailing newline, without a second copy of the text
-    _write_output("\n".join(lines), args.out)
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -199,8 +207,7 @@ def _cmd_rescale_demo(args) -> int:
         lines.append(
             f"{_fmt(x)},{_fmt(fx.real)},{_fmt(recon.real)},{_fmt(abs(fx - recon))}"
         )
-    lines.append("")  # the trailing newline, without a second copy of the text
-    _write_output("\n".join(lines), args.out)
+    _write_lines(lines, args.out)
     return 0
 
 

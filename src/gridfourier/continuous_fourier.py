@@ -30,8 +30,9 @@ is the conjugate of column m), weighted by the coefficients, folded
 pairwise (m with -m) and accumulated mode by mode, so the order-N partial
 sum is one row of the table and ``reconstruct`` reads the same row.  The
 table is built over column chunks of a fixed number of cells, each chunk's
-phases serving every function of one ``_sup_error_table`` call (the
-catalog of the M-test check), and the per-chunk maxima combine exactly.  ``m_test_majorants`` takes each tail sum_{N < m <= C} 1/m^2,
+phases evaluated once for every function of one ``_sup_error_table``
+call (the catalog of the M-test check), and the per-chunk maxima combine
+exactly.  ``m_test_majorants`` takes each tail sum_{N < m <= C} 1/m^2,
 C = MAJORANT_MODE_CUTOFF, in closed form as zeta(2, N+1) - zeta(2, C+1),
 with the Hurwitz zeta function from its Euler-Maclaurin series (DLMF
 5.15.8).  The one-N helpers ``sup_error`` and ``m_test_majorant`` are
@@ -124,19 +125,18 @@ def _phase_matrix(xs: np.ndarray, N: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.outer(np.arange(N + 1), xs))
 
 
-def _running_sums(phases: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Row N = (1/2) sum_{|m| <= N} coeffs[m] exp(i pi x m), for N = 0 .. K.
+def _running_sums(sums: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Row N = (1/2) sum_{|m| <= N} coeffs[m] exp(i pi x m), for N = 0 .. K, in place of sums.
 
-    ``phases`` is ``_phase_matrix`` of the points for K, and ``coeffs``
-    spans modes -K .. K.  The phase rows are weighted into a new array, so
-    one phase matrix serves several functions; the conjugate row of mode
-    -m is added into row m, and the rows are accumulated in order of m, so
-    row N does not depend on K.
+    ``sums`` holds ``_phase_matrix`` of the points for K on entry, and
+    ``coeffs`` spans modes -K .. K.  The phase rows are weighted in place,
+    the conjugate row of mode -m is added into row m, and the rows are
+    accumulated in order of m, so row N does not depend on K.
     """
     K = len(coeffs) // 2
-    sums = phases * coeffs[K:, None]
-    negative = np.conj(phases[1:])
+    negative = np.conj(sums[1:])
     negative *= coeffs[:K][::-1, None]
+    sums *= coeffs[K:, None]
     sums[1:] += negative
     np.cumsum(sums, axis=0, out=sums)
     sums *= 0.5
@@ -181,9 +181,9 @@ def _sup_error_table(fs: list, N_values, samples: int) -> np.ndarray:
 
     Each f is evaluated once at the samples+1 points.  The points are taken
     in column chunks of at most _CHUNK_CELLS phase cells; the phases of a
-    chunk are evaluated once for all of fs, each f weights them into its
-    own table of running partial sums up to the largest N, and each N reads
-    its row.  The chunk maxima combine by max, which is exact and keeps a
+    chunk are evaluated once for all of fs, each f weights a copy of them
+    into its own table of running partial sums up to the largest N, and
+    each N reads its row.  The chunk maxima combine by max, which is exact and keeps a
     NaN, so every slot equals the unchunked computation bit for bit.
     """
     N_values = [int(N) for N in N_values]
@@ -208,7 +208,7 @@ def _sup_error_table(fs: list, N_values, samples: int) -> np.ndarray:
         chunk = slice(start, start + width)
         phases = _phase_matrix(xs[chunk], N_max)
         chunk_maxima.append([
-            np.abs(fvals[chunk] - _running_sums(phases, coeffs)[N_values]).max(axis=1)
+            np.abs(fvals[chunk] - _running_sums(phases.copy(), coeffs)[N_values]).max(axis=1)
             for coeffs, fvals in inputs
         ])
     return np.max(chunk_maxima, axis=0)

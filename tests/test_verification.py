@@ -352,6 +352,8 @@ def test_symbol_sweep_one_size_per_block_equals_the_per_n_oracle(ns):
 
 
 def _peak_bytes(run) -> int:
+    """Peak traced bytes of a second call of run, after one warm-up call."""
+    run()
     tracemalloc.start()
     try:
         run()
