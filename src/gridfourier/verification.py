@@ -318,7 +318,8 @@ def _symbol_sweep(s: _Suite):
             yield "psi_lower", float(rows[k]), WorstLocation(None, n, int(order[1 + k]))
             rows = mag[start : start + n + 1]
             j = int(rows.argmax())
-            yield "phi_psi_mag", float(rows[j]), WorstLocation(None, n, int(order[max(2 * j - 1, 0)]))
+            m = int(order[max(2 * j - 1, 0)])
+            yield "phi_psi_mag", float(rows[j]), WorstLocation(None, n, m)
             start += n + 1
 
 
@@ -468,7 +469,7 @@ def run_convergence(function_name: str, N_values, samples: int = SUP_ERROR_SAMPL
     return _convergence_rows([f], [bound_constants(f).H], N_values, samples)[0]
 
 
-def _convergence_rows(fs: list, Hs: list, N_values: list, samples: int) -> list[list[ConvergenceRow]]:
+def _convergence_rows(fs: list, Hs: list, N_values: list, samples: int) -> list[list]:
     """The rows of ``run_convergence`` for each f of fs, with decay constant Hs[i], unvalidated.
 
     One sup-error table serves every f.

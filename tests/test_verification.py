@@ -384,7 +384,8 @@ def test_m_test_rows_bit_equal_to_per_n_oracle(monkeypatch, chunk_cells):
     for name, f in suite.fns.items():
         errs = per_n_sup_errors(f, orders, continuous_fourier.SUP_ERROR_SAMPLES)
         bounds = continuous_fourier.m_test_majorants(suite.consts[name].H, orders).tolist()
-        want += [(err - bound, WorstLocation(name, None, N)) for N, err, bound in zip(orders, errs, bounds)]
+        for N, err, bound in zip(orders, errs, bounds):
+            want.append((err - bound, WorstLocation(name, None, N)))
     got = [(residual, loc) for _, residual, loc in verification._m_test(suite)]
     assert got == want
 
