@@ -43,11 +43,11 @@ for bit, since no slot depends on the other orders requested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._record import Record
 from .discrete_fourier import _check_mode, discrete_coefficients
 from .functions import SmoothPeriodicFunction, _make_function
 from .grid import GridFunction, _evaluate, _pointwise, build_grid, integrate, sample
@@ -83,8 +83,7 @@ SUP_ERROR_SAMPLES = 2048
 _CHUNK_CELLS = 2**14
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(Record):
     """One row of a uniform-convergence experiment at truncation order N."""
 
     N: int
@@ -286,8 +285,7 @@ def m_test_majorant(H: float, N: int) -> float:
     return float(m_test_majorants(H, [N])[0])
 
 
-@dataclass(frozen=True)
-class RescaledFunction:
+class RescaledFunction(Record):
     """A periodic function on [a, b] pulled back to the circle model.
 
     The pulled-back function lives on [-1, 1] via x = a + L*(t+1)/2.  The

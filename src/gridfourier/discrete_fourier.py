@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .grid import GridFunction, build_grid
 
 __all__ = [
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Discrete Fourier data: coefficient for each mode m = -n .. n-1."""
 
     n: int
@@ -51,6 +50,14 @@ class Spectrum:
             )
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+
+    def __eq__(self, other):
+        """Same n and exactly equal coefficients; a spectrum is unhashable."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.coefficients, other.coefficients)
+
+    __hash__ = None
 
     def modes(self) -> np.ndarray:
         return np.arange(-self.n, self.n)

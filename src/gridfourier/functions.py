@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._record import Record
 from .grid import _evaluate
 
 __all__ = [
@@ -61,8 +61,7 @@ _EXPCOS_SUPPORT = tuple(range(-32, 33))
 _MAX_MODE = 10**6
 
 
-@dataclass(frozen=True)
-class SmoothPeriodicFunction:
+class SmoothPeriodicFunction(Record):
     """Smooth function on the circle modelled by [-1, 1] with endpoints glued.
 
     Attributes
@@ -105,8 +104,7 @@ class SmoothPeriodicFunction:
         return self.eval(x)
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(Record):
     """Explicit constants controlling coefficient decay.
 
     B, D are sup norms of the endpoint-centered function and its

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-
 import numpy as np
+
+from ._record import Record
 
 __all__ = ["Grid", "GridFunction", "build_grid", "sample", "integrate"]
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Uniform partition of [-1, 1) into 2n half-open cells of width 1/n."""
 
     n: int
@@ -69,8 +68,7 @@ class Grid:
             raise ValueError(f"grid index {j} outside [{-self.n}, {self.n - 1}]")
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Record):
     """Complex step function on a grid: value on cell j is values[j + n].
 
     Values are frozen at construction; all operations return new objects.
@@ -87,6 +85,14 @@ class GridFunction:
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other):
+        """Same grid and exactly equal values; a grid function is unhashable."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
+    __hash__ = None
 
     def at(self, j: int) -> complex:
         """Value at grid index j (j = -n .. n-1)."""

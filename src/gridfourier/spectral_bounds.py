@@ -17,10 +17,9 @@ From these and |psi_n(m)|^2 >= 4 m^2 follow the uniform bounds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .discrete_calculus import derivative
 from .discrete_fourier import Spectrum, _check_mode, discrete_coefficients
 from .functions import SmoothPeriodicFunction, bound_constants
@@ -64,8 +63,7 @@ def adjoint_symbol(n: int, m):
     return forward_symbol(n, -np.asarray(m))
 
 
-@dataclass(frozen=True)
-class BoundaryTerms:
+class BoundaryTerms(Record):
     """Edge corrections of summation by parts at mode m.
 
     C, D come from the values of g at the two ends of the grid, Cp and Dp
@@ -204,8 +202,7 @@ def _worst_mode(values_by_mode: np.ndarray, n: int, include_zero: bool = False):
     return float(vals[k]), int(order[k])
 
 
-@dataclass(frozen=True)
-class DecayCheck:
+class DecayCheck(Record):
     """Result of the quadratic-decay test |coefficients[m]| <= H/m^2.
 
     worst_ratio is max_m |c(m)| m^2 / H (or max_m |c(m)| / 1e-12 when
@@ -232,8 +229,7 @@ def decay_bound_check(s: Spectrum, H: float) -> DecayCheck:
     return DecayCheck(worst_ratio=worst, worst_m=worst_m, passed=worst <= 1.0)
 
 
-@dataclass(frozen=True)
-class UniformBoundReport:
+class UniformBoundReport(Record):
     """Uniform boundedness of F(m) and ghat''(m) for a zero-endpoint function.
 
     The two inequalities are |F(m)| <= 5*sup_derivative + 1e-9 and

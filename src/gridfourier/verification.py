@@ -19,11 +19,11 @@ with the negative mode first, then to the earliest (function, n) cell.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from ._record import Record, factory
 from .continuous_fourier import (
     SUP_ERROR_SAMPLES,
     ConvergenceRow,
@@ -37,6 +37,7 @@ from .discrete_fourier import _alias_fold_table, discrete_coefficients, invert
 from .functions import DEFAULT_CATALOG, bound_constants, get_function
 from .grid import GridFunction, build_grid, sample
 from .spectral_bounds import (
+    _UNIFORM_BOUND_TOL,
     _dft_identity_residuals,
     _uniform_maxima,
     _worst_mode,
@@ -89,8 +90,7 @@ TAIL_BIG_GRID = 4096
 MAX_SPECTRUM_N = 2**16
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(Record):
     """Inputs of a verification run; identical configs give identical reports."""
 
     function_names: tuple[str, ...] = DEFAULT_CATALOG
@@ -98,22 +98,20 @@ class SuiteConfig:
     mode_limit: int = 32
     epsilons: tuple[float, ...] = (0.1, 0.01)
     seed: int = 42
-    tolerance_overrides: dict = field(default_factory=dict)
+    tolerance_overrides: dict = factory(dict)
 
 
-@dataclass(frozen=True)
-class WorstLocation:
+class WorstLocation(Record):
     function: Optional[str] = None
     n: Optional[int] = None
     m: Optional[int] = None
     x: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(Record):
     check_name: str
     status: str
     worst_residual: float
@@ -121,7 +119,7 @@ class LemmaReport:
     tolerance_used: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0) -> GridFunction:
@@ -421,8 +419,13 @@ CHECKS = (
     Check("dft_identity_2", "second-derivative-transform-identity", 1e-9, _dft_identities),
     Check("psi_lower", "symbol-quadratic-lower-bound", 1e-9, _symbol_sweep),
     Check("phi_psi_mag", "symbol-conjugacy-and-magnitude", 1e-12, _symbol_sweep),
-    Check("F_bound", "boundary-term-uniform-bound", 1e-9, _uniform_bounds),
-    Check("g2_bound", "second-difference-spectrum-uniform-bound", 1e-9, _uniform_bounds),
+    Check("F_bound", "boundary-term-uniform-bound", _UNIFORM_BOUND_TOL, _uniform_bounds),
+    Check(
+        "g2_bound",
+        "second-difference-spectrum-uniform-bound",
+        _UNIFORM_BOUND_TOL,
+        _uniform_bounds,
+    ),
     Check("decay_H", "quadratic-coefficient-decay", 1.0, _decay),
     Check("tail_eps", "tail-sum-smallness", 1.0, _tails),
     Check("alias_oracle", "alias-folding-identity", 1e-12, _alias),

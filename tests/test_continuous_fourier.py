@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -50,7 +49,7 @@ def test_coefficient_exp_cos():
 def test_coefficient_is_view_on_vector(name, quadrature):
     f = get_function(name)
     if quadrature:
-        f = dataclasses.replace(f, exact_coefficient=None)
+        f = f.replace(exact_coefficient=None)
     N = 6
     vector = _coefficient_vector(f, range(-N, N + 1))
     for m in range(-N, N + 1):
@@ -68,12 +67,12 @@ def test_quadrature_vector_matches_exact_oracle(name):
     f = get_function(name)
     modes = range(-64, 65)
     exact = _coefficient_vector(f, modes)
-    quadrature = _coefficient_vector(dataclasses.replace(f, exact_coefficient=None), modes)
+    quadrature = _coefficient_vector(f.replace(exact_coefficient=None), modes)
     assert np.max(np.abs(quadrature - exact)) <= 1e-14
 
 
 def test_reconstruct_array_is_view_of_scalar_calls():
-    f = dataclasses.replace(exp_cos(), exact_coefficient=None)
+    f = exp_cos().replace(exact_coefficient=None)
     xs = np.linspace(-1.0, 1.0, 33).reshape(3, 11)
     values = reconstruct(f, 7, xs)
     assert values.shape == xs.shape

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -210,7 +209,7 @@ def test_bound_constants_needs_derivatives():
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.name)
 def test_quadrature_coefficient_matches_exact(f):
-    quadrature = dataclasses.replace(f, exact_coefficient=None)
+    quadrature = f.replace(exact_coefficient=None)
     for m in range(-16, 17):
         assert abs(coefficient(quadrature, m) - f.exact_coefficient(m)) <= 1e-8
 

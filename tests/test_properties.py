@@ -9,7 +9,6 @@ budgets of their ``CHECKS`` rows, on the engine's scales.  Examples are
 derandomized, so a run is reproducible.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -79,7 +78,7 @@ def test_endpoint_value_is_eval_at_one(parts):
 @SETTINGS
 @given(parts=PARTS, missing=st.sampled_from(["d1", "d2", "exact_coefficient"]))
 def test_a_part_without_an_evaluator_gives_a_combo_without_it(parts, missing):
-    parts = parts + [(1.0, dataclasses.replace(parts[0][1], **{missing: None}))]
+    parts = parts + [(1.0, parts[0][1].replace(**{missing: None}))]
     combo = combine(parts)
     for attr in ("d1", "d2", "exact_coefficient"):
         assert (getattr(combo, attr) is None) == (attr == missing)

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import json
 import math
@@ -195,7 +194,7 @@ def test_alias_reads_each_exact_coefficient_once(name):
         calls[m] += 1
         return f.exact_coefficient(m)
 
-    suite.fns[name] = dataclasses.replace(f, exact_coefficient=counting)
+    suite.fns[name] = f.replace(exact_coefficient=counting)
     rows = list(verification._alias(suite))
     assert len(rows) == len(cfg.grid_sizes)
     assert sorted(calls) == list(f.support)

@@ -4,22 +4,26 @@ Usage:  python tools/bench_layers.py [--parent REV] [--runs K] [--out FILE]
 
 Measures the gridfourier of this checkout (its ``src``) and, with
 ``--parent``, the one of git revision REV, extracted with ``git archive``
-into a temporary directory.  Every layer, the import floor included, is
-timed in one loop of K + 1 rounds (K defaults to 7, at least 5).  Each
-round starts one fresh interpreter per tree, and the tree that goes
-first flips from round to round, so a drift of the host speed reaches
-both trees alike.  Each interpreter times ``import gridfourier.cli``
-first, then each layer after one warm-up call: the layer is called
-until MIN_ROUND_S seconds have passed, at least once, and its time is
-the elapsed time over the number of calls, so a layer far below a
-millisecond is timed over many calls.  Round 0 warms the file cache and
-is dropped; every layer keeps the median of the other K rounds.  The
-JSON on stdout, or in FILE, holds each layer's seconds per call for the
-parent and the change side by side, with the git SHAs, the numpy version
-and nproc.
+into a temporary directory.  Both trees are byte-compiled first
+(``compileall``), so that the import layers time loading, not the
+compilation of a tree without current ``.pyc`` files.  Every layer, the
+import floor included, is timed in one loop of K + 1 rounds (K defaults
+to 7, at least 5).  Each round starts one fresh interpreter per tree, and
+the tree that goes first flips from round to round, so a drift of the
+host speed reaches both trees alike.  Each interpreter times ``import
+numpy`` first, then ``import gridfourier.cli`` on top of it, so that
+gridfourier's own import is not lost in numpy's noise, then each layer
+after one warm-up call: the layer is called until MIN_ROUND_S seconds
+have passed, at least once, and its time is the elapsed time over the
+number of calls, so a layer far below a millisecond is timed over many
+calls.  Round 0 warms the file cache and is dropped; every layer keeps
+the median of the other K rounds.  The JSON on stdout, or in FILE, holds
+each layer's seconds per call for the parent and the change side by
+side, with the git SHAs, the numpy version and nproc.
 
 Layers:
-  import_cli         import gridfourier.cli, first thing in the interpreter
+  import_numpy       import numpy, first thing in the interpreter
+  import_own         import gridfourier.cli, right after numpy: gridfourier's own share
   m_test_majorants   m_test_majorants(H, 1..64), H of expcos
   sup_errors         sup_errors(expcos, 1..64) at the default 2048 samples
   run_convergence    run_convergence("expcos", 1..64)
@@ -32,6 +36,7 @@ Layers:
 """
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -45,7 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = range(1, 65)
-# Least time spent in one layer per round; import_cli is timed once.
+# Least time spent in one layer per round; each import is timed once.
 MIN_ROUND_S = 0.1
 
 
@@ -80,9 +85,15 @@ def _layers():
 
 def _child() -> None:
     start = time.perf_counter()
+    import numpy  # noqa: F401
+
+    numpy_done = time.perf_counter()
     import gridfourier.cli  # noqa: F401
 
-    seconds = {"import_cli": time.perf_counter() - start}
+    seconds = {
+        "import_numpy": numpy_done - start,
+        "import_own": time.perf_counter() - numpy_done,
+    }
     for name, run in _layers().items():
         run()
         calls = 0
@@ -144,6 +155,8 @@ def main(argv: list[str]) -> int:
                 tar.extractall(tmp, filter="data")
             srcs["parent"] = Path(tmp) / "src"
         srcs["change"] = ROOT / "src"
+        for src in srcs.values():
+            compileall.compile_dir(src / "gridfourier", quiet=1)
         results = _measure(srcs, args.runs)
 
     layers = {}
@@ -157,7 +170,8 @@ def main(argv: list[str]) -> int:
         "statistic": (f"median seconds per call over {args.runs} rounds after one warm-up "
                       "round; each round times every layer in one fresh interpreter per tree, "
                       f"after one warm-up call, over as many calls as fill {MIN_ROUND_S} s "
-                      "(import_cli once), and the tree that goes first flips each round"),
+                      "(import_numpy and import_own once), both trees byte-compiled before "
+                      "round 0, and the tree that goes first flips each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
