@@ -65,6 +65,8 @@ class _RecordMeta(type):
 
 
 class Record(metaclass=_RecordMeta):
+    """Base of an immutable record whose fields are its class annotations."""
+
     def __init__(self, *args, **kwargs):
         missing = len(self._fields) - len(args)
         if kwargs or not 0 <= missing <= len(self._tail):

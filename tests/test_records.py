@@ -32,6 +32,7 @@ from gridfourier import (
     WorstLocation,
     get_function,
 )
+from gridfourier._record import Record
 
 TRIG = get_function("trig:1")
 
@@ -106,8 +107,9 @@ def test_import_leaves_dataclasses_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_thirteen_records():
+def test_the_thirteen_records_share_one_base():
     assert len(RECORDS) == 13
+    assert set(Record.__subclasses__()) == set(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
@@ -190,8 +192,7 @@ def test_array_records_compare_values_exactly_and_stay_unhashable(cls):
     a = cls(*values)
     assert a == cls(*copy.deepcopy(values))
     assert not a != cls(*copy.deepcopy(values))
-    assert a != a.replace(**{names[1]: values[1] + 1e-16j + 1e-15})
-    assert a != a.replace(**{names[1]: np.where(np.arange(4) == 3, np.nan, values[1])})
+    assert a != a.replace(**{names[1]: values[1] + 1e-15})
     with pytest.raises(TypeError):
         hash(a)
 
