@@ -97,14 +97,14 @@ def _same_fields(a, b, names):
             assert x == y, name
 
 
-def test_import_leaves_dataclasses_unloaded():
+def test_import_leaves_dataclasses_and_json_unloaded():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, gridfourier.cli; print('dataclasses' in sys.modules)"
+    code = "import sys, gridfourier.cli; print('dataclasses' in sys.modules, 'json' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_the_thirteen_records_share_one_base():
