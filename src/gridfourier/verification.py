@@ -10,16 +10,18 @@ is normalized by the scale stated for that check (grid size, input
 magnitude; max(1, max|f|) for the checks against continuum values, so a
 function with |f| <= 1 keeps an absolute budget), and the tolerance
 column is a plain number.  Runs are deterministic: randomized grid
-functions come from named PCG64 streams keyed by (seed, stream id, grid
-size, replicate), the runners run serially in table order and feed one
-worst-case reduction, and worst-case ties resolve to the smallest |m|
+functions come from SplitMix64 streams keyed by (seed, stream id, grid
+size, replicate, part), the runners run serially in table order and feed
+one worst-case reduction, and worst-case ties resolve to the smallest |m|
 with the negative mode first, then to the earliest (function, n) cell.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, NamedTuple, Optional
+import numbers
+from operator import attrgetter
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -63,7 +65,7 @@ __all__ = [
 ]
 
 
-class Check(NamedTuple):
+class Check(Record):
     """One row of the check table: name, certified claim, default tolerance, runner."""
 
     name: str
@@ -73,6 +75,11 @@ class Check(NamedTuple):
 
 
 _STREAMS = {"inversion": 1, "calculus": 2, "dft": 3}
+# SplitMix64's increment (the golden gamma) and its finalizer's two multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
+_WORD = 2**64 - 1
 
 RANDOM_REPS = 8
 DFT_RANDOM_REPS = 4
@@ -122,18 +129,74 @@ class LemmaReport(Record):
         return self._asdict()
 
 
-def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0) -> GridFunction:
-    """Seeded random grid function: re/im parts uniform on [-1, 1].
+def _mix64(z: int) -> int:
+    """SplitMix64's output finalizer on one 64-bit word held in a Python int."""
+    z = (z ^ (z >> 30)) * _MIX_1 & _WORD
+    z = (z ^ (z >> 27)) * _MIX_2 & _WORD
+    return z ^ (z >> 31)
 
-    The generator is PCG64 with SeedSequence entropy ``seed`` and spawn
-    key (stream id, n, rep, part), so any draw is replayable from the
-    suite seed alone.
+
+def _key_int(name: str, value, one_word: bool = True) -> int:
+    """A key argument as a nonnegative int, below 2^64 if one_word; else ValueError naming it."""
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or value < 0
+        or one_word and value > _WORD
+    ):
+        below = " below 2**64" if one_word else ""
+        raise ValueError(f"{name} must be a nonnegative integer{below}, got {value!r}")
+    return int(value)
+
+
+def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0) -> GridFunction:
+    """Seeded random grid function: re/im parts uniform on [-1, 1) with 53-bit resolution.
+
+    The values are a SplitMix64 stream (Steele, Lea and Flood, OOPSLA
+    2014) whose start state hashes the key: the seed's count of 64-bit
+    words, its words low first, then the stream id, n, rep and part.
+    Each key word is XORed into the state (from 0), which then takes one
+    SplitMix64 step.  Draw k = 1 .. 4n is the finalizer of start + k*gamma
+    mod 2^64, and its top 53 bits z give -1 + 2*(z * 2^-53); the first 2n
+    draws are the real parts and the next 2n the imaginary parts.  Any
+    draw is replayable from the key alone, and every nonnegative seed
+    keys its own stream.  Raises ValueError for an unknown stream or a
+    negative or non-integer seed, rep or part.
     """
-    key = (_STREAMS[stream], n, rep, part)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-    re = rng.uniform(-1.0, 1.0, 2 * n)
-    im = rng.uniform(-1.0, 1.0, 2 * n)
-    return GridFunction(build_grid(n), re + 1j * im)
+    if stream not in _STREAMS:
+        raise ValueError(f"unknown stream {stream!r}; known streams: {', '.join(_STREAMS)}")
+    seed = _key_int("seed", seed, one_word=False)
+    rep = _key_int("rep", rep)
+    part = _key_int("part", part)
+    grid = build_grid(n)
+    n = grid.n
+    seed_words = []
+    while seed:
+        seed_words.append(seed & _WORD)
+        seed >>= 64
+    state = 0
+    for word in (len(seed_words), *seed_words, _STREAMS[stream], n, rep, part):
+        state = _mix64((state ^ word) + _GAMMA & _WORD)
+
+    # the same finalizer in place on uint64 words, which wrap silently
+    z = np.arange(1, 4 * n + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += state
+    z ^= z >> 30
+    z *= _MIX_1
+    z ^= z >> 27
+    z *= _MIX_2
+    z ^= z >> 31
+    z >>= 11
+    u = z.astype(np.float64)
+    del z
+    u *= 2.0**-52  # exact: (z * 2^-53) doubled
+    u -= 1.0
+    values = np.empty(2 * n, dtype=np.complex128)
+    values.real = u[: 2 * n]
+    values.imag = u[2 * n :]
+    del u
+    return GridFunction(grid, values)
 
 
 def _validate_config(cfg: SuiteConfig) -> None:
@@ -185,7 +248,7 @@ def _worst_grid_point(values: np.ndarray, n: int) -> float:
     return j / n
 
 
-class _Suite(NamedTuple):
+class _Suite(Record):
     """What every runner reads: built once per run, keyed by (function name, n)."""
 
     cfg: SuiteConfig
@@ -450,7 +513,7 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
         for name, residual, loc in run(suite):
             _offer(worst, name, residual, loc)
     reports = []
-    for check in sorted(CHECKS):
+    for check in sorted(CHECKS, key=attrgetter("name")):
         tol = float(cfg.tolerance_overrides.get(check.name, check.tolerance))
         residual, loc = worst[check.name]
         status = "pass" if residual <= tol else "fail"

@@ -10,6 +10,8 @@ convergence tables in 200-bit mpmath.  ``reference_boundary_arrays`` and
 transform-identity arithmetic step by step, each symbol from its own
 exp formula and each difference taken afresh, for bitwise comparison,
 and ``reference_symbol_sweep`` is the symbol sweep one size at a time.
+``splitmix64`` and ``reference_random_values`` replay the seeded random
+grid functions in plain Python ints, one generator step at a time.
 """
 
 import cmath
@@ -196,3 +198,42 @@ def reference_identity_residuals(gf):
     r1[nz] = (s0[nz] * psi[nz] - (s1[nz] + E[nz])) / psi[nz]
     r2[nz] = (s0[nz] * psi[nz] ** 2 - (s2[nz] + F[nz])) / psi[nz] ** 2
     return r1, r2
+
+
+def splitmix64(state, count):
+    """SplitMix64 from ``state``: (its next ``count`` outputs, the state after them).
+
+    Steele, Lea and Flood, "Fast splittable pseudorandom number
+    generators" (OOPSLA 2014): each step adds the golden gamma to the
+    state mod 2^64, and the output is the state run through the mix64
+    finalizer (two xorshift-multiply rounds and a last xorshift).
+    """
+    outputs = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        outputs.append(z ^ (z >> 31))
+    return outputs, state
+
+
+def reference_random_values(seed, stream_id, n, rep, part):
+    """The 2n complex values of ``random_grid_function`` at this key, step by step.
+
+    The key words are the seed's count of 64-bit words, its words low
+    first, then stream_id, n, rep and part.  Each word is XORed into the
+    state (from 0), and the state becomes the next SplitMix64 output.
+    From there 4n outputs z map to -1 + 2 * ((z >> 11) * 2^-53): the
+    first 2n are the real parts, the next 2n the imaginary parts.
+    """
+    seed_words = []
+    while seed:
+        seed_words.append(seed % 2**64)
+        seed //= 2**64
+    state = 0
+    for word in [len(seed_words), *seed_words, stream_id, n, rep, part]:
+        (state,), _ = splitmix64(state ^ word, 1)
+    outputs, _ = splitmix64(state, 4 * n)
+    floats = [-1.0 + 2.0 * ((z >> 11) * 2.0**-53) for z in outputs]
+    return [complex(re, im) for re, im in zip(floats[: 2 * n], floats[2 * n :])]

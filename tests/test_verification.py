@@ -2,11 +2,15 @@ import collections
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from _oracles import per_n_sup_errors, reference_symbol_sweep
+from _oracles import per_n_sup_errors, reference_random_values, reference_symbol_sweep
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,7 +300,7 @@ def test_symbol_sweep_orders_the_modes_once(monkeypatch):
     suite, _ = _default_rows()
     for ns, largest in (([4, 16, 64, 256], 512), ([1, 2, 513, 1000], 1000)):
         calls.clear()
-        list(verification._symbol_sweep(suite._replace(ns=ns)))
+        list(verification._symbol_sweep(suite.replace(ns=ns)))
         assert calls == [(largest, True)]
 
 
@@ -324,7 +328,7 @@ def _assert_sweep_is_the_per_n_loop(ns):
     suite, _ = _default_rows()
     got = [
         (name, residual.hex(), loc)
-        for name, residual, loc in verification._symbol_sweep(suite._replace(ns=ns))
+        for name, residual, loc in verification._symbol_sweep(suite.replace(ns=ns))
     ]
     sizes = set(range(1, verification.SYMBOL_SWEEP_MAX + 1)) | set(ns)
     want = [
@@ -397,6 +401,121 @@ def test_random_generator_reproducible():
     assert not np.array_equal(a.values, c.values)
     assert np.max(np.abs(a.values.real)) <= 1.0
     assert np.max(np.abs(a.values.imag)) <= 1.0
+
+
+STREAM_IDS = {"inversion": 1, "calculus": 2, "dft": 3}
+
+
+@pytest.mark.parametrize(
+    "seed, stream, n, rep, part",
+    [
+        (0, "inversion", 1, 0, 0),
+        (42, "calculus", 16, 7, 1),
+        (7, "dft", 100, 3, 0),
+        (12345678901, "inversion", 5, 2, 0),
+        (2**64, "calculus", 4, 0, 1),
+        (3 + 2**130, "dft", 3, 1, 0),
+        (2**64 - 1, "dft", 2, 2**64 - 1, 2**64 - 1),
+    ],
+)
+def test_random_grid_function_is_bit_equal_to_the_splitmix64_reference(seed, stream, n, rep, part):
+    got = random_grid_function(seed, stream, n, rep, part).values
+    want = np.array(reference_random_values(seed, STREAM_IDS[stream], n, rep, part))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_random_grid_function_is_bit_equal_to_the_reference_at_both_ends_of_the_largest_grid():
+    n = 65536
+    got = random_grid_function(5, "dft", n, 3).values
+    want = np.array(reference_random_values(5, STREAM_IDS["dft"], n, 3, 0))
+    # the first and last values of the real and the imaginary half
+    for part in (slice(0, 8), slice(2 * n - 8, 2 * n)):
+        assert got[part].view(np.uint64).tolist() == want[part].view(np.uint64).tolist()
+    assert np.array_equal(got, want)
+
+
+def test_distinct_random_keys_draw_distinct_values():
+    keys = [
+        (5, "dft", 8, 0, 0),
+        (6, "dft", 8, 0, 0),
+        (5 + 2**64, "dft", 8, 0, 0),  # the two seeds differ only above bit 64
+        (5 + 2**70, "dft", 8, 0, 0),
+        (0, "dft", 8, 0, 0),
+        (2**64, "dft", 8, 0, 0),
+        (5, "inversion", 8, 0, 0),
+        (5, "calculus", 8, 0, 0),
+        (5, "dft", 8, 1, 0),
+        (5, "dft", 8, 0, 1),
+    ]
+    draws = [random_grid_function(*key).values for key in keys]
+    for i in range(len(draws)):
+        for j in range(i):
+            assert not np.array_equal(draws[i], draws[j]), (keys[i], keys[j])
+    # a different grid size draws a different stream, not a prefix of the same one
+    assert not np.array_equal(random_grid_function(5, "dft", 4, 0).values, draws[0][:8])
+
+
+@pytest.mark.parametrize("n", [1, 3, 256, 65536])
+def test_random_values_lie_in_the_half_open_unit_square_and_draw_without_warnings(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            values = random_grid_function(2**64 + 9, "calculus", n, 5, 1).values
+    parts = np.concatenate([values.real, values.imag])
+    assert np.all(parts >= -1.0) and np.all(parts < 1.0)
+    # 53-bit resolution: every value is -1 plus a multiple of 2^-52
+    assert np.array_equal(np.ldexp(parts + 1.0, 52), np.floor(np.ldexp(parts + 1.0, 52)))
+
+
+def test_unknown_random_stream_is_a_value_error_naming_the_known_streams():
+    with pytest.raises(ValueError, match="'nosuch'.*inversion, calculus, dft"):
+        random_grid_function(0, "nosuch", 4, 0)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("seed", {"seed": -1}),
+        ("seed", {"seed": 1.0}),
+        ("seed", {"seed": "3"}),
+        ("rep", {"rep": -1}),
+        ("rep", {"rep": 0.5}),
+        ("rep", {"rep": 2**64}),
+        ("part", {"part": -2}),
+        ("part", {"part": None}),
+        ("part", {"part": True}),
+    ],
+)
+def test_bad_random_key_argument_is_a_value_error_naming_it(name, kwargs):
+    key = {"seed": 1, "stream": "dft", "n": 4, "rep": 0, "part": 0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
+        random_grid_function(**key)
+
+
+def test_verify_leaves_numpy_random_and_hashlib_unloaded():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import contextlib, io, sys, gridfourier.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = gridfourier.cli.main(['verify'])\n"
+        "print(code, *(m in sys.modules for m in ('numpy.random', 'secrets', 'hashlib')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False", "False"]
+
+
+def test_check_rows_and_suite_context_are_records():
+    check = CHECKS[0]
+    with pytest.raises(AttributeError):
+        check.tolerance = 1.0
+    assert check.replace(tolerance=2.0) == CHECKS[0].replace(tolerance=2.0) != check
+    # reports come in name order, which the rows carry no longer as tuples
+    assert [r.check_name for r in run_lemma_suite(SMALL)] == sorted(CHECK_NAMES)
+    suite = verification._build_suite(SMALL)
+    assert suite.replace(ns=[8]).ns == [8] and suite.ns == [4]
 
 
 def test_run_convergence_trig():
