@@ -12,18 +12,25 @@ to 7, at least 5).  Each round starts one fresh interpreter per tree, and
 the tree that goes first flips from round to round, so a drift of the
 host speed reaches both trees alike.  Each interpreter times ``import
 numpy`` first, then ``import gridfourier.cli`` on top of it, so that
-gridfourier's own import is not lost in numpy's noise, then each layer
-after one warm-up call: the layer is called until MIN_ROUND_S seconds
-have passed, at least once, and its time is the elapsed time over the
-number of calls, so a layer far below a millisecond is timed over many
-calls.  Round 0 warms the file cache and is dropped; every layer keeps
-the median of the other K rounds.  The JSON on stdout, or in FILE, holds
-each layer's seconds per call for the parent and the change side by
-side, with the git SHAs, the numpy version and nproc.
+gridfourier's own import is not lost in numpy's noise, then the first
+default suite, once, with whatever it imports on first use; then each
+other layer after one warm-up call: the layer is called until MIN_ROUND_S
+seconds have passed, at least once, and its time is the elapsed time
+over the number of calls, so a layer far below a millisecond is timed
+over many calls.  Each round also runs ``python -m gridfourier verify``
+once per tree, through ``perfbench/launch.py`` (a numpy-free process
+whose only child is that command), for its max RSS.  Round 0 warms the
+file cache and is dropped; every layer keeps the median of the other K
+rounds.  The JSON on stdout, or in FILE, holds each layer's seconds per
+call (verify_rss_mb in MB) for the parent and the change side by side,
+with the git SHAs, the numpy version and nproc.
 
 Layers:
   import_numpy       import numpy, first thing in the interpreter
   import_own         import gridfourier.cli, right after numpy: gridfourier's own share
+  verify_first       the first run_lemma_suite(SuiteConfig()), with the imports it triggers
+  verify_rss_mb      max RSS in MB of a fresh `python -m gridfourier verify` (not seconds)
+  random_inputs      the 112 random grid functions of the default verify suite
   m_test_majorants   m_test_majorants(H, 1..64), H of expcos
   sup_errors         sup_errors(expcos, 1..64) at the default 2048 samples
   run_convergence    run_convergence("expcos", 1..64)
@@ -49,6 +56,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LAUNCHER = ROOT / "perfbench" / "launch.py"
 ORDERS = range(1, 65)
 # Least time spent in one layer per round; each import is timed once.
 MIN_ROUND_S = 0.1
@@ -68,9 +76,18 @@ def _layers():
 
     f = get_function("expcos")
     H = bound_constants(f).H
-    suite = verification._build_suite(SuiteConfig())
+    cfg = SuiteConfig()
+    suite = verification._build_suite(cfg)
+    # the 112 draws of the inversion, calculus and dft runners, in run order
+    ns, reps = cfg.grid_sizes, range(verification.RANDOM_REPS)
+    draws = [("inversion", n, rep, 0) for n in ns for rep in reps]
+    draws += [("calculus", n, rep, part) for n in ns for rep in reps for part in (0, 1)]
+    draws += [("dft", n, rep, 0) for n in ns for rep in range(verification.DFT_RANDOM_REPS)]
     alias_suite = verification._build_suite(SuiteConfig(function_names=("trig:1000000",)))
     return {
+        "random_inputs": lambda: [
+            verification.random_grid_function(cfg.seed, *key) for key in draws
+        ],
         "m_test_majorants": lambda: m_test_majorants(H, ORDERS),
         "sup_errors": lambda: sup_errors(f, ORDERS),
         "run_convergence": lambda: run_convergence("expcos", ORDERS),
@@ -90,9 +107,14 @@ def _child() -> None:
     numpy_done = time.perf_counter()
     import gridfourier.cli  # noqa: F401
 
+    own_done = time.perf_counter()
+    from gridfourier.verification import SuiteConfig, run_lemma_suite
+
+    run_lemma_suite(SuiteConfig())
     seconds = {
         "import_numpy": numpy_done - start,
-        "import_own": time.perf_counter() - numpy_done,
+        "import_own": own_done - numpy_done,
+        "verify_first": time.perf_counter() - own_done,
     }
     for name, run in _layers().items():
         run()
@@ -105,7 +127,30 @@ def _child() -> None:
     print(json.dumps(seconds))
 
 
-def _measure(srcs: dict, runs: int) -> dict:
+def _verify_rss_mb(env: dict, tmp: str) -> float:
+    """Max RSS in MB of one fresh ``python -m gridfourier verify``.
+
+    The command is spawned by perfbench/launch.py, which stays far below
+    it, because Linux charges a new process with the peak RSS of the
+    process it was forked from.
+    """
+    request = {
+        "cmd": [sys.executable, "-m", "gridfourier", "verify"],
+        "cwd": tmp,
+        "out": os.path.join(tmp, "verify.out"),
+        "err": os.path.join(tmp, "verify.err"),
+        "timeout": 600,
+    }
+    out = subprocess.run([sys.executable, "-I", "-S", str(LAUNCHER)], env=env,
+                         input=json.dumps(request) + "\n", capture_output=True, text=True,
+                         check=True).stdout
+    reply = json.loads(out)
+    if reply["code"] != 0:
+        raise RuntimeError(f"verify exited {reply['code']}: {Path(request['err']).read_text()}")
+    return reply["maxrss_kib"] / 1024.0
+
+
+def _measure(srcs: dict, runs: int, tmp: str) -> dict:
     """Tree name -> layer medians, for every tree in srcs (tree name -> src path)."""
     rounds = {tree: [] for tree in srcs}
     order = list(srcs)
@@ -114,7 +159,9 @@ def _measure(srcs: dict, runs: int) -> dict:
             env = {**os.environ, "PYTHONPATH": str(srcs[tree])}
             out = subprocess.run([sys.executable, __file__, "--child"], env=env,
                                  capture_output=True, text=True, check=True).stdout
-            rounds[tree].append(json.loads(out.splitlines()[-1]))
+            layers = json.loads(out.splitlines()[-1])
+            layers["verify_rss_mb"] = _verify_rss_mb(env, tmp)
+            rounds[tree].append(layers)
         order.reverse()
     # round 0 warmed the file cache
     return {
@@ -157,7 +204,7 @@ def main(argv: list[str]) -> int:
         srcs["change"] = ROOT / "src"
         for src in srcs.values():
             compileall.compile_dir(src / "gridfourier", quiet=1)
-        results = _measure(srcs, args.runs)
+        results = _measure(srcs, args.runs, tmp)
 
     layers = {}
     for name in results["change"]:
@@ -170,7 +217,8 @@ def main(argv: list[str]) -> int:
         "statistic": (f"median seconds per call over {args.runs} rounds after one warm-up "
                       "round; each round times every layer in one fresh interpreter per tree, "
                       f"after one warm-up call, over as many calls as fill {MIN_ROUND_S} s "
-                      "(import_numpy and import_own once), both trees byte-compiled before "
+                      "(import_numpy, import_own and verify_first once; verify_rss_mb is the "
+                      "max RSS in MB of one fresh verify), both trees byte-compiled before "
                       "round 0, and the tree that goes first flips each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),

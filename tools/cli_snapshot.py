@@ -1,14 +1,22 @@
-"""Record the CLI contract outputs of the gridfourier on PYTHONPATH.
+"""Record the CLI contract outputs of the gridfourier on PYTHONPATH, or compare two records.
 
 Usage:  python tools/cli_snapshot.py OUTDIR
+        python tools/cli_snapshot.py --compare A B
 
 Runs a fixed list of contract argvs, each as ``python -m gridfourier``
 in a fresh interpreter, and writes for argv number k the files
 ``k.argv``, ``k.stdout``, ``k.stderr`` and ``k.exit`` into OUTDIR.  Two
 trees are byte-identical on the contract when ``diff -r`` finds nothing
 between their snapshots.
+
+``--compare A B`` reads two such directories and prints one line per
+argv, saying whether its exit code, stderr and stdout match.  Where a
+``verify`` stdout differs and both sides are JSON reports, it then prints
+each (check, field) that moved with its value in A and in B.  It exits 0
+when every file matches and 1 otherwise.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -69,7 +77,44 @@ ARGVS = (
 )
 
 
+def _moved_fields(old: bytes, new: bytes) -> list[str]:
+    """Lines ``check.field: old -> new`` for each report field that differs, in check order."""
+    try:
+        reports = [{r["check_name"]: r for r in json.loads(side)["reports"]} for side in (old, new)]
+    except (ValueError, KeyError, TypeError):
+        return ["  stdout is not a verify JSON report on both sides"]
+    lines = []
+    for check in dict.fromkeys([*reports[0], *reports[1]]):
+        a, b = (side.get(check, {}) for side in reports)
+        for field in dict.fromkeys([*a, *b]):
+            if a.get(field) != b.get(field):
+                lines.append(f"  {check}.{field}: {json.dumps(a.get(field))} -> "
+                             f"{json.dumps(b.get(field))}")
+    return lines
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print per argv whether A and B match; 0 when all match, else 1."""
+    differs = False
+    for argv_file in sorted(a.glob("*.argv")):
+        k = argv_file.stem
+        same = {
+            part: (a / f"{k}.{part}").read_bytes() == (b / f"{k}.{part}").read_bytes()
+            for part in ("argv", "exit", "stderr", "stdout")
+        }
+        differs |= not all(same.values())
+        marks = ", ".join(f"{part} {'same' if ok else 'DIFFERS'}" for part, ok in same.items())
+        print(f"{k} {argv_file.read_text().strip()}: {marks}")
+        if not same["stdout"] and argv_file.read_text().startswith("verify"):
+            for line in _moved_fields((a / f"{k}.stdout").read_bytes(),
+                                      (b / f"{k}.stdout").read_bytes()):
+                print(line)
+    return 1 if differs else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
