@@ -27,7 +27,7 @@ def derivative(gf: GridFunction) -> GridFunction:
     out = np.empty(v.shape, dtype=np.complex128)
     out[:-1] = gf.grid.n * (v[1:] - v[:-1])
     out[-1] = 0.0
-    return GridFunction(gf.grid, out)
+    return GridFunction._adopt(gf.grid, out)
 
 
 def shift(gf: GridFunction) -> GridFunction:
@@ -36,7 +36,7 @@ def shift(gf: GridFunction) -> GridFunction:
     out = np.empty(v.shape, dtype=np.complex128)
     out[:-1] = v[1:]
     out[-1] = 0.0
-    return GridFunction(gf.grid, out)
+    return GridFunction._adopt(gf.grid, out)
 
 
 def ftc_residual(gf: GridFunction) -> complex:

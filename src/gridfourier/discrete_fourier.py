@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .grid import GridFunction, build_grid
+from .grid import GridFunction, _frozen, build_grid
 
 __all__ = [
     "Spectrum",
@@ -44,12 +44,20 @@ class Spectrum(Record):
         if self.n < 1:
             raise ValueError(f"spectrum needs n >= 1, got n={self.n}")
         coeffs = np.array(self.coefficients, dtype=np.complex128, copy=True).reshape(-1)
-        if coeffs.shape != (2 * self.n,):
-            raise ValueError(
-                f"expected {2 * self.n} coefficients for n={self.n}, got {coeffs.shape[0]}"
-            )
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _frozen(coeffs, self.n, "coefficients"))
+
+    @classmethod
+    def _adopt(cls, n: int, coefficients: np.ndarray) -> Spectrum:
+        """A spectrum holding ``coefficients`` itself, without the constructor's copy.
+
+        Only for a complex128 array of 2n coefficients, n >= 1, that the
+        caller has just made and hands over: its shape is checked and it is
+        made read-only.
+        """
+        spectrum = cls.__new__(cls)
+        object.__setattr__(spectrum, "n", n)
+        object.__setattr__(spectrum, "coefficients", _frozen(coefficients, n, "coefficients"))
+        return spectrum
 
     def __eq__(self, other):
         """Same n and exactly equal coefficients; a spectrum is unhashable."""
@@ -100,12 +108,12 @@ def discrete_coefficients(gf: GridFunction) -> Spectrum:
         coefficients[m] = (1/n) sum_j gf[j] exp(-i pi (j/n) m).
     """
     n = gf.grid.n
-    return Spectrum(n, _shifted_dft(gf.values, n, -1) / n)
+    return Spectrum._adopt(n, _shifted_dft(gf.values, n, -1) / n)
 
 
 def invert(s: Spectrum) -> GridFunction:
     """Exact inversion: values[j] = (1/2) sum_m coefficients[m] exp(i pi (j/n) m)."""
-    return GridFunction(build_grid(s.n), 0.5 * _shifted_dft(s.coefficients, s.n, +1))
+    return GridFunction._adopt(build_grid(s.n), 0.5 * _shifted_dft(s.coefficients, s.n, +1))
 
 
 def character(n: int, m: int, j: int) -> complex:

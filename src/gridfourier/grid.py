@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
+
 import numpy as np
 
 from ._record import Record
@@ -78,13 +80,20 @@ class GridFunction(Record):
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128, copy=True).reshape(-1)
-        if vals.shape != (self.grid.size,):
-            raise ValueError(
-                f"expected {self.grid.size} values for n={self.grid.n}, got {vals.shape[0]}"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        values = np.array(self.values, dtype=np.complex128, copy=True).reshape(-1)
+        object.__setattr__(self, "values", _frozen(values, self.grid.n, "values"))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> GridFunction:
+        """A grid function holding ``values`` itself, without the constructor's copy.
+
+        Only for a complex128 array of 2n values that the caller has just
+        made and hands over: its shape is checked and it is made read-only.
+        """
+        gf = cls.__new__(cls)
+        object.__setattr__(gf, "grid", grid)
+        object.__setattr__(gf, "values", _frozen(values, grid.n, "values"))
+        return gf
 
     def __eq__(self, other):
         """Same grid and exactly equal values; a grid function is unhashable."""
@@ -115,9 +124,9 @@ class GridFunction(Record):
     def __add__(self, other):
         if isinstance(other, GridFunction):
             self._require_same_grid(other)
-            return GridFunction(self.grid, self.values + other.values)
+            return GridFunction._adopt(self.grid, self.values + other.values)
         if isinstance(other, numbers.Complex):
-            return GridFunction(self.grid, self.values + complex(other))
+            return GridFunction._adopt(self.grid, self.values + complex(other))
         return NotImplemented
 
     __radd__ = __add__
@@ -125,26 +134,34 @@ class GridFunction(Record):
     def __sub__(self, other):
         if isinstance(other, GridFunction):
             self._require_same_grid(other)
-            return GridFunction(self.grid, self.values - other.values)
+            return GridFunction._adopt(self.grid, self.values - other.values)
         if isinstance(other, numbers.Complex):
-            return GridFunction(self.grid, self.values - complex(other))
+            return GridFunction._adopt(self.grid, self.values - complex(other))
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
             self._require_same_grid(other)
-            return GridFunction(self.grid, self.values * other.values)
+            return GridFunction._adopt(self.grid, self.values * other.values)
         if isinstance(other, numbers.Complex):
-            return GridFunction(self.grid, self.values * complex(other))
+            return GridFunction._adopt(self.grid, self.values * complex(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Complex):
-            return GridFunction(self.grid, complex(other) * self.values)
+            return GridFunction._adopt(self.grid, complex(other) * self.values)
         return NotImplemented
 
     def __neg__(self):
-        return GridFunction(self.grid, -self.values)
+        return GridFunction._adopt(self.grid, -self.values)
+
+
+def _frozen(values: np.ndarray, n: int, what: str) -> np.ndarray:
+    """values, made read-only once checked to hold the 2n entries of an n-grid; ``what`` names them."""
+    if values.shape != (2 * n,):
+        raise ValueError(f"expected {2 * n} {what} for n={n}, got {values.size}")
+    values.setflags(write=False)
+    return values
 
 
 def build_grid(n: int) -> Grid:
@@ -178,7 +195,9 @@ def _evaluate(fn, xs: np.ndarray, name: str, where: str = "") -> np.ndarray:
     naming ``name`` and the first bad point, followed by ``where``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.broadcast_to(np.asarray(fn(xs), dtype=np.complex128), xs.shape)
+        values = np.asarray(fn(xs), dtype=np.complex128)
+    if values.shape != xs.shape:
+        values = np.broadcast_to(values, xs.shape)
     bad = ~np.isfinite(values)
     if bad.any():
         x = float(xs[np.argmax(bad)])
@@ -197,7 +216,15 @@ def sample(f, grid: Grid) -> GridFunction:
     """
     fn = f.eval if hasattr(f, "eval") else _pointwise(f)
     name = getattr(f, "name", repr(f))
-    return GridFunction(grid, _evaluate(fn, grid.points(), name, f" on the n={grid.n} grid"))
+    values = _evaluate(fn, grid.points(), name, f" on the n={grid.n} grid")
+    # A new array that only this frame holds is taken over; a view (such as a
+    # broadcast constant) or an array f still holds is copied.  The count is
+    # compared with that of a fresh local, because Python versions differ in
+    # whether getrefcount counts its own argument.
+    fresh = np.empty(0)
+    if values.base is None and sys.getrefcount(values) == sys.getrefcount(fresh):
+        return GridFunction._adopt(grid, values)
+    return GridFunction(grid, values)
 
 
 def integrate(gf: GridFunction) -> complex:

@@ -202,7 +202,7 @@ def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0
     values.real = u[: 2 * n]
     values.imag = u[2 * n :]
     del u
-    return GridFunction(grid, values)
+    return GridFunction._adopt(grid, values)
 
 
 def _validate_config(cfg: SuiteConfig) -> None:
@@ -556,18 +556,35 @@ def _convergence_rows(fs: list, Hs: list, N_values: list, samples: int) -> list[
     ]
 
 
-def run_spectrum_decay(function_name: str, n: int) -> list[tuple[int, float, float]]:
-    """Rows (m, |ghat_n(m)|, H/m^2) for every nonzero mode, ascending m."""
+def _decay_table(function_name: str, n: int) -> tuple[int, Callable[[int, int], tuple]]:
+    """Check the inputs, sample and transform; return (row count, columns) of the decay table.
+
+    The table has one row per nonzero mode m = -n .. n-1, ascending.
+    ``columns(start, stop)`` gives the lists of m, |ghat_n(m)| and H/m^2 over
+    rows start .. stop - 1, so a caller can hold a few rows at a time.
+    """
     f = get_function(function_name)
     if not 1 <= n <= MAX_SPECTRUM_N:
         raise ValueError(f"1 <= n <= {MAX_SPECTRUM_N} required, got {n}")
     H = bound_constants(f).H
-    coeffs = discrete_coefficients(sample(f, build_grid(n))).coefficients.tolist()
-    # m^2 is exact in float64 for |m| <= 2^16, so bounds[|m| - 1] is H / float(m * m)
-    bounds = (H / np.arange(1, n + 1, dtype=float) ** 2).tolist()
-    # scalar abs on purpose (np.abs can differ in the last ulp), and one append
-    # per row: one comprehension over the rows raised the peak RSS by 0.3 MB
-    rows = []
-    for m in filter(None, range(-n, n)):  # m != 0
-        rows.append((m, abs(coeffs[m + n]), bounds[abs(m) - 1]))
-    return rows
+    coeffs = discrete_coefficients(sample(f, build_grid(n))).coefficients
+
+    def columns(start: int, stop: int) -> tuple[list, list, list]:
+        # row r < n holds m = r - n, row r >= n holds m = r - n + 1; mode m sits at m + n
+        split = min(max(start, n), stop)
+        ms = [*range(start - n, split - n), *range(split - n + 1, stop - n + 1)]
+        cs = coeffs[start:split].tolist() + coeffs[split + 1 : stop + 1].tolist()
+        # scalar abs on purpose (np.abs can differ in the last ulp); m * m is
+        # exact in float64 for |m| <= 2^16
+        return ms, list(map(abs, cs)), [H / (m * m) for m in ms]
+
+    return 2 * n - 1, columns
+
+
+def run_spectrum_decay(function_name: str, n: int) -> list[tuple[int, float, float]]:
+    """Rows (m, |ghat_n(m)|, H/m^2) for every nonzero mode, ascending m.
+
+    The rows of the decay table that ``gridfourier spectrum`` writes, all at once.
+    """
+    count, columns = _decay_table(function_name, n)
+    return list(zip(*columns(0, count)))

@@ -1,13 +1,19 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from gridfourier import cli
+from gridfourier import cli, verification
 from gridfourier.cli import main
-from gridfourier.verification import SuiteConfig
+from gridfourier.discrete_fourier import discrete_coefficients
+from gridfourier.functions import bound_constants, get_function
+from gridfourier.grid import build_grid, sample
+from gridfourier.verification import SuiteConfig, run_spectrum_decay
 
 SMALL_VERIFY = [
     "verify",
@@ -299,13 +305,152 @@ def test_oversized_tables_are_rejected_before_allocation(argv, flag, capsys, mon
         raise AssertionError("work started before the size check")
 
     monkeypatch.setattr(cli, "run_convergence", refuse)
-    monkeypatch.setattr(cli, "run_spectrum_decay", refuse)
+    monkeypatch.setattr(cli, "_decay_table", refuse)
     monkeypatch.setattr(cli, "run_lemma_suite", refuse)
     monkeypatch.setattr(cli, "rescale", refuse)
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--function", "cos:1", "--n", "1"],
+        ["spectrum", "--function", "expcos", "--n", "4"],
+        ["spectrum", "--function", "expcos", "--n", "4096"],
+        ["converge", "--function", "expcos", "--N", "1,2,4,8", "--samples", "256"],
+        ["rescale-demo", "--a=-1.234", "--b=2.5", "--function", "exp-cos-period", "--N", "8"],
+    ],
+    ids=["spectrum-1", "spectrum-4", "spectrum-4096", "converge", "rescale-demo"],
+)
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    _, stdout, _ = run_cli(argv, capsys)
+    path = tmp_path / "table.csv"
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert (code, out, err) == (0, "", "")
+    raw = path.read_bytes()
+    assert raw == stdout.encode()
+    assert b"\r" not in raw
+
+
+def _row_by_row(header, rows):
+    # the per-row formatting that the chunked writer replaces
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, int) else format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+def test_table_writer_chunk_boundaries(capsys, chunks, offset):
+    count = chunks * cli._CHUNK_ROWS + offset
+    rows = [(k - 3, (k - 3) / 7.0, math.ldexp(1.0, k - 1074)) for k in range(count)]
+    cli._write_table("k,third,tiny", "%d,%.17g,%.17g\n", count,
+                     lambda start, stop: rows[start:stop], None)
+    assert capsys.readouterr().out == _row_by_row("k,third,tiny", rows)
+
+
+@pytest.mark.parametrize(
+    "chunks, offset",
+    [(2, -1), (1, 0), (3, 0), (2, 1)],
+    ids=["one less than 2 chunks", "1 chunk", "3 chunks", "one more than 2 chunks"],
+)
+def test_spectrum_rows_around_a_chunk_multiple(capsys, chunks, offset):
+    # a spectrum table has 2n - 1 rows and the chunk is odd, so a whole table
+    # is an odd number of chunks, or an even number plus or minus one row
+    count = chunks * cli._CHUNK_ROWS + offset
+    n = (count + 1) // 2
+    assert 2 * n - 1 == count
+    code, out, _ = run_cli(["spectrum", "--function", "expcos", "--n", str(n)], capsys)
+    assert code == 0
+    assert out == _row_by_row("m,abs_coeff,decay_bound", run_spectrum_decay("expcos", n))
+    assert len(out.splitlines()) == 1 + count
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_spectrum_rows_with_a_tiny_chunk(capsys, monkeypatch, n):
+    # chunks of 3 rows: 5, 7 and 9 rows, and chunks that start at m = 1
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    code, out, _ = run_cli(["spectrum", "--function", "expcos", "--n", str(n)], capsys)
+    assert code == 0
+    assert out == _row_by_row("m,abs_coeff,decay_bound", run_spectrum_decay("expcos", n))
+
+
+def test_percent_format_is_format_17g():
+    # the writer formats a chunk with one % on "%.17g" repeated
+    rng = np.random.default_rng(18)
+    bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64)
+    values = bits.view(np.float64).tolist()
+    values += [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    got = ("%.17g\n" * len(values)) % tuple(values)
+    assert got == "".join(format(v, ".17g") + "\n" for v in values)
+
+
+def test_spectrum_writer_memory_does_not_grow_with_n(monkeypatch):
+    # with the spectrum already computed, writing its 131071 rows holds a
+    # few chunks, not the table
+    n = 2**16
+    f = get_function("expcos")
+    consts = bound_constants(f)
+    spectrum = discrete_coefficients(sample(f, build_grid(n)))
+    monkeypatch.setattr(verification, "bound_constants", lambda g: consts)
+    monkeypatch.setattr(verification, "sample", lambda g, grid: None)
+    monkeypatch.setattr(verification, "discrete_coefficients", lambda gf: spectrum)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["spectrum", "--function", "expcos", "--n", str(n)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n, keep", [(65536, 10), (4, 0)], ids=["mid-stream", "before the flush"])
+def test_spectrum_reader_closing_early_keeps_exit_0(n, keep):
+    # the rows are written in chunks; a reader that stops after 10 bytes, or
+    # closes before a small table leaves the output buffer, must not turn into
+    # a BrokenPipeError traceback or another exit code
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gridfourier", "spectrum", "--function", "expcos", "--n", str(n)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head == b"m,abs_coeff"[:keep]
+    assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--function", "expcos", "--n", "4096"],
+        ["converge", "--function", "cos:1", "--N", "1,2"],
+        SMALL_VERIFY,
+    ],
+    ids=["spectrum", "converge", "verify"],
+)
+def test_out_write_error_is_usage_error(capsys, argv):
+    # /dev/full opens but refuses every write: for spectrum, in mid-stream
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    code, out, err = run_cli(argv + ["--out", "/dev/full"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out: ") and err.count("\n") == 1
 
 
 def test_spectrum_cosine(capsys):

@@ -207,3 +207,21 @@ def test_spectrum_validation():
     s = Spectrum(3, np.zeros(6))
     with pytest.raises(ValueError):
         s.coeff(3)
+
+
+def test_transform_results_are_adopted_read_only():
+    gf = sample(trig_monomial(1), build_grid(4))
+    s = discrete_coefficients(gf)
+    back = invert(s)
+    for array in (s.coefficients, back.values):
+        assert array.base is None
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="expected 8 coefficients for n=4, got 6"):
+        Spectrum._adopt(4, np.zeros(6, dtype=np.complex128))
+
+
+def test_spectrum_constructor_copies_the_callers_array():
+    coeffs = np.arange(6, dtype=np.complex128)
+    s = Spectrum(3, coeffs)
+    coeffs[0] = 9.0
+    assert s.coeff(-3) == 0.0

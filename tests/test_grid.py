@@ -118,6 +118,66 @@ def test_values_are_frozen():
         gf.values[0] = 5.0
 
 
+def test_constructor_copies_the_callers_array():
+    values = np.arange(4, dtype=np.complex128)
+    gf = GridFunction(build_grid(2), values)
+    values[0] = 9.0
+    assert gf.values.tolist() == [0, 1, 2, 3]
+    assert values.flags.writeable
+
+
+def test_adopted_arrays_are_read_only():
+    grid = build_grid(2)
+    values = np.arange(4, dtype=np.complex128)
+    gf = GridFunction._adopt(grid, values)
+    assert gf.values is values
+    for result in (gf, gf + gf, gf - 1, 2 * gf, gf * gf, -gf):
+        assert not result.values.flags.writeable
+        with pytest.raises(ValueError):
+            result.values[0] = 5.0
+    with pytest.raises(ValueError, match="expected 4 values for n=2, got 3"):
+        GridFunction._adopt(grid, np.zeros(3, dtype=np.complex128))
+
+
+class _Held:
+    """An evaluator that returns an array it keeps."""
+
+    name = "held"
+
+    def __init__(self, n):
+        self.values = np.arange(2 * n, dtype=np.complex128)
+
+    def eval(self, xs):
+        return self.values
+
+
+def test_sample_copies_an_array_its_function_holds():
+    f = _Held(2)
+    gf = sample(f, build_grid(2))
+    assert f.values.flags.writeable
+    f.values[0] = 9.0
+    assert gf.values[0] == 0.0
+
+
+def test_sample_copies_a_broadcast_constant():
+    class Constant:
+        name = "constant"
+
+        def eval(self, xs):
+            return 2.0
+
+    gf = sample(Constant(), build_grid(3))
+    assert gf.values.tolist() == [2.0] * 6
+    assert gf.values.strides == (16,)  # not the broadcast view of one value
+    assert not gf.values.flags.writeable
+
+
+def test_sample_takes_over_a_new_array():
+    gf = sample(trig_monomial(1), build_grid(4))
+    assert gf.values.base is None
+    assert not gf.values.flags.writeable
+
+
 def test_value_count_must_match_grid():
     with pytest.raises(ValueError):
         GridFunction(build_grid(3), np.ones(5))

@@ -582,6 +582,18 @@ def test_run_spectrum_decay_rows_equal_scalar_form(name, n):
     assert repr(run_spectrum_decay(name, n)) == repr(want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_decay_columns_of_any_row_range_are_slices_of_the_table(n):
+    # the CLI asks for the rows a chunk at a time; a chunk may start, end or
+    # straddle at the missing mode 0
+    count, columns = verification._decay_table("expcos", n)
+    rows = run_spectrum_decay("expcos", n)
+    assert count == len(rows) == 2 * n - 1
+    for start in range(count + 1):
+        for stop in range(start, count + 1):
+            assert list(zip(*columns(start, stop))) == rows[start:stop]
+
+
 def test_run_spectrum_decay_validation():
     with pytest.raises(ValueError):
         run_spectrum_decay("nosuch", 8)

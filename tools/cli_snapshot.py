@@ -74,6 +74,11 @@ ARGVS = (
     ["verify", "--grid-sizes", "5,777,4096"],
     ["verify", "--mode-limit", "3"],
     ["converge", "--function", "expcos", "--samples", "1000", "--N", "1,7,64"],
+    # spectrum tables of one row, of the largest admitted size, and of
+    # 1533 = 3 x 511 rows, which end on a boundary of the writer's chunks
+    ["spectrum", "--function", "cos:1", "--n", "1"],
+    ["spectrum", "--function", "expcos", "--n", "65536"],
+    ["spectrum", "--function", "expcos", "--n", "767"],
 )
 
 
