@@ -18,12 +18,13 @@ other layer after one warm-up call: the layer is called until MIN_ROUND_S
 seconds have passed, at least once, and its time is the elapsed time
 over the number of calls, so a layer far below a millisecond is timed
 over many calls.  Each round also runs ``python -m gridfourier verify``
-once per tree, through ``perfbench/launch.py`` (a numpy-free process
+and ``python -m gridfourier spectrum --function expcos --n 4096`` once
+per tree, each through ``perfbench/launch.py`` (a numpy-free process
 whose only child is that command), for its max RSS.  Round 0 warms the
 file cache and is dropped; every layer keeps the median of the other K
 rounds.  The JSON on stdout, or in FILE, holds each layer's seconds per
-call (verify_rss_mb in MB) for the parent and the change side by side,
-with the git SHAs, the numpy version and nproc.
+call (the two *_rss_mb rows in MB) for the parent and the change side by
+side, with the git SHAs, the numpy version and nproc.
 
 Layers:
   import_numpy       import numpy, first thing in the interpreter
@@ -39,11 +40,15 @@ Layers:
   symbol_sweep       the psi_lower / phi_psi_mag runner on the default verify suite
   dft_identities     the dft_identity runner on the default verify suite
   spectrum_rows      run_spectrum_decay("expcos", 4096)
+  spectrum_text      the whole `spectrum --function expcos --n 4096` table, in process, to devnull
+  spectrum_rss_mb    max RSS in MB of a fresh `python -m gridfourier spectrum --function expcos
+                     --n 4096` (not seconds)
   verify_suite       run_lemma_suite(SuiteConfig()), the default verify in process
 """
 
 import argparse
 import compileall
+import contextlib
 import json
 import os
 import platform
@@ -58,13 +63,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LAUNCHER = ROOT / "perfbench" / "launch.py"
 ORDERS = range(1, 65)
+SPECTRUM_ARGV = ["spectrum", "--function", "expcos", "--n", "4096"]
+# Row name -> the gridfourier command whose max RSS it records.
+RSS_COMMANDS = {"verify_rss_mb": ["verify"], "spectrum_rss_mb": SPECTRUM_ARGV}
 # Least time spent in one layer per round; each import is timed once.
 MIN_ROUND_S = 0.1
 
 
 def _layers():
     """Layer name -> a callable running it once, on the gridfourier importable here."""
-    from gridfourier import verification
+    from gridfourier import cli, verification
     from gridfourier.continuous_fourier import m_test_majorants, sup_errors
     from gridfourier.functions import bound_constants, get_function
     from gridfourier.verification import (
@@ -84,6 +92,11 @@ def _layers():
     draws += [("calculus", n, rep, part) for n in ns for rep in reps for part in (0, 1)]
     draws += [("dft", n, rep, 0) for n in ns for rep in range(verification.DFT_RANDOM_REPS)]
     alias_suite = verification._build_suite(SuiteConfig(function_names=("trig:1000000",)))
+
+    def spectrum_text():
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            cli.main(SPECTRUM_ARGV)
+
     return {
         "random_inputs": lambda: [
             verification.random_grid_function(cfg.seed, *key) for key in draws
@@ -96,6 +109,7 @@ def _layers():
         "symbol_sweep": lambda: list(verification._symbol_sweep(suite)),
         "dft_identities": lambda: list(verification._dft_identities(suite)),
         "spectrum_rows": lambda: run_spectrum_decay("expcos", 4096),
+        "spectrum_text": spectrum_text,
         "verify_suite": lambda: run_lemma_suite(SuiteConfig()),
     }
 
@@ -127,18 +141,18 @@ def _child() -> None:
     print(json.dumps(seconds))
 
 
-def _verify_rss_mb(env: dict, tmp: str) -> float:
-    """Max RSS in MB of one fresh ``python -m gridfourier verify``.
+def _max_rss_mb(args: list[str], env: dict, tmp: str) -> float:
+    """Max RSS in MB of one fresh ``python -m gridfourier ARGS``.
 
     The command is spawned by perfbench/launch.py, which stays far below
     it, because Linux charges a new process with the peak RSS of the
     process it was forked from.
     """
     request = {
-        "cmd": [sys.executable, "-m", "gridfourier", "verify"],
+        "cmd": [sys.executable, "-m", "gridfourier", *args],
         "cwd": tmp,
-        "out": os.path.join(tmp, "verify.out"),
-        "err": os.path.join(tmp, "verify.err"),
+        "out": os.path.join(tmp, "rss.out"),
+        "err": os.path.join(tmp, "rss.err"),
         "timeout": 600,
     }
     out = subprocess.run([sys.executable, "-I", "-S", str(LAUNCHER)], env=env,
@@ -146,7 +160,7 @@ def _verify_rss_mb(env: dict, tmp: str) -> float:
                          check=True).stdout
     reply = json.loads(out)
     if reply["code"] != 0:
-        raise RuntimeError(f"verify exited {reply['code']}: {Path(request['err']).read_text()}")
+        raise RuntimeError(f"{args[0]} exited {reply['code']}: {Path(request['err']).read_text()}")
     return reply["maxrss_kib"] / 1024.0
 
 
@@ -160,7 +174,8 @@ def _measure(srcs: dict, runs: int, tmp: str) -> dict:
             out = subprocess.run([sys.executable, __file__, "--child"], env=env,
                                  capture_output=True, text=True, check=True).stdout
             layers = json.loads(out.splitlines()[-1])
-            layers["verify_rss_mb"] = _verify_rss_mb(env, tmp)
+            for name, args in RSS_COMMANDS.items():
+                layers[name] = _max_rss_mb(args, env, tmp)
             rounds[tree].append(layers)
         order.reverse()
     # round 0 warmed the file cache
@@ -217,8 +232,9 @@ def main(argv: list[str]) -> int:
         "statistic": (f"median seconds per call over {args.runs} rounds after one warm-up "
                       "round; each round times every layer in one fresh interpreter per tree, "
                       f"after one warm-up call, over as many calls as fill {MIN_ROUND_S} s "
-                      "(import_numpy, import_own and verify_first once; verify_rss_mb is the "
-                      "max RSS in MB of one fresh verify), both trees byte-compiled before "
+                      "(import_numpy, import_own and verify_first once; verify_rss_mb and "
+                      "spectrum_rss_mb are the max RSS in MB of one fresh verify and one fresh "
+                      "spectrum --n 4096), both trees byte-compiled before "
                       "round 0, and the tree that goes first flips each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
