@@ -88,15 +88,18 @@ def _shifted_dft(values: np.ndarray, n: int, sign: int) -> np.ndarray:
 
     The index shift p = j + n, q = k + n turns the character kernel into
     the standard 2n-point DFT kernel times (-1)^p (-1)^q (-1)^n, so one
-    FFT (sign -1) or unscaled inverse FFT (sign +1) does the whole sum.
+    FFT (sign -1) or unscaled inverse FFT (sign +1) does the whole sum,
+    written over a new array that the caller may go on to scale in place.
     """
     signs = np.where(np.arange(2 * n) % 2 == 0, 1.0, -1.0)
+    out = values * signs
     if sign < 0:
-        transformed = np.fft.fft(values * signs)
+        np.fft.fft(out, out=out)
     else:
         # norm="forward" leaves the inverse unscaled: ifft times 2n
-        transformed = np.fft.ifft(values * signs, norm="forward")
-    return (-signs if n % 2 else signs) * transformed
+        np.fft.ifft(out, norm="forward", out=out)
+    out *= np.negative(signs, out=signs) if n % 2 else signs
+    return out
 
 
 def discrete_coefficients(gf: GridFunction) -> Spectrum:
@@ -108,12 +111,14 @@ def discrete_coefficients(gf: GridFunction) -> Spectrum:
         coefficients[m] = (1/n) sum_j gf[j] exp(-i pi (j/n) m).
     """
     n = gf.grid.n
-    return Spectrum._adopt(n, _shifted_dft(gf.values, n, -1) / n)
+    coefficients = _shifted_dft(gf.values, n, -1)
+    return Spectrum._adopt(n, np.divide(coefficients, n, out=coefficients))
 
 
 def invert(s: Spectrum) -> GridFunction:
     """Exact inversion: values[j] = (1/2) sum_m coefficients[m] exp(i pi (j/n) m)."""
-    return GridFunction._adopt(build_grid(s.n), 0.5 * _shifted_dft(s.coefficients, s.n, +1))
+    values = _shifted_dft(s.coefficients, s.n, +1)
+    return GridFunction._adopt(build_grid(s.n), np.multiply(values, 0.5, out=values))
 
 
 def character(n: int, m: int, j: int) -> complex:

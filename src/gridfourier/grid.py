@@ -173,14 +173,15 @@ def _pointwise(fn):
     """Array evaluator built from a scalar-only callable: the one per-point loop.
 
     The result calls ``fn`` with a Python float at each point, in order, and
-    returns the values as a complex array of the shape of its input (a
-    scalar input gives a 0-d array).
+    returns the values as a new complex array, not a view, of the shape of
+    its input (a scalar input gives a 0-d array), which ``sample`` takes over.
     """
 
     def ev(xs):
         xs = np.asarray(xs, dtype=np.float64)
-        values = [fn(float(x)) for x in xs.reshape(-1)]
-        return np.asarray(values, dtype=np.complex128).reshape(xs.shape)
+        values = np.empty(xs.shape, dtype=np.complex128)
+        values.flat = [fn(float(x)) for x in xs.flat]
+        return values
 
     return ev
 

@@ -44,7 +44,6 @@ from .spectral_bounds import (
     _uniform_maxima,
     _worst_mode,
     adjoint_symbol,
-    canonical_mode_order,
     decay_bound_check,
     forward_symbol,
     tail_sum,
@@ -85,8 +84,9 @@ RANDOM_REPS = 8
 DFT_RANDOM_REPS = 4
 SYMBOL_SWEEP_MAX = 512
 # Pairs (n, j) of one symbol-sweep block, so that a block's arrays (32 KiB
-# per complex column) stay in cache; 2**12 pairs were about 10% faster but
-# took 0.75 MiB at peak under tracemalloc, against 0.47 MiB here.
+# per complex column) stay in cache.  On the default sizes the sweep peaks
+# at 0.36 MiB under tracemalloc, against 0.68 MiB at 2**12 pairs, whose time
+# was within noise of this, and 0.21 MiB at 2**10, about 20% slower.
 _SWEEP_BLOCK_PAIRS = 2**11
 MTEST_ORDERS = (2, 4, 8, 16, 32)
 CONVERGENCE_MODES = (0, -1, 1, -2, 2)
@@ -129,25 +129,30 @@ class LemmaReport(Record):
         return self._asdict()
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64's output finalizer on one 64-bit word held in a Python int.
+def _mix64(z):
+    """SplitMix64's output finalizer, on a Python int or in place on uint64 words.
 
-    The key fold runs it a few times per draw; on one-element numpy arrays
-    it took about 20 times as long.
+    The masks keep an int within 64 bits, where uint64 words wrap silently.
+    The key fold runs it on ints: on one-element arrays it took 20 times as long.
     """
-    z = (z ^ (z >> 30)) * _MIX_1 & _WORD
-    z = (z ^ (z >> 27)) * _MIX_2 & _WORD
-    return z ^ (z >> 31)
+    z ^= z >> 30
+    z *= _MIX_1
+    z &= _WORD
+    z ^= z >> 27
+    z *= _MIX_2
+    z &= _WORD
+    z ^= z >> 31
+    return z
+
+
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, a float or anything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _key_int(name: str, value, one_word: bool = True) -> int:
     """A key argument as a nonnegative int, below 2^64 if one_word; else ValueError naming it."""
-    if (
-        not isinstance(value, numbers.Integral)
-        or isinstance(value, bool)
-        or value < 0
-        or one_word and value > _WORD
-    ):
+    if not _is_integer(value) or value < 0 or one_word and value > _WORD:
         below = " below 2**64" if one_word else ""
         raise ValueError(f"{name} must be a nonnegative integer{below}, got {value!r}")
     return int(value)
@@ -182,15 +187,10 @@ def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0
     for word in (len(seed_words), *seed_words, _STREAMS[stream], n, rep, part):
         state = _mix64((state ^ word) + _GAMMA & _WORD)
 
-    # the same finalizer in place on uint64 words, which wrap silently
     z = np.arange(1, 4 * n + 1, dtype=np.uint64)
     z *= _GAMMA
     z += state
-    z ^= z >> 30
-    z *= _MIX_1
-    z ^= z >> 27
-    z *= _MIX_2
-    z ^= z >> 31
+    _mix64(z)
     z >>= 11
     # each array is freed before the next one of its size is made, so at
     # most two of 4n words are held at once
@@ -211,6 +211,8 @@ def _validate_config(cfg: SuiteConfig) -> None:
     if not cfg.grid_sizes:
         raise ValueError("grid_sizes must be nonempty")
     for n in cfg.grid_sizes:
+        if not _is_integer(n):
+            raise ValueError(f"invalid grid size: {n!r} (must be an integer)")
         if not 1 <= n <= MAX_SPECTRUM_N:
             raise ValueError(f"invalid grid size: {n} (must be in [1, {MAX_SPECTRUM_N}])")
     if cfg.mode_limit < MTEST_ORDERS[0]:
@@ -327,31 +329,18 @@ def _dft_identities(s: _Suite):
         yield "dft_identity_2", w2 / scale, WorstLocation(label, n, m2)
 
 
-def _sweep_blocks(sizes: list) -> Iterator[list]:
-    """Consecutive runs of sizes holding at most _SWEEP_BLOCK_PAIRS pairs (n, j), j = 0 .. n.
-
-    A size with more pairs than that makes a block of its own.
-    """
-    block, pairs = [], 0
-    for n in sizes:
-        if block and pairs + n + 1 > _SWEEP_BLOCK_PAIRS:
-            yield block
-            block, pairs = [], 0
-        block.append(n)
-        pairs += n + 1
-    yield block
-
-
 def _symbol_sweep(s: _Suite):
-    sizes = sorted(set(range(1, SYMBOL_SWEEP_MAX + 1)) | set(s.ns))
-    # position 2j - 1 of the canonical order holds -j and position 2j holds +j,
-    # so 0 leads and the first maximum over j is the first in the order
-    order = canonical_mode_order(sizes[-1], include_zero=True)
-    for block in _sweep_blocks(sizes):
-        # the pairs (n, j), j = 0 .. n, of every size of the block
-        counts = np.array(block) + 1
-        nn = np.repeat(block, counts)
-        jj = np.arange(len(nn)) - np.repeat(np.cumsum(counts) - counts, counts)
+    sizes = np.array(sorted(set(range(1, SYMBOL_SWEEP_MAX + 1)) | set(s.ns)))
+    # one sequence of the pairs (n, j), j = 0 .. n, sizes ascending; the pair
+    # (sizes[i], 0) is number starts[i]
+    counts = sizes + 1
+    starts = np.cumsum(counts) - counts
+    total = int(starts[-1] + counts[-1])
+    for first in range(0, total, _SWEEP_BLOCK_PAIRS):
+        pairs = np.arange(first, min(first + _SWEEP_BLOCK_PAIRS, total))
+        size = np.searchsorted(starts, pairs, side="right") - 1
+        nn = sizes[size]
+        jj = pairs - starts[size]
         # column 0 holds psi_n(-j) = phi_n(+j), from its own exp, and column 1 psi_n(+j)
         psi = np.empty((len(nn), 2), dtype=np.complex128)
         psi[:, 0] = adjoint_symbol(nn, jj)
@@ -368,26 +357,24 @@ def _symbol_sweep(s: _Suite):
             np.maximum(mag, term, out=mag)
         mag /= nn
 
-        # flattened, the rows of one size from its j = 1 on follow the
-        # canonical order from position 1
         msq = (4.0 * jj.astype(float) ** 2)[:, None]
         lower = np.square(abs_psi, out=abs_psi)
         np.subtract(msq, lower, out=lower)
-        with np.errstate(invalid="ignore"):  # 0/0 at j = 0, which no size reads
+        with np.errstate(invalid="ignore"):  # 0/0 at j = 0
             np.divide(lower, msq, out=lower)
-        lower = lower.reshape(-1)
+        # neither j = 0 nor +n, which is not a mode of the 2n-point grid, is read
+        lower[jj == 0] = -np.inf
+        lower[jj == nn, 1] = -np.inf
 
-        start = 0
-        for n in block:
-            # -1, 1, ..., -(n-1), n-1, -n: the pairs j = 1 .. n without +n
-            rows = lower[2 * start + 2 : 2 * start + 2 * n + 1]
-            k = int(rows.argmax())
-            yield "psi_lower", float(rows[k]), WorstLocation(None, n, int(order[1 + k]))
-            rows = mag[start : start + n + 1]
-            j = int(rows.argmax())
-            m = int(order[max(2 * j - 1, 0)])
-            yield "phi_psi_mag", float(rows[j]), WorstLocation(None, n, m)
-            start += n + 1
+        # flattened, the rows run through each size's modes in canonical order,
+        # -j before +j, so the first maximum of a block (a NaN first of all) is
+        # the one that _offer keeps from per-size first maxima
+        pair, positive = divmod(int(lower.argmax()), 2)
+        j = int(jj[pair])
+        loc = WorstLocation(None, int(nn[pair]), j if positive else -j)
+        yield "psi_lower", float(lower[pair, positive]), loc
+        k = int(mag.argmax())
+        yield "phi_psi_mag", float(mag[k]), WorstLocation(None, int(nn[k]), -int(jj[k]))
 
 
 def _uniform_bounds(s: _Suite):
@@ -530,10 +517,13 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
 def run_convergence(function_name: str, N_values, samples: int = SUP_ERROR_SAMPLES) -> list[ConvergenceRow]:
     """Sup-error and majorant rows for strictly increasing truncation orders."""
     f = get_function(function_name)
-    N_values = [int(N) for N in N_values]
+    N_values = list(N_values)
     for N in N_values:
+        if not _is_integer(N):
+            raise ValueError(f"truncation orders must be integers, got {N!r}")
         if N < 1:
             raise ValueError(f"truncation orders must be >= 1, got {N}")
+    N_values = [int(N) for N in N_values]
     if any(b <= a for a, b in zip(N_values, N_values[1:])):
         raise ValueError(f"N values must be strictly increasing, got {N_values}")
     if not N_values:

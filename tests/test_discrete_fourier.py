@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,23 @@ def test_transform_results_are_adopted_read_only():
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="expected 8 coefficients for n=4, got 6"):
         Spectrum._adopt(4, np.zeros(6, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("n", [65535, 65536])
+def test_transform_holds_only_its_result_and_the_signs(n):
+    # the FFT writes over its signed input and is scaled in place: the 2n
+    # complex results and the 2n real signs, 3 MiB at n = 65536, plus headroom
+    gf = sample(trig_monomial(3), build_grid(n))
+    s = discrete_coefficients(gf)
+    for run in (lambda: discrete_coefficients(gf), lambda: invert(s)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * (16 + 8) + 2**18
 
 
 def test_spectrum_constructor_copies_the_callers_array():

@@ -178,6 +178,12 @@ def test_sample_takes_over_a_new_array():
     assert not gf.values.flags.writeable
 
 
+def test_sample_takes_over_the_array_of_a_scalar_callable():
+    gf = sample(lambda x: x * x, build_grid(8))
+    assert gf.values.base is None
+    assert gf.values.tolist() == [(j / 8) ** 2 for j in range(-8, 8)]
+
+
 def test_value_count_must_match_grid():
     with pytest.raises(ValueError):
         GridFunction(build_grid(3), np.ones(5))

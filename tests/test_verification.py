@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from _oracles import per_n_sup_errors, reference_random_values, reference_symbol
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfourier import continuous_fourier, discrete_fourier, verification
+from gridfourier import continuous_fourier, discrete_fourier, spectral_bounds, verification
 from gridfourier.functions import DEFAULT_CATALOG, get_function
 from gridfourier.grid import build_grid, sample
 from gridfourier.verification import (
@@ -140,6 +141,12 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match="must be finite"):
             run_lemma_suite(SuiteConfig(**bad))
+    # a size that is not an integer is refused by name, not truncated
+    for bad in (4.5, 4.0, np.float64(16.0), True):
+        with pytest.raises(ValueError, match=re.escape(f"invalid grid size: {bad!r} ")):
+            run_lemma_suite(SuiteConfig(grid_sizes=(bad, 16)))
+    cfg = SMALL.replace(grid_sizes=(np.int64(4),))
+    assert _serialize(run_lemma_suite(cfg)) == _serialize(run_lemma_suite(SMALL))
 
 
 def test_grid_size_cap_is_checked_before_sampling(monkeypatch):
@@ -287,21 +294,19 @@ def test_symbol_sweep_reads_canonical_order_without_reordering(monkeypatch):
         assert (residual, loc) == (full[name].worst_residual, full[name].worst_location)
 
 
-def test_symbol_sweep_orders_the_modes_once(monkeypatch):
-    # one order, of the largest swept size, whose prefixes serve every n
-    calls = []
-    real = verification.canonical_mode_order
-
-    def counting(n, include_zero=False):
-        calls.append((n, include_zero))
-        return real(n, include_zero)
-
-    monkeypatch.setattr(verification, "canonical_mode_order", counting)
+def test_symbol_sweep_never_orders_the_modes(monkeypatch):
+    # the block arrays are already in canonical order: no mode array is built
     suite, _ = _default_rows()
-    for ns, largest in (([4, 16, 64, 256], 512), ([1, 2, 513, 1000], 1000)):
-        calls.clear()
-        list(verification._symbol_sweep(suite.replace(ns=ns)))
-        assert calls == [(largest, True)]
+    cases = [(ns, _reference_worst(ns)) for ns in ([4, 16, 64, 256], [1, 2, 513, 1000])]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symbol sweep builds a mode order")
+
+    monkeypatch.setattr(spectral_bounds, "canonical_mode_order", refuse)
+    # also under the name an import into verification would bind
+    monkeypatch.setattr(verification, "canonical_mode_order", refuse, raising=False)
+    for ns, want in cases:
+        assert _sweep_worst(suite.replace(ns=ns)) == want
 
 
 def test_phi_psi_mag_compares_two_symbol_evaluations(monkeypatch):
@@ -324,34 +329,64 @@ def test_phi_psi_mag_fails_on_a_perturbed_psi(monkeypatch):
     assert all(r.status == "pass" for name, r in reports.items() if name != "phi_psi_mag")
 
 
-def _assert_sweep_is_the_per_n_loop(ns):
-    suite, _ = _default_rows()
-    got = [
-        (name, residual.hex(), loc)
-        for name, residual, loc in verification._symbol_sweep(suite.replace(ns=ns))
-    ]
+def _sweep_worst(suite):
+    """Each sweep check's worst case, (residual bits, location), through _offer."""
+    worst = {}
+    for name, residual, loc in verification._symbol_sweep(suite):
+        verification._offer(worst, name, residual, loc)
+    return {name: (residual.hex(), loc) for name, (residual, loc) in worst.items()}
+
+
+def _reference_worst(ns):
+    """The per-size oracle's candidates over the swept sizes, through _offer."""
     sizes = set(range(1, verification.SYMBOL_SWEEP_MAX + 1)) | set(ns)
-    want = [
-        (name, residual.hex(), WorstLocation(None, n, m))
-        for name, residual, n, m in reference_symbol_sweep(sizes)
-    ]
-    assert got == want
+    worst = {}
+    for name, residual, n, m in reference_symbol_sweep(sizes):
+        verification._offer(worst, name, residual, WorstLocation(None, n, m))
+    return {name: (residual.hex(), loc) for name, (residual, loc) in worst.items()}
 
 
-@pytest.mark.parametrize("block_pairs", [1, verification._SWEEP_BLOCK_PAIRS])
+# 257 pairs cut through sizes; the default block holds several whole sizes
+# below 64 and cuts every size above 2**11 into several blocks
+_BLOCK_PAIRS = [257, verification._SWEEP_BLOCK_PAIRS]
+
+
+@pytest.mark.parametrize("block_pairs", _BLOCK_PAIRS)
 @pytest.mark.parametrize("ns", [[4, 16, 64, 256], [513, 1000, 4096]])
 def test_symbol_sweep_candidates_equal_the_per_n_oracle(monkeypatch, block_pairs, ns):
-    # every (value bits, mode) candidate of every size, blocks of one size or of many
+    # the worst case of the block candidates is that of the per-size ones,
+    # value bits and mode
     monkeypatch.setattr(verification, "_SWEEP_BLOCK_PAIRS", block_pairs)
-    _assert_sweep_is_the_per_n_loop(ns)
+    suite, _ = _default_rows()
+    assert _sweep_worst(suite.replace(ns=ns)) == _reference_worst(ns)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(st.lists(st.integers(1, 4096), min_size=1, max_size=5))
-def test_symbol_sweep_one_size_per_block_equals_the_per_n_oracle(ns):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verification, "_SWEEP_BLOCK_PAIRS", 1)
-        _assert_sweep_is_the_per_n_loop(ns)
+def test_symbol_sweep_on_random_sizes_equals_the_per_n_oracle(ns):
+    suite, _ = _default_rows()
+    want = _reference_worst(ns)
+    for block_pairs in _BLOCK_PAIRS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verification, "_SWEEP_BLOCK_PAIRS", block_pairs)
+            assert _sweep_worst(suite.replace(ns=ns)) == want, block_pairs
+
+
+@pytest.mark.parametrize("block_pairs", _BLOCK_PAIRS)
+def test_symbol_sweep_reports_the_first_of_two_nans(monkeypatch, block_pairs):
+    # psi_n(+j) is NaN at (100, 7) and at (300, 5), pairs 5056 and 45154 of
+    # the sweep, which lie in different blocks; the first one is the worst
+    real = verification.forward_symbol
+
+    def poisoned(n, m):
+        return np.where((n == 100) & (m == 7) | (n == 300) & (m == 5), np.nan, real(n, m))
+
+    monkeypatch.setattr(verification, "forward_symbol", poisoned)
+    monkeypatch.setattr(verification, "_SWEEP_BLOCK_PAIRS", block_pairs)
+    suite, _ = _default_rows()
+    worst = _sweep_worst(suite)
+    assert worst["psi_lower"] == (math.nan.hex(), WorstLocation(None, 100, 7))
+    assert worst["phi_psi_mag"] == (math.nan.hex(), WorstLocation(None, 100, -7))
 
 
 def _peak_bytes(run) -> int:
@@ -367,6 +402,13 @@ def _peak_bytes(run) -> int:
 
 def test_symbol_sweep_memory_stays_in_blocks():
     suite, _ = _default_rows()
+    assert _peak_bytes(lambda: list(verification._symbol_sweep(suite))) <= 2**19
+
+
+def test_symbol_sweep_memory_does_not_grow_with_the_size():
+    # one size of 65537 pairs is swept in blocks like any other
+    suite, _ = _default_rows()
+    suite = suite.replace(ns=[65536])
     assert _peak_bytes(lambda: list(verification._symbol_sweep(suite))) <= 2**19
 
 
@@ -547,6 +589,12 @@ def test_run_convergence_validation():
         run_convergence("cos:1", [0, 1])
     with pytest.raises(ValueError, match="phase matrix"):
         run_convergence("cos:1", [1, 1024])
+    # an order that is not an integer is refused by name, not truncated
+    for orders, bad in (([1.5, 2.9], 1.5), ([1, 2.0], 2.0), ([np.float64(3.0)], np.float64(3.0)),
+                        ([True, 2], True)):
+        with pytest.raises(ValueError, match=re.escape(f"must be integers, got {bad!r}")):
+            run_convergence("cos:1", orders)
+    assert run_convergence("cos:1", [np.int64(1), np.int32(3)]) == run_convergence("cos:1", [1, 3])
 
 
 def test_run_spectrum_decay_cosine():

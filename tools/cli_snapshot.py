@@ -79,6 +79,8 @@ ARGVS = (
     ["spectrum", "--function", "cos:1", "--n", "1"],
     ["spectrum", "--function", "expcos", "--n", "65536"],
     ["spectrum", "--function", "expcos", "--n", "767"],
+    # one symbol-sweep size of 65537 pairs, spread over 33 blocks
+    ["verify", "--functions", "cos:1", "--grid-sizes", "65536"],
 )
 
 
