@@ -132,8 +132,8 @@ class LemmaReport(Record):
 def _mix64(z):
     """SplitMix64's output finalizer, on a Python int or in place on uint64 words.
 
-    The masks keep an int within 64 bits, where uint64 words wrap silently.
-    The key fold runs it on ints: on one-element arrays it took 20 times as long.
+    The masks keep a Python int within 64 bits; uint64 words wrap silently.
+    The key fold runs it on ints, as on one-element arrays it took 20 times as long.
     """
     z ^= z >> 30
     z *= _MIX_1
