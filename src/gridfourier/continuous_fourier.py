@@ -25,14 +25,15 @@ per-point loop, ``grid._pointwise``, where they enter.
 
 A convergence table costs O(points * N_max + |N values|).  ``sup_errors``
 evaluates f once and builds running partial sums up to the largest order:
-the phases exp(i pi x m) are evaluated for m = 0 .. N_max only (column -m
-is the conjugate of column m), weighted by the coefficients, folded
+the phases exp(i pi x m) are evaluated for m = 0 .. N_max only (row -m
+is the conjugate of row m), weighted by the coefficients, folded
 pairwise (m with -m) and accumulated mode by mode, so the order-N partial
-sum is one row of the table and ``reconstruct`` reads the same row.  The
-table is built over column chunks of a fixed number of cells, each chunk's
-phases evaluated once for every function of one ``_sup_error_table``
-call (the catalog of the M-test check), and the per-chunk maxima combine
-exactly.  ``m_test_majorants`` takes each tail sum_{N < m <= C} 1/m^2,
+sum is one row of the table.  ``sup_errors`` and ``reconstruct`` both walk
+the column chunks of ``_phase_chunks``, whose phases serve every function
+of one ``_sup_error_table`` call (the catalog of the M-test check); each
+column is computed on its own, so chunking moves no bit, and no whole phase
+matrix is held: MAX_PHASE_CELLS bounds the work and the coefficient vector.
+``m_test_majorants`` takes each tail sum_{N < m <= C} 1/m^2,
 C = MAJORANT_MODE_CUTOFF, in closed form as zeta(2, N+1) - zeta(2, C+1),
 with the Hurwitz zeta function from its Euler-Maclaurin series (DLMF
 5.15.8).  The one-N helpers ``sup_error`` and ``m_test_majorant`` are
@@ -50,7 +51,7 @@ import numpy as np
 from ._record import Record
 from .discrete_fourier import _check_mode, discrete_coefficients
 from .functions import SmoothPeriodicFunction, _make_function
-from .grid import GridFunction, _evaluate, _pointwise, build_grid, integrate, sample
+from .grid import GridFunction, _evaluate, _is_integer, _pointwise, build_grid, integrate, sample
 
 __all__ = [
     "ConvergenceRow",
@@ -69,15 +70,15 @@ __all__ = [
 # Hard mode cutoff of the majorant sum; the discarded tail is covered by
 # an explicit 2*H*1e-6 slack folded into the returned bound.
 MAJORANT_MODE_CUTOFF = 10**6
-# Largest (samples+1) x (2*N+1) mode table ``sup_errors`` will admit:
-# 2**22 complex cells, 64 MiB, checked before anything is allocated.
+# Largest points x (2*N+1) phase cells ``sup_errors`` and ``reconstruct``
+# will admit, checked before anything is allocated.
 MAX_PHASE_CELLS = 2**22
 # zeta(2, x) comes from its Euler-Maclaurin series for x >= this; the
 # terms 1/m^2 below it are summed one by one.
 _ZETA_SERIES_FROM = 64
 _REFERENCE_GRID = 64
 SUP_ERROR_SAMPLES = 2048
-# Phase cells (modes x points) of one column chunk of ``_sup_error_table``:
+# Phase cells (modes x points) of one column chunk of ``_phase_chunks``:
 # 256 KiB per complex array, so a chunk's phases and running sums stay in
 # cache, and the table's memory does not grow with the point count.
 _CHUNK_CELLS = 2**14
@@ -124,6 +125,14 @@ def _phase_matrix(xs: np.ndarray, N: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.outer(np.arange(N + 1), xs))
 
 
+def _phase_chunks(xs: np.ndarray, N: int):
+    """(chunk, _phase_matrix(xs[chunk], N)) over chunks of at most _CHUNK_CELLS cells or 1 point."""
+    width = max(1, _CHUNK_CELLS // (N + 1))
+    for start in range(0, len(xs), width):
+        chunk = slice(start, start + width)
+        yield chunk, _phase_matrix(xs[chunk], N)
+
+
 def _running_sums(sums: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Row N = (1/2) sum_{|m| <= N} coeffs[m] exp(i pi x m), for N = 0 .. K, in place of sums.
 
@@ -156,13 +165,25 @@ def reconstruct(f: SmoothPeriodicFunction, N: int, x):
 
     x is a point (giving a complex) or an array of points (giving an array of its shape).
     """
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+    (N,) = _orders([N], 0)
     xs = np.asarray(x, dtype=np.float64)
     _check_phase_cells(xs.size, N, f"{xs.size} points and N={N}")
     coeffs = _coefficient_vector(f, range(-N, N + 1))
-    values = _running_sums(_phase_matrix(xs.reshape(-1), N), coeffs)[N]
+    values = np.empty(xs.size, dtype=np.complex128)
+    for chunk, phases in _phase_chunks(xs.reshape(-1), N):
+        values[chunk] = _running_sums(phases, coeffs)[N]
     return complex(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
+
+
+def _orders(N_values, least: int) -> list[int]:
+    """N_values as ints; ValueError naming the first one that is not an integer >= least."""
+    N_values = list(N_values)
+    for N in N_values:
+        if not _is_integer(N):
+            raise ValueError(f"truncation orders must be integers, got {N!r}")
+        if N < least:
+            raise ValueError(f"truncation orders must be >= {least}, got {N}")
+    return [int(N) for N in N_values]
 
 
 def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAMPLES) -> np.ndarray:
@@ -178,17 +199,12 @@ def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAM
 def _sup_error_table(fs: list, N_values, samples: int) -> np.ndarray:
     """Row i holds sup_error(fs[i], N, samples) for every N in N_values.
 
-    Each f is evaluated once at the samples+1 points.  The points are taken
-    in column chunks of at most _CHUNK_CELLS phase cells; the phases of a
-    chunk are evaluated once for all of fs, each f weights a copy of them
-    into its own table of running partial sums up to the largest N, and
-    each N reads its row.  The chunk maxima combine by max, which is exact and keeps a
-    NaN, so every slot equals the unchunked computation bit for bit.
+    Each f is evaluated once at the samples+1 points.  The phases of each
+    column chunk are evaluated once for all of fs; each f weights a copy of
+    them into its running partial sums up to the largest N, and each N reads
+    its row.  The chunk maxima combine by max, which is exact and keeps a NaN.
     """
-    N_values = [int(N) for N in N_values]
-    for N in N_values:
-        if N < 0:
-            raise ValueError(f"N must be nonnegative, got {N}")
+    N_values = _orders(N_values, 0)
     if samples < 2:
         raise ValueError(f"samples >= 2 required, got {samples}")
     if not N_values:
@@ -201,15 +217,13 @@ def _sup_error_table(fs: list, N_values, samples: int) -> np.ndarray:
         (_coefficient_vector(f, range(-N_max, N_max + 1)), _evaluate(f.eval, xs, f.name))
         for f in fs
     ]
-    width = max(1, _CHUNK_CELLS // (N_max + 1))
-    chunk_maxima = []
-    for start in range(0, len(xs), width):
-        chunk = slice(start, start + width)
-        phases = _phase_matrix(xs[chunk], N_max)
-        chunk_maxima.append([
+    chunk_maxima = [
+        [
             np.abs(fvals[chunk] - _running_sums(phases.copy(), coeffs)[N_values]).max(axis=1)
             for coeffs, fvals in inputs
-        ])
+        ]
+        for chunk, phases in _phase_chunks(xs, N_max)
+    ]
     return np.max(chunk_maxima, axis=0)
 
 
@@ -251,10 +265,7 @@ def m_test_majorants(H: float, N_values) -> np.ndarray:
     Each tail sum_{N < m <= C} 1/m^2 is zeta(2, N+1) - zeta(2, C+1),
     C = MAJORANT_MODE_CUTOFF, and 0 for N >= C; no term array is built.
     """
-    N_values = [int(N) for N in N_values]
-    for N in N_values:
-        if N < 1:
-            raise ValueError(f"N >= 1 required, got {N}")
+    N_values = _orders(N_values, 1)
     if H < 0:
         raise ValueError(f"H must be nonnegative, got {H}")
     if not N_values:

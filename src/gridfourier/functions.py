@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._record import Record
-from .grid import _evaluate
+from .grid import _evaluate, _is_integer
 
 __all__ = [
     "SmoothPeriodicFunction",
@@ -136,6 +136,8 @@ def _make_function(name, ev, d1, d2, exact_coefficient, support=None) -> SmoothP
 
 def trig_monomial(k: int) -> SmoothPeriodicFunction:
     """exp(i pi k x): the grid transform's eigenfunction at mode k."""
+    if not _is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)
     if abs(k) > _MAX_MODE:
         raise ValueError(f"|k| <= {_MAX_MODE} required, got k={k}")
@@ -158,6 +160,8 @@ def trig_monomial(k: int) -> SmoothPeriodicFunction:
 
 def cosine(k: int) -> SmoothPeriodicFunction:
     """cos(pi k x) for 1 <= k <= 10**6; coefficients 1 at m = +-k, 0 elsewhere."""
+    if not _is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)
     if k < 1:
         raise ValueError(f"cosine needs k >= 1, got k={k}")

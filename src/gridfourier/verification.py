@@ -19,7 +19,6 @@ with the negative mode first, then to the earliest (function, n) cell.
 from __future__ import annotations
 
 import math
-import numbers
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
@@ -30,6 +29,7 @@ from .continuous_fourier import (
     SUP_ERROR_SAMPLES,
     ConvergenceRow,
     _integral_gap,
+    _orders,
     _sup_error_table,
     coefficient,
     m_test_majorants,
@@ -37,7 +37,7 @@ from .continuous_fourier import (
 from .discrete_calculus import ftc_residual, parts_residual, product_rule_residual
 from .discrete_fourier import _alias_fold_table, discrete_coefficients, invert
 from .functions import DEFAULT_CATALOG, bound_constants, get_function
-from .grid import GridFunction, build_grid, sample
+from .grid import GridFunction, _is_integer, build_grid, sample
 from .spectral_bounds import (
     _UNIFORM_BOUND_TOL,
     _dft_identity_residuals,
@@ -145,11 +145,6 @@ def _mix64(z):
     return z
 
 
-def _is_integer(value) -> bool:
-    """True for an int or a numpy integer; False for a bool, a float or anything else."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _key_int(name: str, value, one_word: bool = True) -> int:
     """A key argument as a nonnegative int, below 2^64 if one_word; else ValueError naming it."""
     if not _is_integer(value) or value < 0 or one_word and value > _WORD:
@@ -215,6 +210,8 @@ def _validate_config(cfg: SuiteConfig) -> None:
             raise ValueError(f"invalid grid size: {n!r} (must be an integer)")
         if not 1 <= n <= MAX_SPECTRUM_N:
             raise ValueError(f"invalid grid size: {n} (must be in [1, {MAX_SPECTRUM_N}])")
+    if not _is_integer(cfg.mode_limit):
+        raise ValueError(f"mode_limit must be an integer, got {cfg.mode_limit!r}")
     if cfg.mode_limit < MTEST_ORDERS[0]:
         raise ValueError(f"mode_limit must be >= {MTEST_ORDERS[0]}, got {cfg.mode_limit}")
     if not cfg.epsilons:
@@ -222,6 +219,8 @@ def _validate_config(cfg: SuiteConfig) -> None:
     for eps in cfg.epsilons:
         if not math.isfinite(eps) or eps <= 0:
             raise ValueError(f"invalid epsilon: {eps} (must be finite and > 0)")
+    if not _is_integer(cfg.seed):
+        raise ValueError(f"seed must be an integer, got {cfg.seed!r}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
     for name, tol in cfg.tolerance_overrides.items():
@@ -453,12 +452,11 @@ def _darboux(s: _Suite):
 
 def _m_test(s: _Suite):
     orders = [N for N in MTEST_ORDERS if N <= s.cfg.mode_limit]
-    Hs = [s.consts[name].H for name in s.fns]
-    tables = _convergence_rows(list(s.fns.values()), Hs, orders, SUP_ERROR_SAMPLES)
-    for name, rows in zip(s.fns, tables):
-        for row in rows:
-            residual = row.sup_error - row.m_test_bound
-            yield "m_test_domination", residual, WorstLocation(name, None, row.N)
+    table = _sup_error_table(list(s.fns.values()), orders, SUP_ERROR_SAMPLES)
+    for name, errs in zip(s.fns, table):
+        residuals = errs - m_test_majorants(s.consts[name].H, orders)
+        for N, residual in zip(orders, residuals.tolist()):
+            yield "m_test_domination", residual, WorstLocation(name, None, N)
 
 
 # Budgets: 1e-12*scale for the purely algebraic identities, 1e-10*scale
@@ -517,33 +515,12 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
 def run_convergence(function_name: str, N_values, samples: int = SUP_ERROR_SAMPLES) -> list[ConvergenceRow]:
     """Sup-error and majorant rows for strictly increasing truncation orders."""
     f = get_function(function_name)
-    N_values = list(N_values)
-    for N in N_values:
-        if not _is_integer(N):
-            raise ValueError(f"truncation orders must be integers, got {N!r}")
-        if N < 1:
-            raise ValueError(f"truncation orders must be >= 1, got {N}")
-    N_values = [int(N) for N in N_values]
+    N_values = _orders(N_values, 1)
     if any(b <= a for a, b in zip(N_values, N_values[1:])):
         raise ValueError(f"N values must be strictly increasing, got {N_values}")
-    if not N_values:
-        return []
-    return _convergence_rows([f], [bound_constants(f).H], N_values, samples)[0]
-
-
-def _convergence_rows(fs: list, Hs: list, N_values: list, samples: int) -> list[list]:
-    """The rows of ``run_convergence`` for each f of fs, with decay constant Hs[i], unvalidated.
-
-    One sup-error table serves every f.
-    """
-    errs = _sup_error_table(fs, N_values, samples)
-    return [
-        [
-            ConvergenceRow(N=N, sup_error=err, m_test_bound=bound)
-            for N, err, bound in zip(N_values, row.tolist(), m_test_majorants(H, N_values).tolist())
-        ]
-        for row, H in zip(errs, Hs)
-    ]
+    bounds = m_test_majorants(bound_constants(f).H, N_values).tolist()
+    errs = _sup_error_table([f], N_values, samples)[0].tolist()
+    return [ConvergenceRow(*row) for row in zip(N_values, errs, bounds)]
 
 
 def _decay_table(function_name: str, n: int) -> tuple[int, Callable[[int, int], tuple]]:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -234,6 +235,39 @@ def test_reconstruct_rejects_oversized_phase_matrix(monkeypatch):
         rf.reconstruct(10**12, 0.5)
 
 
+def test_reconstruct_memory_stays_in_chunks():
+    # the largest rescale-demo order: 257 x 8160 phase cells, 32 MiB as one matrix
+    f, xs = exp_cos(), np.linspace(-1.0, 1.0, 257)
+    tracemalloc.start()
+    try:
+        reconstruct(f, 8159, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda bad: sup_error(cosine(1), bad), "truncation orders must be integers"),
+        (lambda bad: m_test_majorants(1.0, [bad]).tolist(), "truncation orders must be integers"),
+        (lambda bad: reconstruct(cosine(1), bad, 0.0), "truncation orders must be integers"),
+        (lambda bad: (trig_monomial(bad).name, trig_monomial(bad).support), "k must be an integer"),
+        (lambda bad: (cosine(bad).name, cosine(bad).support), "k must be an integer"),
+    ],
+    ids=["sup_error", "m_test_majorants", "reconstruct", "trig_monomial", "cosine"],
+)
+def test_non_integral_orders_and_modes_are_refused(call, bad):
+    # named, not truncated: at 1.5 each call would act as at 1
+    for value in (1.5, 2.5, np.float64(2.0), True):
+        with pytest.raises(ValueError, match=re.escape(f"{bad}, got {value!r}")):
+            call(value)
+    # numpy integers act as the int
+    assert call(np.int64(2)) == call(2)
+    assert call(np.int32(1)) == call(1)
+
+
 def test_rescale_chain_rule_factors():
     # cos(2 pi x / 3) on [0, 3] pulls back to -cos(pi t), so the pulled
     # derivatives are pi sin(pi t) and pi^2 cos(pi t)
@@ -330,14 +364,17 @@ def test_sup_errors_bit_equal_to_per_n_oracle(monkeypatch, name, samples):
 
 
 @pytest.mark.parametrize("name", BATCH_FUNCTIONS)
-def test_reconstruct_reads_the_sup_error_running_sum(name):
+def test_reconstruct_reads_the_sup_error_running_sum(monkeypatch, name):
     f = get_function(name)
     samples = 257
     xs = np.linspace(-1.0, 1.0, samples + 1)
     fvals = f.eval(xs)
-    for N in (1, 2, 7, 64):
-        want = float(np.max(np.abs(fvals - reconstruct(f, N, xs))))
-        assert sup_error(f, N, samples) == want, N
+    for chunk_cells in (continuous_fourier._CHUNK_CELLS, 65 * 100):
+        # the second: chunks of 100 columns at N = 64, which do not divide 258 points
+        monkeypatch.setattr(continuous_fourier, "_CHUNK_CELLS", chunk_cells)
+        for N in (1, 2, 7, 64):
+            want = float(np.max(np.abs(fvals - reconstruct(f, N, xs))))
+            assert sup_error(f, N, samples) == want, (chunk_cells, N)
 
 
 @pytest.mark.parametrize("name", BATCH_FUNCTIONS)

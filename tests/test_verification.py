@@ -149,6 +149,19 @@ def test_config_validation():
     assert _serialize(run_lemma_suite(cfg)) == _serialize(run_lemma_suite(SMALL))
 
 
+@pytest.mark.parametrize("field", ["mode_limit", "seed"])
+@pytest.mark.parametrize("bad", [31.9, math.nan, True], ids=["31.9", "nan", "True"])
+def test_non_integral_mode_limit_or_seed_is_refused_before_the_suite(monkeypatch, field, bad):
+    # refused by name, not truncated (31.9), left without an M-test order
+    # (nan) or read as 1 (True), and before any sample is taken
+    def refuse(*args):
+        raise AssertionError("built the suite before refusing the config")
+
+    monkeypatch.setattr(verification, "_build_suite", refuse)
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
+        run_lemma_suite(SMALL.replace(**{field: bad}))
+
+
 def test_grid_size_cap_is_checked_before_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before the size check")

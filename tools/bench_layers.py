@@ -17,13 +17,14 @@ default suite, once, with whatever it imports on first use; then each
 other layer after one warm-up call: the layer is called until MIN_ROUND_S
 seconds have passed, at least once, and its time is the elapsed time
 over the number of calls, so a layer far below a millisecond is timed
-over many calls.  Each round also runs ``python -m gridfourier verify``
-and ``python -m gridfourier spectrum --function expcos --n 4096`` once
-per tree, each through ``perfbench/launch.py`` (a numpy-free process
-whose only child is that command), for its max RSS.  Round 0 warms the
-file cache and is dropped; every layer keeps the median of the other K
-rounds.  The JSON on stdout, or in FILE, holds each layer's seconds per
-call (the two *_rss_mb rows in MB) for the parent and the change side by
+over many calls.  Each round also runs ``python -m gridfourier verify``,
+``python -m gridfourier spectrum --function expcos --n 4096`` and
+``python -m gridfourier rescale-demo --a 0 --b 3 --function
+exp-cos-period --N 8159`` once per tree, each through
+``perfbench/launch.py`` (a numpy-free process whose only child is that
+command), for its max RSS.  Round 0 warms the file cache and is dropped;
+every layer keeps the median of the other K rounds.  The JSON on stdout, or in FILE, holds each layer's seconds per
+call (the three *_rss_mb rows in MB) for the parent and the change side by
 side, with the git SHAs, the numpy version and nproc.
 
 Layers:
@@ -43,6 +44,8 @@ Layers:
   spectrum_text      the whole `spectrum --function expcos --n 4096` table, in process, to devnull
   spectrum_rss_mb    max RSS in MB of a fresh `python -m gridfourier spectrum --function expcos
                      --n 4096` (not seconds)
+  rescale_rss_mb     max RSS in MB of a fresh `python -m gridfourier rescale-demo --a 0 --b 3
+                     --function exp-cos-period --N 8159` (not seconds)
   verify_suite       run_lemma_suite(SuiteConfig()), the default verify in process
 """
 
@@ -65,7 +68,12 @@ LAUNCHER = ROOT / "perfbench" / "launch.py"
 ORDERS = range(1, 65)
 SPECTRUM_ARGV = ["spectrum", "--function", "expcos", "--n", "4096"]
 # Row name -> the gridfourier command whose max RSS it records.
-RSS_COMMANDS = {"verify_rss_mb": ["verify"], "spectrum_rss_mb": SPECTRUM_ARGV}
+RSS_COMMANDS = {
+    "verify_rss_mb": ["verify"],
+    "spectrum_rss_mb": SPECTRUM_ARGV,
+    "rescale_rss_mb": ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period",
+                       "--N", "8159"],
+}
 # Least time spent in one layer per round; each import is timed once.
 MIN_ROUND_S = 0.1
 
@@ -232,9 +240,10 @@ def main(argv: list[str]) -> int:
         "statistic": (f"median seconds per call over {args.runs} rounds after one warm-up "
                       "round; each round times every layer in one fresh interpreter per tree, "
                       f"after one warm-up call, over as many calls as fill {MIN_ROUND_S} s "
-                      "(import_numpy, import_own and verify_first once; verify_rss_mb and "
-                      "spectrum_rss_mb are the max RSS in MB of one fresh verify and one fresh "
-                      "spectrum --n 4096), both trees byte-compiled before "
+                      "(import_numpy, import_own and verify_first once; verify_rss_mb, "
+                      "spectrum_rss_mb and rescale_rss_mb are the max RSS in MB of one fresh "
+                      "verify, one fresh spectrum --n 4096 and one fresh rescale-demo "
+                      "--N 8159), both trees byte-compiled before "
                       "round 0, and the tree that goes first flips each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),

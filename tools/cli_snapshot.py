@@ -81,6 +81,9 @@ ARGVS = (
     ["spectrum", "--function", "expcos", "--n", "767"],
     # one symbol-sweep size of 65537 pairs, spread over 33 blocks
     ["verify", "--functions", "cos:1", "--grid-sizes", "65536"],
+    # the largest rescale table admitted: 257 points over 129 column chunks
+    # of 2 points each
+    ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period", "--N", "8159"],
 )
 
 
