@@ -248,7 +248,7 @@ def test_reconstruct_memory_stays_in_chunks():
 
 
 @pytest.mark.parametrize(
-    "call, bad",
+    "call, message",
     [
         (lambda bad: sup_error(cosine(1), bad), "truncation orders must be integers"),
         (lambda bad: m_test_majorants(1.0, [bad]).tolist(), "truncation orders must be integers"),
@@ -258,10 +258,10 @@ def test_reconstruct_memory_stays_in_chunks():
     ],
     ids=["sup_error", "m_test_majorants", "reconstruct", "trig_monomial", "cosine"],
 )
-def test_non_integral_orders_and_modes_are_refused(call, bad):
+def test_non_integral_orders_and_modes_are_refused(call, message):
     # named, not truncated: at 1.5 each call would act as at 1
     for value in (1.5, 2.5, np.float64(2.0), True):
-        with pytest.raises(ValueError, match=re.escape(f"{bad}, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {value!r}")):
             call(value)
     # numpy integers act as the int
     assert call(np.int64(2)) == call(2)
