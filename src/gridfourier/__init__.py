@@ -11,8 +11,6 @@ from .continuous_fourier import (
     ConvergenceRow,
     RescaledFunction,
     coefficient,
-    discrete_to_continuous_gap,
-    integral_gap,
     m_test_majorant,
     reconstruct,
     rescale,
@@ -25,7 +23,7 @@ from .discrete_calculus import (
     product_rule_residual,
     shift,
 )
-from .discrete_fourier import Spectrum, alias_fold, character, discrete_coefficients, invert
+from .discrete_fourier import Spectrum, discrete_coefficients, invert
 from .functions import (
     BoundConstants,
     DEFAULT_CATALOG,
@@ -40,17 +38,12 @@ from .functions import (
 )
 from .grid import Grid, GridFunction, build_grid, integrate, sample
 from .spectral_bounds import (
-    BoundaryTerms,
     DecayCheck,
-    UniformBoundReport,
     adjoint_symbol,
-    boundary_terms,
     decay_bound_check,
-    dft_identity_residuals,
     forward_symbol,
     tail_sum,
     tail_threshold,
-    unifbounded_checks,
 )
 from .verification import (
     CHECK_NAMES,
@@ -84,24 +77,17 @@ __all__ = [
     "Spectrum",
     "discrete_coefficients",
     "invert",
-    "character",
-    "alias_fold",
     "derivative",
     "shift",
     "ftc_residual",
     "product_rule_residual",
     "parts_residual",
-    "BoundaryTerms",
     "DecayCheck",
-    "UniformBoundReport",
     "forward_symbol",
     "adjoint_symbol",
-    "boundary_terms",
-    "dft_identity_residuals",
     "tail_threshold",
     "tail_sum",
     "decay_bound_check",
-    "unifbounded_checks",
     "ConvergenceRow",
     "RescaledFunction",
     "coefficient",
@@ -109,8 +95,6 @@ __all__ = [
     "sup_error",
     "m_test_majorant",
     "rescale",
-    "discrete_to_continuous_gap",
-    "integral_gap",
     "CHECK_NAMES",
     "SuiteConfig",
     "WorstLocation",

@@ -49,9 +49,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._record import Record
-from .discrete_fourier import _check_mode, discrete_coefficients
+from .discrete_fourier import discrete_coefficients
 from .functions import SmoothPeriodicFunction, _make_function
-from .grid import GridFunction, _evaluate, _is_integer, _pointwise, build_grid, integrate, sample
+from .grid import (
+    GridFunction,
+    _check_integer,
+    _evaluate,
+    _is_integer,
+    _pointwise,
+    build_grid,
+    integrate,
+    sample,
+)
 
 __all__ = [
     "ConvergenceRow",
@@ -63,8 +72,6 @@ __all__ = [
     "m_test_majorant",
     "m_test_majorants",
     "rescale",
-    "discrete_to_continuous_gap",
-    "integral_gap",
 ]
 
 # Hard mode cutoff of the majorant sum; the discarded tail is covered by
@@ -103,7 +110,7 @@ def coefficient(f: SmoothPeriodicFunction, m: int) -> complex:
     at the n* of the largest |m| requested, here n* = max(64, 16*(|m|+1));
     the two paths agree to 1e-8 whenever both exist.
     """
-    return complex(_coefficient_vector(f, [m])[0])
+    return complex(_coefficient_vector(f, [_check_integer(m, "mode")])[0])
 
 
 def _coefficient_vector(f, ms) -> np.ndarray:
@@ -205,7 +212,7 @@ def _sup_error_table(fs: list, N_values, samples: int) -> np.ndarray:
     its row.  The chunk maxima combine by max, which is exact and keeps a NaN.
     """
     N_values = _orders(N_values, 0)
-    if samples < 2:
+    if _check_integer(samples, "samples") < 2:
         raise ValueError(f"samples >= 2 required, got {samples}")
     if not N_values:
         return np.empty((len(fs), 0))
@@ -266,7 +273,7 @@ def m_test_majorants(H: float, N_values) -> np.ndarray:
     C = MAJORANT_MODE_CUTOFF, and 0 for N >= C; no term array is built.
     """
     N_values = _orders(N_values, 1)
-    if H < 0:
+    if not H >= 0:  # written so that a NaN fails
         raise ValueError(f"H must be nonnegative, got {H}")
     if not N_values:
         return np.empty(0)
@@ -318,11 +325,9 @@ class RescaledFunction(Record):
     def length(self) -> float:
         return self.b - self.a
 
-    def coefficient(self, m: int) -> complex:
-        """ghat_[a,b](m), read from ``coefficient_vector(|m|)``."""
-        return complex(self.coefficient_vector(abs(m))[m + abs(m)])
-
     def coefficient_vector(self, N: int) -> np.ndarray:
+        """ghat_[a,b](m) for m = -N .. N."""
+        (N,) = _orders([N], 0)
         ms = np.arange(-N, N + 1)
         phases = np.exp(-2j * np.pi * self.a * ms / self.length)
         parity = np.where(ms % 2 == 0, 1.0, -1.0)
@@ -375,18 +380,6 @@ def rescale(
     return RescaledFunction(pulled=pulled, a=float(a), b=float(b))
 
 
-def discrete_to_continuous_gap(f: SmoothPeriodicFunction, m: int, n: int) -> float:
-    """|grid coefficient at size n - continuous coefficient| at mode m."""
-    _check_mode(n, m)
-    grid_value = discrete_coefficients(sample(f, build_grid(n))).coeff(m)
-    return abs(grid_value - coefficient(f, m))
-
-
-def integral_gap(f: SmoothPeriodicFunction, n: int) -> float:
-    """|grid integral - integral of f| = |grid mean-mode - ghat(0)|."""
-    return _integral_gap(f, sample(f, build_grid(n)))
-
-
 def _integral_gap(f: SmoothPeriodicFunction, gf: GridFunction) -> float:
-    """``integral_gap`` on a sample of f that is already held."""
+    """|grid integral - integral of f| = |grid mean-mode - ghat(0)|, for gf a sample of f."""
     return abs(integrate(gf) - coefficient(f, 0))

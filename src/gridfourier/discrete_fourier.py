@@ -17,21 +17,12 @@ this module does not load pocketfft.
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
 from ._record import Record
-from .grid import GridFunction, _frozen, build_grid
+from .grid import GridFunction, _check_integer, _frozen, build_grid
 
-__all__ = [
-    "Spectrum",
-    "discrete_coefficients",
-    "invert",
-    "character",
-    "alias_fold",
-]
+__all__ = ["Spectrum", "discrete_coefficients", "invert"]
 
 
 class Spectrum(Record):
@@ -41,10 +32,12 @@ class Spectrum(Record):
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"spectrum needs n >= 1, got n={self.n}")
+        n = _check_integer(self.n, "spectrum size")
+        if n < 1:
+            raise ValueError(f"spectrum needs n >= 1, got n={n}")
+        object.__setattr__(self, "n", n)
         coeffs = np.array(self.coefficients, dtype=np.complex128, copy=True).reshape(-1)
-        object.__setattr__(self, "coefficients", _frozen(coeffs, self.n, "coefficients"))
+        object.__setattr__(self, "coefficients", _frozen(coeffs, n, "coefficients"))
 
     @classmethod
     def _adopt(cls, n: int, coefficients: np.ndarray) -> Spectrum:
@@ -71,16 +64,11 @@ class Spectrum(Record):
         return np.arange(-self.n, self.n)
 
     def coeff(self, m: int) -> complex:
-        _check_mode(self.n, m)
+        m = _check_integer(m, "mode", self.n)
         return complex(self.coefficients[m + self.n])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coefficients)))
-
-
-def _check_mode(n: int, m: int) -> None:
-    if not -n <= m <= n - 1:
-        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
 
 
 def _shifted_dft(values: np.ndarray, n: int, sign: int) -> np.ndarray:
@@ -121,52 +109,16 @@ def invert(s: Spectrum) -> GridFunction:
     return GridFunction._adopt(build_grid(s.n), np.multiply(values, 0.5, out=values))
 
 
-def character(n: int, m: int, j: int) -> complex:
-    """Group character exp(i pi (j/n) m) of the 2n-point grid.
-
-    Multiplicative in j modulo the 2n-point wraparound.  Rejects m or j
-    outside -n .. n-1.
-    """
-    if n < 1:
-        raise ValueError(f"n >= 1 required, got {n}")
-    _check_mode(n, m)
-    if not -n <= j <= n - 1:
-        raise ValueError(f"index {j} outside [{-n}, {n - 1}]")
-    r = (j * m) % (2 * n)
-    return cmath.exp(1j * math.pi * r / n)
-
-
-def alias_fold(f, n: int, m: int, cutoff: int) -> complex:
-    """Sum of exact coefficients over all modes congruent to m mod 2n.
-
-    Independent oracle for grid coefficients: for a trigonometric
-    polynomial whose support lies in |m| <= ``cutoff`` this equals
-    ``discrete_coefficients(sample(f, grid))`` at mode m exactly.
-    """
-    if f.exact_coefficient is None:
-        raise ValueError(f"{f.name}: no exact coefficient oracle available")
-    if n < 1:
-        raise ValueError(f"n >= 1 required, got {n}")
-    _check_mode(n, m)
-    if cutoff < 1:
-        raise ValueError(f"cutoff >= 1 required, got {cutoff}")
-    period = 2 * n
-    t_low = math.ceil((-cutoff - m) / period)
-    t_high = math.floor((cutoff - m) / period)
-    total = 0.0 + 0.0j
-    for t in range(t_low, t_high + 1):
-        total += complex(f.exact_coefficient(m + period * t))
-    return total
-
-
 def _alias_fold_table(modes: tuple[int, ...], coeffs: np.ndarray, n: int) -> np.ndarray:
-    """``alias_fold`` at every mode m = -n .. n-1, from the coefficients of ``modes``.
+    """The alias fold at every mode m = -n .. n-1, from the coefficients of ``modes``.
 
-    ``modes`` ascend and hold every mode whose coefficient is nonzero.
-    Each mode k is added into the slot (k + n) mod 2n in increasing k, the
-    real and imaginary parts apart, which is the order of ``alias_fold``;
-    a left-out zero never changes a partial sum that starts from +0.0, so
-    every slot equals ``alias_fold`` with cutoff max|k| bit for bit.
+    Slot m is the sum of the exact coefficients over all modes congruent to
+    m mod 2n.  ``modes`` ascend and hold every mode whose coefficient is
+    nonzero.  Each mode k is added into the slot (k + n) mod 2n in
+    increasing k, the real and imaginary parts apart, which is the order of
+    the scalar oracle ``tests/_oracles.alias_fold``; a left-out zero never
+    changes a partial sum that starts from +0.0, so every slot equals that
+    oracle with cutoff max|k| bit for bit.
     """
     bins = np.remainder(np.add(modes, n), 2 * n)
     folded = np.empty(2 * n, dtype=np.complex128)

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._record import Record
-from .grid import _evaluate, _is_integer
+from .grid import _check_integer, _evaluate
 
 __all__ = [
     "SmoothPeriodicFunction",
@@ -136,9 +136,7 @@ def _make_function(name, ev, d1, d2, exact_coefficient, support=None) -> SmoothP
 
 def trig_monomial(k: int) -> SmoothPeriodicFunction:
     """exp(i pi k x): the grid transform's eigenfunction at mode k."""
-    if not _is_integer(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    k = int(k)
+    k = _check_integer(k, "k")
     if abs(k) > _MAX_MODE:
         raise ValueError(f"|k| <= {_MAX_MODE} required, got k={k}")
     w = math.pi * k
@@ -160,9 +158,7 @@ def trig_monomial(k: int) -> SmoothPeriodicFunction:
 
 def cosine(k: int) -> SmoothPeriodicFunction:
     """cos(pi k x) for 1 <= k <= 10**6; coefficients 1 at m = +-k, 0 elsewhere."""
-    if not _is_integer(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    k = int(k)
+    k = _check_integer(k, "k")
     if k < 1:
         raise ValueError(f"cosine needs k >= 1, got k={k}")
     # the trig cap: rounding the phase pi*k*x already costs 1.5e-10 at k = 10**6

@@ -25,17 +25,28 @@ def _is_integer(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_integer(value, what: str, n: int | None = None) -> int:
+    """value as an int, for an integer in -n .. n-1 (any integer if n is None).
+
+    Anything else raises ValueError naming ``what`` and the value.
+    """
+    if not _is_integer(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if n is not None and not -n <= value <= n - 1:
+        raise ValueError(f"{what} {value} outside [{-n}, {n - 1}]")
+    return int(value)
+
+
 class Grid(Record):
     """Uniform partition of [-1, 1) into 2n half-open cells of width 1/n."""
 
     n: int
 
     def __post_init__(self):
-        if not _is_integer(self.n):
-            raise ValueError(f"grid size must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"grid needs n >= 1, got n={self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        n = _check_integer(self.n, "grid size")
+        if n < 1:
+            raise ValueError(f"grid needs n >= 1, got n={n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def size(self) -> int:
@@ -54,11 +65,6 @@ class Grid(Record):
         """Coordinates j/n of the left cell endpoints, ascending."""
         return self.indices() / self.n
 
-    def point(self, j: int) -> float:
-        """Coordinate of grid point j, for j in -n .. n-1."""
-        self._check_index(j)
-        return j / self.n
-
     def cell_index(self, x: float) -> int:
         """Index j of the cell [j/n, (j+1)/n) containing x.
 
@@ -70,10 +76,6 @@ class Grid(Record):
             raise ValueError(f"x={x!r} outside [-1, 1]")
         j = math.floor(self.n * x)
         return min(max(j, -self.n), self.n - 1)
-
-    def _check_index(self, j: int) -> None:
-        if not -self.n <= j <= self.n - 1:
-            raise ValueError(f"grid index {j} outside [{-self.n}, {self.n - 1}]")
 
 
 class GridFunction(Record):
@@ -111,7 +113,7 @@ class GridFunction(Record):
 
     def at(self, j: int) -> complex:
         """Value at grid index j (j = -n .. n-1)."""
-        self.grid._check_index(j)
+        j = _check_integer(j, "grid index", self.grid.n)
         return complex(self.values[j + self.grid.n])
 
     def value_at(self, x: float) -> complex:

@@ -21,23 +21,17 @@ import numpy as np
 
 from ._record import Record
 from .discrete_calculus import derivative
-from .discrete_fourier import Spectrum, _check_mode, discrete_coefficients
-from .functions import SmoothPeriodicFunction, bound_constants
-from .grid import GridFunction, build_grid, sample
+from .discrete_fourier import Spectrum, discrete_coefficients
+from .grid import GridFunction, _check_integer
 
 __all__ = [
-    "BoundaryTerms",
     "DecayCheck",
-    "UniformBoundReport",
     "forward_symbol",
     "adjoint_symbol",
-    "boundary_terms",
-    "dft_identity_residuals",
     "dft_identity_residual_arrays",
     "tail_threshold",
     "tail_sum",
     "decay_bound_check",
-    "unifbounded_checks",
     "ZERO_DECAY_FLOOR",
 ]
 
@@ -46,7 +40,6 @@ __all__ = [
 ZERO_DECAY_FLOOR = 1e-12
 
 _UNIFORM_BOUND_TOL = 1e-9
-_ENDPOINT_TOL = 1e-12
 
 
 def forward_symbol(n: int, m):
@@ -63,26 +56,13 @@ def adjoint_symbol(n: int, m):
     return forward_symbol(n, -np.asarray(m))
 
 
-class BoundaryTerms(Record):
-    """Edge corrections of summation by parts at mode m.
-
-    C, D come from the values of g at the two ends of the grid, Cp and Dp
-    from the values of the discrete derivative; E = phi*D - C and
-    F = psi*phi*D - psi*C + phi*Dp - Cp are the combinations entering the
-    transform identities.
-    """
-
-    m: int
-    C: complex
-    D: complex
-    Cp: complex
-    Dp: complex
-    E: complex
-    F: complex
-
-
 def _boundary_arrays(gf: GridFunction, psi: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """(C, D, Cp, Dp, E, F) for every mode m = -n .. n-1; psi, if given, is psi_n there."""
+    """(C, D, Cp, Dp, E, F) for every mode m = -n .. n-1; psi, if given, is psi_n there.
+
+    C, D come from the values of g at the two ends of the grid, Cp, Dp from
+    those of the discrete derivative; E = phi*D - C and
+    F = psi*phi*D - psi*C + phi*Dp - Cp enter the transform identities.
+    """
     n = gf.grid.n
     modes = np.arange(-n, n)
     g_last = complex(gf.values[-1])
@@ -107,37 +87,14 @@ def _boundary_arrays(gf: GridFunction, psi: np.ndarray | None = None) -> tuple[n
     return C, D, Cp, Dp, E, F
 
 
-def boundary_terms(gf: GridFunction, m: int) -> BoundaryTerms:
-    """All six boundary terms of gf at mode m (requires -n <= m <= n-1)."""
-    n = gf.grid.n
-    _check_mode(n, m)
-    C, D, Cp, Dp, E, F = (complex(a[m + n]) for a in _boundary_arrays(gf))
-    return BoundaryTerms(m=m, C=C, D=D, Cp=Cp, Dp=Dp, E=E, F=F)
-
-
-def dft_identity_residuals(gf: GridFunction, m: int) -> tuple[complex, complex]:
-    """Residuals of the two transform identities at mode m != 0.
-
-    Returns (r1, r2) with
+def dft_identity_residual_arrays(gf: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the two transform identities over all modes.
 
         r1 = ghat(m) - (ghat'(m) + E(m)) / psi(m)
         r2 = ghat(m) - (ghat''(m) + F(m)) / psi(m)^2
 
-    read from ``dft_identity_residual_arrays``.  Rejects m = 0, where psi
-    vanishes and the identities are undefined.
-    """
-    n = gf.grid.n
-    if m == 0:
-        raise ValueError("identities are undefined at m = 0 (symbol vanishes)")
-    _check_mode(n, m)
-    r1, r2 = dft_identity_residual_arrays(gf)
-    return complex(r1[m + n]), complex(r2[m + n])
-
-
-def dft_identity_residual_arrays(gf: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals over all modes; the m = 0 slot is set to 0.
-
-    Computed on the multiplied-through form and normalized afterwards, to
+    The identities are undefined at m = 0, where psi vanishes; that slot is
+    set to 0.  Computed on the multiplied-through form and normalized afterwards, to
     avoid cancellation in the reported values.
     """
     return _dft_identity_residuals(gf, discrete_coefficients(gf))
@@ -163,15 +120,16 @@ def _dft_identity_residuals(gf: GridFunction, spectrum: Spectrum) -> tuple[np.nd
 
 def tail_threshold(H: float, epsilon: float) -> float:
     """Mode threshold 2H/epsilon + 1 beyond which coefficient tails sum below epsilon."""
-    if H < 0:
+    if not H >= 0:  # written so that a NaN fails
         raise ValueError(f"H must be nonnegative, got {H}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return 2.0 * H / epsilon + 1.0
 
 
 def tail_sum(s: Spectrum, L: int, Lp: int) -> float:
     """sum_{m=L}^{Lp} |coefficients[m]| over a same-sign mode range."""
+    L, Lp = _check_integer(L, "L"), _check_integer(Lp, "Lp")
     if L > Lp:
         raise ValueError(f"need L <= Lp, got L={L}, Lp={Lp}")
     if L * Lp <= 0:
@@ -217,7 +175,7 @@ class DecayCheck(Record):
 
 def decay_bound_check(s: Spectrum, H: float) -> DecayCheck:
     """Check |coefficients[m]| <= H / m^2 for every mode m != 0."""
-    if H < 0:
+    if not H >= 0:  # written so that a NaN fails
         raise ValueError(f"H must be nonnegative, got {H}")
     modes = s.modes()
     mags = np.abs(s.coefficients)
@@ -229,61 +187,15 @@ def decay_bound_check(s: Spectrum, H: float) -> DecayCheck:
     return DecayCheck(worst_ratio=worst, worst_m=worst_m, passed=worst <= 1.0)
 
 
-class UniformBoundReport(Record):
-    """Uniform boundedness of F(m) and ghat''(m) for a zero-endpoint function.
-
-    The two inequalities are |F(m)| <= 5*sup_derivative + 1e-9 and
-    |ghat''(m)| <= l1_second + 2*sup_value + 1e-9, for every mode at the
-    given grid size; the slacks record the remaining margin (negative
-    slack means the bound failed).
-    """
-
-    n: int
-    sup_value: float
-    sup_derivative: float
-    l1_second: float
-    max_F: float
-    worst_F_mode: int
-    max_second_hat: float
-    worst_second_mode: int
-    F_slack: float
-    second_hat_slack: float
-    passed: bool
-
-
 def _uniform_maxima(gf: GridFunction) -> tuple[float, int, float, int]:
-    """(max|F|, its mode, max|ghat''|, its mode) of the grid function gf."""
+    """(max|F|, its mode, max|ghat''|, its mode) of the grid function gf.
+
+    For gf sampled from a function whose endpoints vanish, max|F| <= 5*D and
+    max|ghat''| <= M + 2*B, the constants of ``bound_constants``.
+    """
     n = gf.grid.n
     *_, F = _boundary_arrays(gf)
     second_hat = discrete_coefficients(derivative(derivative(gf))).coefficients
     max_F, m_F = _worst_mode(np.abs(F), n, include_zero=True)
     max_g2, m_g2 = _worst_mode(np.abs(second_hat), n, include_zero=True)
     return max_F, m_F, max_g2, m_g2
-
-
-def unifbounded_checks(f: SmoothPeriodicFunction, n: int) -> UniformBoundReport:
-    """Verify the n-independent bounds on F and the second-difference spectrum.
-
-    Requires f(1) and f(-1) to vanish (within 1e-12); the norms entering
-    the bounds are B, D and M of ``bound_constants(f)``.
-    """
-    if abs(complex(f.eval(1.0))) > _ENDPOINT_TOL or abs(complex(f.eval(-1.0))) > _ENDPOINT_TOL:
-        raise ValueError(f"{f.name}: endpoint values must vanish (within {_ENDPOINT_TOL})")
-    consts = bound_constants(f)
-    max_F, worst_F_mode, max_g2, worst_g2_mode = _uniform_maxima(sample(f, build_grid(n)))
-
-    f_bound = 5.0 * consts.D + _UNIFORM_BOUND_TOL
-    g2_bound = consts.M + 2.0 * consts.B + _UNIFORM_BOUND_TOL
-    return UniformBoundReport(
-        n=n,
-        sup_value=consts.B,
-        sup_derivative=consts.D,
-        l1_second=consts.M,
-        max_F=max_F,
-        worst_F_mode=worst_F_mode,
-        max_second_hat=max_g2,
-        worst_second_mode=worst_g2_mode,
-        F_slack=f_bound - max_F,
-        second_hat_slack=g2_bound - max_g2,
-        passed=(max_F <= f_bound) and (max_g2 <= g2_bound),
-    )

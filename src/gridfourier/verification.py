@@ -37,7 +37,7 @@ from .continuous_fourier import (
 from .discrete_calculus import ftc_residual, parts_residual, product_rule_residual
 from .discrete_fourier import _alias_fold_table, discrete_coefficients, invert
 from .functions import DEFAULT_CATALOG, bound_constants, get_function
-from .grid import GridFunction, _is_integer, build_grid, sample
+from .grid import GridFunction, _check_integer, _is_integer, build_grid, sample
 from .spectral_bounds import (
     _UNIFORM_BOUND_TOL,
     _dft_identity_residuals,
@@ -210,18 +210,14 @@ def _validate_config(cfg: SuiteConfig) -> None:
             raise ValueError(f"invalid grid size: {n!r} (must be an integer)")
         if not 1 <= n <= MAX_SPECTRUM_N:
             raise ValueError(f"invalid grid size: {n} (must be in [1, {MAX_SPECTRUM_N}])")
-    if not _is_integer(cfg.mode_limit):
-        raise ValueError(f"mode_limit must be an integer, got {cfg.mode_limit!r}")
-    if cfg.mode_limit < MTEST_ORDERS[0]:
+    if _check_integer(cfg.mode_limit, "mode_limit") < MTEST_ORDERS[0]:
         raise ValueError(f"mode_limit must be >= {MTEST_ORDERS[0]}, got {cfg.mode_limit}")
     if not cfg.epsilons:
         raise ValueError("epsilons must be nonempty")
     for eps in cfg.epsilons:
         if not math.isfinite(eps) or eps <= 0:
             raise ValueError(f"invalid epsilon: {eps} (must be finite and > 0)")
-    if not _is_integer(cfg.seed):
-        raise ValueError(f"seed must be an integer, got {cfg.seed!r}")
-    if cfg.seed < 0:
+    if _check_integer(cfg.seed, "seed") < 0:
         raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
     for name, tol in cfg.tolerance_overrides.items():
         if name not in CHECK_NAMES:
@@ -531,7 +527,7 @@ def _decay_table(function_name: str, n: int) -> tuple[int, Callable[[int, int], 
     rows start .. stop - 1, so a caller can hold a few rows at a time.
     """
     f = get_function(function_name)
-    if not 1 <= n <= MAX_SPECTRUM_N:
+    if not 1 <= _check_integer(n, "grid size") <= MAX_SPECTRUM_N:
         raise ValueError(f"1 <= n <= {MAX_SPECTRUM_N} required, got {n}")
     H = bound_constants(f).H
     coeffs = discrete_coefficients(sample(f, build_grid(n))).coefficients

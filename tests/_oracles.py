@@ -12,6 +12,8 @@ exp formula and each difference taken afresh, for bitwise comparison,
 and ``reference_symbol_sweep`` is the symbol sweep one size at a time.
 ``splitmix64`` and ``reference_random_values`` replay the seeded random
 grid functions in plain Python ints, one generator step at a time.
+``character`` and ``alias_fold`` are the scalar forms of the grid
+character and of the alias fold that ``_alias_fold_table`` vectorizes.
 """
 
 import cmath
@@ -45,6 +47,49 @@ def brute_invert(coeffs, n):
             acc += complex(coeffs[pos]) * cmath.exp(1j * math.pi * j * m / n)
         out.append(acc / 2)
     return out
+
+
+def _check_mode(n, m):
+    if not -n <= m <= n - 1:
+        raise ValueError(f"mode {m} outside [{-n}, {n - 1}]")
+
+
+def character(n: int, m: int, j: int) -> complex:
+    """Group character exp(i pi (j/n) m) of the 2n-point grid.
+
+    Multiplicative in j modulo the 2n-point wraparound.  Rejects m or j
+    outside -n .. n-1.
+    """
+    if n < 1:
+        raise ValueError(f"n >= 1 required, got {n}")
+    _check_mode(n, m)
+    if not -n <= j <= n - 1:
+        raise ValueError(f"index {j} outside [{-n}, {n - 1}]")
+    r = (j * m) % (2 * n)
+    return cmath.exp(1j * math.pi * r / n)
+
+
+def alias_fold(f, n: int, m: int, cutoff: int) -> complex:
+    """Sum of exact coefficients over all modes congruent to m mod 2n.
+
+    Independent oracle for grid coefficients: for a trigonometric
+    polynomial whose support lies in |m| <= ``cutoff`` this equals
+    ``discrete_coefficients(sample(f, grid))`` at mode m exactly.
+    """
+    if f.exact_coefficient is None:
+        raise ValueError(f"{f.name}: no exact coefficient oracle available")
+    if n < 1:
+        raise ValueError(f"n >= 1 required, got {n}")
+    _check_mode(n, m)
+    if cutoff < 1:
+        raise ValueError(f"cutoff >= 1 required, got {cutoff}")
+    period = 2 * n
+    t_low = math.ceil((-cutoff - m) / period)
+    t_high = math.floor((cutoff - m) / period)
+    total = 0.0 + 0.0j
+    for t in range(t_low, t_high + 1):
+        total += complex(f.exact_coefficient(m + period * t))
+    return total
 
 
 def per_n_sup_errors(f, orders, samples):

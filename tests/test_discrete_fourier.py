@@ -5,13 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import brute_coefficients, brute_invert
+from _oracles import alias_fold, brute_coefficients, brute_invert, character
 from gridfourier import (
     GridFunction,
     Spectrum,
-    alias_fold,
     build_grid,
-    character,
     combine,
     cosine,
     discrete_coefficients,

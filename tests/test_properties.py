@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridfourier import (
-    alias_fold,
     bound_constants,
     build_grid,
     combine,
@@ -36,6 +35,8 @@ from gridfourier import (
 from gridfourier.discrete_fourier import _alias_fold_table
 from gridfourier.spectral_bounds import _uniform_maxima, dft_identity_residual_arrays
 from gridfourier.verification import CHECKS, random_grid_function
+
+from _oracles import alias_fold
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 

@@ -1,4 +1,4 @@
-"""The contract of the 13 immutable records, and the import they avoid.
+"""The contract of the 11 immutable records, and the import they avoid.
 
 Every record is built by position and by keyword with the same result,
 refuses assignment, keeps its field order and validation messages, and
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from gridfourier import (
-    BoundaryTerms,
     BoundConstants,
     ConvergenceRow,
     DecayCheck,
@@ -28,7 +27,6 @@ from gridfourier import (
     SmoothPeriodicFunction,
     Spectrum,
     SuiteConfig,
-    UniformBoundReport,
     WorstLocation,
     get_function,
 )
@@ -49,15 +47,7 @@ RECORDS = {
     BoundConstants: (("B", "D", "M", "W", "H"), (1.0, 2.0, 3.0, 15.0, 3.75)),
     ConvergenceRow: (("N", "sup_error", "m_test_bound"), (3, 0.25, 0.5)),
     RescaledFunction: (("pulled", "a", "b"), (TRIG, 0.0, 3.0)),
-    BoundaryTerms: (("m", "C", "D", "Cp", "Dp", "E", "F"), (1, 1j, 2j, 3j, 4j, 5j, 6j)),
     DecayCheck: (("worst_ratio", "worst_m", "passed"), (0.5, -3, True)),
-    UniformBoundReport: (
-        (
-            "n", "sup_value", "sup_derivative", "l1_second", "max_F", "worst_F_mode",
-            "max_second_hat", "worst_second_mode", "F_slack", "second_hat_slack", "passed",
-        ),
-        (4, 1.0, 2.0, 3.0, 4.0, -1, 5.0, 2, 6.0, 0.5, True),
-    ),
     SuiteConfig: (
         ("function_names", "grid_sizes", "mode_limit", "epsilons", "seed", "tolerance_overrides"),
         (("cos:1",), (4,), 8, (0.1,), 3, {"ftc": 1e-9}),
@@ -108,8 +98,8 @@ def test_import_leaves_dataclasses_and_json_unloaded():
     assert proc.stdout.split() == ["False", "False"]
 
 
-def test_the_thirteen_records_share_one_base():
-    assert len(RECORDS) == 13
+def test_the_eleven_records_share_one_base():
+    assert len(RECORDS) == 11
     # besides them, only the check table's rows and the suite context
     assert set(Record.__subclasses__()) == set(RECORDS) | {Check, _Suite}
 
@@ -212,6 +202,7 @@ def test_grid_functions_on_other_grids_are_unequal():
         (lambda: Grid(True), "grid size must be an integer, got True"),
         (lambda: GridFunction(Grid(2), [1, 2, 3]), "expected 4 values for n=2, got 3"),
         (lambda: Spectrum(0, []), "spectrum needs n >= 1, got n=0"),
+        (lambda: Spectrum(2.0, np.zeros(4)), "spectrum size must be an integer, got 2.0"),
         (lambda: Spectrum(2, [1]), "expected 4 coefficients for n=2, got 1"),
         (lambda: BoundConstants(1.0, -1.0, 1.0, 1.0, 1.0),
          "D must be finite and nonnegative, got -1.0"),
@@ -230,6 +221,7 @@ def test_validation_messages(build, message):
 
 def test_post_init_normalizes_fields():
     assert type(Grid(np.int64(3)).n) is int
+    assert type(Spectrum(np.int64(2), np.zeros(4)).n) is int
     values = np.arange(4.0)
     gf = GridFunction(Grid(2), values)
     assert gf.values.dtype == np.complex128 and not gf.values.flags.writeable

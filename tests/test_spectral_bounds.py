@@ -1,5 +1,5 @@
-import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from gridfourier import (
     Spectrum,
     adjoint_symbol,
     bound_constants,
-    boundary_terms,
     build_grid,
     combine,
     cosine,
     decay_bound_check,
-    dft_identity_residuals,
     discrete_coefficients,
     exp_cos,
     forward_symbol,
@@ -23,10 +21,11 @@ from gridfourier import (
     tail_sum,
     tail_threshold,
     trig_monomial,
-    unifbounded_checks,
 )
+from gridfourier.grid import _check_integer
 from gridfourier.spectral_bounds import (
     _boundary_arrays,
+    _uniform_maxima,
     canonical_mode_order,
     dft_identity_residual_arrays,
 )
@@ -37,6 +36,24 @@ from _oracles import reference_boundary_arrays, reference_identity_residuals
 
 def _random_gf(rng, n):
     return GridFunction(build_grid(n), rng.uniform(-1, 1, 2 * n) + 1j * rng.uniform(-1, 1, 2 * n))
+
+
+def _boundary_terms(gf, m):
+    """(C, D, Cp, Dp, E, F) at a mode m of the grid: slot m + n of ``_boundary_arrays``."""
+    n = gf.grid.n
+    return tuple(complex(a[_check_integer(m, "mode", n) + n]) for a in _boundary_arrays(gf))
+
+
+def _uniform_slacks(f, n):
+    """(5D + 1e-9 - max|F|, M + 2B + 1e-9 - max|ghat''|) at grid size n.
+
+    f's endpoints must vanish, the hypothesis of both bounds.
+    """
+    if abs(complex(f.eval(1.0))) > 1e-12 or abs(complex(f.eval(-1.0))) > 1e-12:
+        raise ValueError(f"{f.name}: endpoint values must vanish (within 1e-12)")
+    c = bound_constants(f)
+    max_F, _, max_g2, _ = _uniform_maxima(sample(f, build_grid(n)))
+    return 5.0 * c.D + 1e-9 - max_F, c.M + 2.0 * c.B + 1e-9 - max_g2
 
 
 def test_symbol_values():
@@ -86,22 +103,22 @@ def test_boundary_and_identity_arrays_bytes_equal_reference(n):
 
 
 def test_boundary_terms_zero_function():
-    bt = boundary_terms(GridFunction(build_grid(4), np.zeros(8)), 2)
-    assert bt.C == bt.D == bt.Cp == bt.Dp == bt.E == bt.F == 0
+    C, D, Cp, Dp, E, F = _boundary_terms(GridFunction(build_grid(4), np.zeros(8)), 2)
+    assert C == D == Cp == Dp == E == F == 0
 
 
 def test_boundary_terms_zero_left_endpoint_kills_D():
     values = np.ones(8, dtype=complex)
     values[0] = 0.0
-    bt = boundary_terms(GridFunction(build_grid(4), values), 3)
-    assert bt.D == 0
+    _, D, *_ = _boundary_terms(GridFunction(build_grid(4), values), 3)
+    assert D == 0
 
 
 def test_boundary_terms_hand_value():
     # g = x on the 4-point grid, m = 1: C = (1/2) e^{-i pi/2} - (-1) e^{i pi}
     gf = sample(lambda x: x, build_grid(2))
-    bt = boundary_terms(gf, 1)
-    assert bt.C == pytest.approx(-0.5j - 1.0, abs=1e-15)
+    C, *_ = _boundary_terms(gf, 1)
+    assert C == pytest.approx(-0.5j - 1.0, abs=1e-15)
 
 
 def test_boundary_terms_recombine():
@@ -109,45 +126,43 @@ def test_boundary_terms_recombine():
     n = 8
     gf = _random_gf(rng, n)
     for m in (-8, -3, 0, 5, 7):
-        bt = boundary_terms(gf, m)
+        C, D, Cp, Dp, E, F = _boundary_terms(gf, m)
         phi = complex(adjoint_symbol(n, m))
         psi = complex(forward_symbol(n, m))
-        assert bt.E == pytest.approx(phi * bt.D - bt.C, abs=1e-13)
-        want_F = psi * phi * bt.D - psi * bt.C + phi * bt.Dp - bt.Cp
-        assert bt.F == pytest.approx(want_F, abs=1e-12)
+        assert E == pytest.approx(phi * D - C, abs=1e-13)
+        want_F = psi * phi * D - psi * C + phi * Dp - Cp
+        assert F == pytest.approx(want_F, abs=1e-12)
 
 
 def test_boundary_terms_rejects_out_of_range():
     gf = sample(lambda x: x, build_grid(2))
-    with pytest.raises(ValueError):
-        boundary_terms(gf, 2)
+    with pytest.raises(ValueError, match=re.escape("mode 2 outside [-2, 1]")):
+        _boundary_terms(gf, 2)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_scalar_views_equal_array_slots(n):
     gf = _random_gf(np.random.default_rng(70 + n), n)
-    arrays = _boundary_arrays(gf)
-    r1, r2 = dft_identity_residual_arrays(gf)
+    s = discrete_coefficients(gf)
     for m in range(-n, n):
-        bt = boundary_terms(gf, m)
-        assert (bt.C, bt.D, bt.Cp, bt.Dp, bt.E, bt.F) == tuple(a[m + n] for a in arrays)
-        if m != 0:
-            assert dft_identity_residuals(gf, m) == (r1[m + n], r2[m + n])
+        for index in (m, np.int64(m)):
+            assert s.coeff(index) == s.coefficients[m + n]
+            assert gf.at(index) == gf.values[m + n]
 
 
 def test_identity_residuals_zero_function():
-    gf = GridFunction(build_grid(4), np.zeros(8))
-    assert dft_identity_residuals(gf, 1) == (0, 0)
+    r1, r2 = dft_identity_residual_arrays(GridFunction(build_grid(4), np.zeros(8)))
+    assert (r1[1 + 4], r2[1 + 4]) == (0, 0)
 
 
 def test_identity_residuals_monomial():
-    gf = sample(trig_monomial(1), build_grid(8))
-    for m in range(-8, 8):
+    n = 8
+    r1, r2 = dft_identity_residual_arrays(sample(trig_monomial(1), build_grid(n)))
+    for m in range(-n, n):
         if m == 0:
             continue
-        r1, r2 = dft_identity_residuals(gf, m)
-        assert abs(r1) <= 1e-10
-        assert abs(r2) <= 1e-10
+        assert abs(r1[m + n]) <= 1e-10
+        assert abs(r2[m + n]) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
@@ -162,9 +177,10 @@ def test_identity_residuals_random(n):
 
 
 def test_identity_residuals_reject_zero_mode():
-    gf = sample(lambda x: x, build_grid(2))
-    with pytest.raises(ValueError):
-        dft_identity_residuals(gf, 0)
+    # psi vanishes at m = 0, where the identities are undefined: the array
+    # form reports no residual there, its slot m + n = n holds 0
+    r1, r2 = dft_identity_residual_arrays(sample(lambda x: x, build_grid(2)))
+    assert (r1[2], r2[2]) == (0, 0)
 
 
 def _sorted_mode_order(n, include_zero):
@@ -262,18 +278,17 @@ def test_decay_implies_tail_comparison():
 
 def test_unifbounded_zero_function():
     zero = combine([(0.0, trig_monomial(0))])
-    report = unifbounded_checks(zero, 8)
-    assert report.passed
-    assert report.max_F == 0.0
-    assert report.sup_derivative == 0.0
+    assert min(_uniform_slacks(zero, 8)) >= 0
+    assert _uniform_maxima(sample(zero, build_grid(8)))[0] == 0.0
+    assert bound_constants(zero).D == 0.0
 
 
 def test_unifbounded_shifted_cosine():
     h = shift_to_zero_endpoints(cosine(1))  # cos(pi x) + 1
     for n in (4, 32):
-        report = unifbounded_checks(h, n)
-        assert report.passed, f"n={n}: slacks {report.F_slack}, {report.second_hat_slack}"
-        assert report.sup_derivative == pytest.approx(math.pi, abs=1e-12)
+        slacks = _uniform_slacks(h, n)
+        assert min(slacks) >= 0, f"n={n}: slacks {slacks}"
+        assert bound_constants(h).D == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_unifbounded_sine_squared_from_monomials():
@@ -281,11 +296,12 @@ def test_unifbounded_sine_squared_from_monomials():
     h = combine(
         [(0.5, trig_monomial(0)), (-0.25, trig_monomial(2)), (-0.25, trig_monomial(-2))]
     )
-    report = unifbounded_checks(h, 64)
-    assert report.passed
-    assert report.F_slack >= 0 and report.second_hat_slack >= 0
+    F_slack, second_hat_slack = _uniform_slacks(h, 64)
+    assert F_slack >= 0 and second_hat_slack >= 0
 
 
 def test_unifbounded_rejects_nonzero_endpoints():
-    with pytest.raises(ValueError):
-        unifbounded_checks(cosine(1), 8)
+    # the bounds are claims about zero-endpoint functions: cos(pi x) ends at -1
+    with pytest.raises(ValueError, match="endpoint values must vanish"):
+        _uniform_slacks(cosine(1), 8)
+    assert min(_uniform_slacks(shift_to_zero_endpoints(cosine(1)), 8)) >= 0
