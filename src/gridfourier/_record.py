@@ -21,8 +21,6 @@ method is shared, so no per-class ``exec`` runs at import, as it does for
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 __all__ = ["Record", "factory"]
 
 
@@ -44,23 +42,12 @@ class _RecordMeta(type):
     def __new__(mcls, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
         # a default left as a class attribute would shadow its slot
-        defaults = {f: namespace.pop(f) for f in fields if f in namespace}
-        # the plain defaults of the last fields, which pad a short positional call
-        tail = []
-        for f in reversed(fields):
-            if f not in defaults or type(defaults[f]) is _Factory:
-                break
-            tail.insert(0, defaults[f])
-        namespace["_defaults"] = defaults
-        namespace["_tail"] = tuple(tail)
+        namespace["_defaults"] = {f: namespace.pop(f) for f in fields if f in namespace}
         namespace["_fields"] = fields
         namespace["__slots__"] = fields
         cls = super().__new__(mcls, name, bases, namespace)
         # the slots' own setters, which bypass the refusing __setattr__
         cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
-        if fields:
-            # the values that == and hash compare; not a method, so called as _key(record)
-            cls._key = attrgetter(*fields)
         return cls
 
 
@@ -68,22 +55,10 @@ class Record(metaclass=_RecordMeta):
     """Base of an immutable record whose fields are its class annotations."""
 
     def __init__(self, *args, **kwargs):
-        missing = len(self._fields) - len(args)
-        if kwargs or not 0 <= missing <= len(self._tail):
-            args = self._bind(args, kwargs)
-        elif missing:
-            args += self._tail[-missing:]
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
         """One value per field, in field order, from args, then kwargs, then the defaults."""
+        cls = type(self)
         if len(args) > len(cls._fields):
-            raise TypeError(
-                f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}"
-            )
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
         values = list(args)
         for name in cls._fields[len(args):]:
             if name in kwargs:
@@ -96,7 +71,9 @@ class Record(metaclass=_RecordMeta):
         if kwargs:
             name = next(iter(kwargs))
             raise TypeError(f"{cls.__name__} got an unexpected or repeated argument {name!r}")
-        return values
+        for set_field, value in zip(cls._setters, values):
+            set_field(self, value)
+        self.__post_init__()
 
     def __post_init__(self):
         pass
@@ -110,16 +87,16 @@ class Record(metaclass=_RecordMeta):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key(self) == self._key(other)
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._key(self))
+        return hash(self._values())
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self):
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({args})"
 
     def __reduce__(self):

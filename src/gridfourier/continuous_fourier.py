@@ -53,6 +53,7 @@ from .discrete_fourier import discrete_coefficients
 from .functions import SmoothPeriodicFunction, _make_function
 from .grid import (
     GridFunction,
+    _check_constant,
     _check_integer,
     _evaluate,
     _is_integer,
@@ -99,7 +100,7 @@ class ConvergenceRow(Record):
     m_test_bound: float
 
     def __post_init__(self):
-        if self.sup_error < 0 or self.m_test_bound < 0:
+        if not (self.sup_error >= 0 and self.m_test_bound >= 0):  # so that a NaN fails
             raise ValueError("row entries must be nonnegative")
 
 
@@ -273,8 +274,7 @@ def m_test_majorants(H: float, N_values) -> np.ndarray:
     C = MAJORANT_MODE_CUTOFF, and 0 for N >= C; no term array is built.
     """
     N_values = _orders(N_values, 1)
-    if not H >= 0:  # written so that a NaN fails
-        raise ValueError(f"H must be nonnegative, got {H}")
+    _check_constant(H, "H")
     if not N_values:
         return np.empty(0)
     Ns = np.array([min(N, MAJORANT_MODE_CUTOFF) for N in N_values], dtype=np.float64)
@@ -335,7 +335,8 @@ class RescaledFunction(Record):
 
     def reconstruct(self, N: int, x):
         """sum_{|m|<=N} ghat_[a,b](m) exp(2 pi i x m / L): the circle sum at t = 2(x - a)/L - 1."""
-        t = 2.0 * (np.asarray(x, dtype=np.float64) - self.a) / self.length - 1.0
+        # divided before doubled, so that a length near the float maximum does not overflow
+        t = (np.asarray(x, dtype=np.float64) - self.a) / self.length * 2.0 - 1.0
         return reconstruct(self.pulled, N, t)
 
 
@@ -365,7 +366,8 @@ def rescale(
         raise ValueError(f"f(a) != f(b): |{fa} - {fb}| = {abs(fa - fb):.3e}")
 
     def to_x(t):
-        return a + L * (t + 1.0) / 2.0
+        # halved before scaled, so that a length near the float maximum does not overflow
+        return a + L * ((t + 1.0) / 2.0)
 
     def pull(g, order):
         # g at to_x(t) times the chain-rule factor (L/2)**order; order 0 skips

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 
 import numpy as np
 
@@ -35,6 +34,14 @@ def _check_integer(value, what: str, n: int | None = None) -> int:
     if n is not None and not -n <= value <= n - 1:
         raise ValueError(f"{what} {value} outside [{-n}, {n - 1}]")
     return int(value)
+
+
+def _check_constant(value, what: str) -> None:
+    """Raise ValueError naming ``what`` and the value unless it is finite and >= 0, as H must be."""
+    if not value >= 0:  # written so that a NaN fails
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
 
 
 class Grid(Record):
@@ -182,7 +189,7 @@ def _pointwise(fn):
 
     The result calls ``fn`` with a Python float at each point, in order, and
     returns the values as a new complex array, not a view, of the shape of
-    its input (a scalar input gives a 0-d array), which ``sample`` takes over.
+    its input (a scalar input gives a 0-d array).
     """
 
     def ev(xs):
@@ -225,15 +232,7 @@ def sample(f, grid: Grid) -> GridFunction:
     """
     fn = f.eval if hasattr(f, "eval") else _pointwise(f)
     name = getattr(f, "name", repr(f))
-    values = _evaluate(fn, grid.points(), name, f" on the n={grid.n} grid")
-    # A new array that only this frame holds is taken over; a view (such as a
-    # broadcast constant) or an array f still holds is copied.  The count is
-    # compared with that of a fresh local, because Python versions differ in
-    # whether getrefcount counts its own argument.
-    fresh = np.empty(0)
-    if values.base is None and sys.getrefcount(values) == sys.getrefcount(fresh):
-        return GridFunction._adopt(grid, values)
-    return GridFunction(grid, values)
+    return GridFunction(grid, _evaluate(fn, grid.points(), name, f" on the n={grid.n} grid"))
 
 
 def integrate(gf: GridFunction) -> complex:

@@ -22,7 +22,7 @@ import numpy as np
 from ._record import Record
 from .discrete_calculus import derivative
 from .discrete_fourier import Spectrum, discrete_coefficients
-from .grid import GridFunction, _check_integer
+from .grid import GridFunction, _check_constant, _check_integer
 
 __all__ = [
     "DecayCheck",
@@ -120,8 +120,7 @@ def _dft_identity_residuals(gf: GridFunction, spectrum: Spectrum) -> tuple[np.nd
 
 def tail_threshold(H: float, epsilon: float) -> float:
     """Mode threshold 2H/epsilon + 1 beyond which coefficient tails sum below epsilon."""
-    if not H >= 0:  # written so that a NaN fails
-        raise ValueError(f"H must be nonnegative, got {H}")
+    _check_constant(H, "H")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return 2.0 * H / epsilon + 1.0
@@ -175,8 +174,7 @@ class DecayCheck(Record):
 
 def decay_bound_check(s: Spectrum, H: float) -> DecayCheck:
     """Check |coefficients[m]| <= H / m^2 for every mode m != 0."""
-    if not H >= 0:  # written so that a NaN fails
-        raise ValueError(f"H must be nonnegative, got {H}")
+    _check_constant(H, "H")
     modes = s.modes()
     mags = np.abs(s.coefficients)
     if H == 0.0:

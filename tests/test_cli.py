@@ -559,6 +559,18 @@ def test_rescale_demo_rejects_non_finite_interval(capsys, a, b, bad):
     assert bad in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_rescale_demo_on_a_huge_interval_is_finite(capsys):
+    # the maps between [a, b] and [-1, 1] halve before scaling by the length:
+    # at b = 1e308, L * (t + 1) overflowed and the run failed on cos(inf)
+    code, out, err = run_cli(["rescale-demo", "--a", "0", "--b", "1e308", "--N", "1"], capsys)
+    assert (code, err) == (0, "")
+    rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    assert len(rows) == 257
+    assert all(math.isfinite(value) for row in rows for value in row)
+    assert rows[-1][0] == 1e308
+
+
 def test_unknown_subcommand_usage_error(capsys):
     assert run_cli(["nosuch-command"], capsys)[0] == 2
     assert run_cli([], capsys)[0] == 2

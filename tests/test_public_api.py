@@ -173,9 +173,12 @@ def test_out_of_range_integers_keep_their_messages(call, message):
         (lambda: tail_threshold(math.nan, 0.1), "H must be nonnegative, got nan"),
         (lambda: tail_threshold(1.0, math.nan), "epsilon must be positive, got nan"),
         (lambda: decay_bound_check(SPECTRUM, math.nan), "H must be nonnegative, got nan"),
+        (lambda: m_test_majorant(math.inf, 2), "H must be finite, got inf"),
+        (lambda: tail_threshold(math.inf, 0.1), "H must be finite, got inf"),
+        (lambda: decay_bound_check(SPECTRUM, math.inf), "H must be finite, got inf"),
     ],
     ids=["m_test_majorant", "m_test_majorants", "tail_threshold-H", "tail_threshold-epsilon",
-         "decay_bound_check"],
+         "decay_bound_check", "m_test_majorant-inf", "tail_threshold-inf", "decay_bound_check-inf"],
 )
 def test_nan_constants_are_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -8,6 +8,7 @@ the key order the verify JSON bytes depend on.
 
 import copy
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -210,6 +211,8 @@ def test_grid_functions_on_other_grids_are_unequal():
          "H must be finite and nonnegative, got inf"),
         (lambda: ConvergenceRow(1, -0.5, 1.0), "row entries must be nonnegative"),
         (lambda: ConvergenceRow(1, 0.5, -1.0), "row entries must be nonnegative"),
+        (lambda: ConvergenceRow(1, math.nan, 1.0), "row entries must be nonnegative"),
+        (lambda: ConvergenceRow(1, 1.0, math.nan), "row entries must be nonnegative"),
         (lambda: Grid(4).replace(n=0), "grid needs n >= 1, got n=0"),
     ],
 )

@@ -17,12 +17,37 @@ when every file matches and 1 otherwise.
 """
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 _ORDERS = ",".join(str(N) for N in range(1, 65))
 _SHORT_ORDERS = ",".join(str(N) for N in range(1, 17))
+_TERM_NAMES = (*(f"cos:{k}" for k in range(1, 6)), *(f"trig:{k}" for k in range(-4, 5)), "expcos")
+
+
+def _random_verify_argvs(count: int, seed: int) -> list[list[str]]:
+    """``count`` verify argvs with random combos, grid sizes, mode limit and seed.
+
+    Each draws, in this order: 1-3 functions, each a combo of 1-3 terms
+    ``c*name`` with c uniform in [-2, 2] rounded to 3 places; then 1-4 grid
+    sizes in 1 .. 700, a mode limit in 2 .. 40 and a seed in 0 .. 2^40.
+    """
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(count):
+        functions = [
+            "combo:" + "+".join(f"{round(rng.uniform(-2, 2), 3)}*{rng.choice(_TERM_NAMES)}"
+                                for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        grid_sizes = [rng.randint(1, 700) for _ in range(rng.randint(1, 4))]
+        argvs.append(["verify", "--functions", ",".join(functions),
+                      "--grid-sizes", ",".join(map(str, grid_sizes)),
+                      "--mode-limit", str(rng.randint(2, 40)), "--seed", str(rng.randint(0, 2**40))])
+    return argvs
+
 
 ARGVS = (
     ["verify"],
@@ -84,6 +109,9 @@ ARGVS = (
     # the largest rescale table admitted: 257 points over 129 column chunks
     # of 2 points each
     ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period", "--N", "8159"],
+    # engine configs: a sweep of five sizes, then 40 random suites
+    ["verify", "--grid-sizes", "3,5,64,100,1000", "--seed", "7"],
+    *_random_verify_argvs(40, seed=21),
 )
 
 
