@@ -15,8 +15,8 @@ method is shared, so no per-class ``exec`` runs at import, as it does for
   never equal), and ``repr`` as ``Name(field=value, ...)``;
 - ``replace(**changes)``: a copy with some fields changed, built and
   validated anew;
-- ``_asdict()``: field name -> value in field order, nested records as
-  dicts too.
+- ``to_dict()``: field name -> value in field order, nested records as
+  dicts too, the form the verify JSON is written from.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ class Record(metaclass=_RecordMeta):
         """A copy with the fields named in ``changes`` set to their values."""
         return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
-    def _asdict(self) -> dict:
+    def to_dict(self) -> dict:
+        """Field name -> value in field order, with nested records as dicts too."""
         return {
-            name: value._asdict() if isinstance(value, Record) else value
+            name: value.to_dict() if isinstance(value, Record) else value
             for name, value in zip(self._fields, self._values())
         }

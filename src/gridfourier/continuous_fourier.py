@@ -11,7 +11,8 @@ of ``discrete_fourier`` instead runs over the asymmetric index set
 settings and is not reconciled.)
 
 When no closed-form coefficient exists, every requested mode is read from
-one grid transform at n* = max(64, 16*(K+1)), K the largest |m| requested;
+one grid transform at n* = max(64, 16*(K+1)), K the largest |m| requested,
+and an n* above MAX_QUADRATURE_N is refused before sampling;
 for smooth periodic integrands the grid sum converges geometrically in n,
 and that path is certified independently by the aliasing oracle and the
 grid-vs-continuum gap checks.
@@ -81,6 +82,9 @@ MAJORANT_MODE_CUTOFF = 10**6
 # Largest points x (2*N+1) phase cells ``sup_errors`` and ``reconstruct``
 # will admit, checked before anything is allocated.
 MAX_PHASE_CELLS = 2**22
+# Largest quadrature grid n* of a coefficient without a closed form,
+# checked before sampling; it admits every |m| <= 8191.
+MAX_QUADRATURE_N = 2**17
 # zeta(2, x) comes from its Euler-Maclaurin series for x >= this; the
 # terms 1/m^2 below it are summed one by one.
 _ZETA_SERIES_FROM = 64
@@ -109,17 +113,25 @@ def coefficient(f: SmoothPeriodicFunction, m: int) -> complex:
 
     Uses the exact oracle when f carries one, otherwise the grid transform
     at the n* of the largest |m| requested, here n* = max(64, 16*(|m|+1));
-    the two paths agree to 1e-8 whenever both exist.
+    the two paths agree to 1e-8 whenever both exist.  An n* above
+    MAX_QUADRATURE_N (|m| > 8191) raises ValueError naming the mode,
+    before anything is sampled.
     """
     return complex(_coefficient_vector(f, [_check_integer(m, "mode")])[0])
 
 
 def _coefficient_vector(f, ms) -> np.ndarray:
-    """Coefficients for the modes ms, all read from one grid transform."""
+    """Coefficients for the ascending modes ms, all read from one grid transform."""
     if f.exact_coefficient is not None:
         return np.asarray([f.exact_coefficient(m) for m in ms], dtype=np.complex128)
+    extreme = max(ms[0], ms[-1], key=abs)
+    n = max(_REFERENCE_GRID, 16 * (abs(extreme) + 1))
+    if n > MAX_QUADRATURE_N:
+        raise ValueError(
+            f"{f.name}: mode {extreme} needs a quadrature grid of n={n}, "
+            f"above the limit of {MAX_QUADRATURE_N}"
+        )
     ms = np.asarray(ms, dtype=np.int64)
-    n = max(_REFERENCE_GRID, 16 * (int(np.max(np.abs(ms), initial=0)) + 1))
     return discrete_coefficients(sample(f, build_grid(n))).coefficients[ms + n]
 
 
@@ -172,9 +184,13 @@ def reconstruct(f: SmoothPeriodicFunction, N: int, x):
     """Truncated series (1/2) sum_{m=-N}^{N} ghat(m) exp(i pi x m) at x.
 
     x is a point (giving a complex) or an array of points (giving an array of its shape).
+    A non-finite point raises ValueError naming it, before any coefficient is read.
     """
     (N,) = _orders([N], 0)
     xs = np.asarray(x, dtype=np.float64)
+    bad = ~np.isfinite(xs)
+    if bad.any():
+        raise ValueError(f"points must be finite, got x={float(xs.flat[np.argmax(bad)])!r}")
     _check_phase_cells(xs.size, N, f"{xs.size} points and N={N}")
     coeffs = _coefficient_vector(f, range(-N, N + 1))
     values = np.empty(xs.size, dtype=np.complex128)
@@ -354,7 +370,8 @@ def rescale(
     Requires a < b with a finite length L = b - a, and f(a) = f(b) (within
     1e-12).  f, d1 and d2 take one float; the pulled-back evaluators call
     them once per point.  Derivative evaluators, when given, are rescaled
-    by the chain-rule factors L/2 and (L/2)^2.
+    by the chain-rule factors L/2 and (L/2)^2; a factor that overflows raises
+    ValueError naming the interval and the derivative order.
     """
     # written so that a NaN end fails the test
     if not (b > a and math.isfinite(b - a)):
@@ -375,7 +392,13 @@ def rescale(
         if g is None:
             return None
         points = _pointwise(g)
-        factor = (L / 2.0) ** order
+        try:
+            factor = (L / 2.0) ** order
+        except OverflowError:  # a float power raises where it would be inf
+            raise ValueError(
+                f"derivative order {order} on [{a}, {b}]: the chain-rule factor "
+                f"(L/2)^{order} overflows"
+            ) from None
         return lambda t: factor * points(to_x(t)) if order else points(to_x(t))
 
     pulled = _make_function(f"{name}[{a},{b}]", pull(f, 0), pull(d1, 1), pull(d2, 2), None)

@@ -120,7 +120,7 @@ class BoundConstants(Record):
     H: float
 
     def __post_init__(self):
-        for field_name in ("B", "D", "M", "W", "H"):
+        for field_name in self._fields:
             value = getattr(self, field_name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{field_name} must be finite and nonnegative, got {value}")

@@ -136,36 +136,31 @@ class GridFunction(Record):
                 f"grid mismatch: n={self.grid.n} vs n={other.grid.n}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op(self.values, operand): other's values on the same grid, or complex(other)."""
         if isinstance(other, GridFunction):
             self._require_same_grid(other)
-            return GridFunction._adopt(self.grid, self.values + other.values)
-        if isinstance(other, numbers.Complex):
-            return GridFunction._adopt(self.grid, self.values + complex(other))
-        return NotImplemented
+            operand = other.values
+        elif isinstance(other, numbers.Complex):
+            operand = complex(other)
+        else:
+            return NotImplemented
+        return GridFunction._adopt(self.grid, op(self.values, operand))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            self._require_same_grid(other)
-            return GridFunction._adopt(self.grid, self.values - other.values)
-        if isinstance(other, numbers.Complex):
-            return GridFunction._adopt(self.grid, self.values - complex(other))
-        return NotImplemented
+        return self._combine(other, np.subtract)
 
     def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            self._require_same_grid(other)
-            return GridFunction._adopt(self.grid, self.values * other.values)
-        if isinstance(other, numbers.Complex):
-            return GridFunction._adopt(self.grid, self.values * complex(other))
-        return NotImplemented
+        return self._combine(other, np.multiply)
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Complex):
-            return GridFunction._adopt(self.grid, complex(other) * self.values)
-        return NotImplemented
+        # operand first: with fused multiply-add a complex a*b and b*a can differ in the last bit
+        return self._combine(other, lambda values, operand: operand * values)
 
     def __neg__(self):
         return GridFunction._adopt(self.grid, -self.values)

@@ -114,9 +114,6 @@ class WorstLocation(Record):
     m: Optional[int] = None
     x: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class LemmaReport(Record):
     check_name: str
@@ -124,9 +121,6 @@ class LemmaReport(Record):
     worst_residual: float
     worst_location: WorstLocation
     tolerance_used: float
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 def _mix64(z):

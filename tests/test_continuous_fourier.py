@@ -28,6 +28,7 @@ from gridfourier import continuous_fourier
 from gridfourier.continuous_fourier import (
     MAJORANT_MODE_CUTOFF,
     MAX_PHASE_CELLS,
+    MAX_QUADRATURE_N,
     _coefficient_vector,
     m_test_majorants,
     sup_errors,
@@ -257,6 +258,40 @@ def test_reconstruct_memory_stays_in_chunks():
     assert peak < 2**21
 
 
+def test_quadrature_grid_is_bounded_before_sampling():
+    f = exp_cos().replace(exact_coefficient=None)
+    # n* = 16 * (|m| + 1): 8191 is the largest mode admitted
+    assert 16 * 8192 == MAX_QUADRATURE_N
+    assert abs(coefficient(f, 8191)) < 1e-12
+    for m in (8192, -8192, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"expcos: mode {m} needs a quadrature grid"):
+                coefficient(f, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, m
+    rf = rescale(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="quadrature grid"):
+        rf.coefficient_vector(8192)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_reconstruct_refuses_non_finite_points(monkeypatch, bad):
+    def refuse(*args):
+        raise AssertionError("coefficients read before the point check")
+
+    monkeypatch.setattr(continuous_fourier, "_coefficient_vector", refuse)
+    message = re.escape(f"points must be finite, got x={bad!r}")
+    with pytest.raises(ValueError, match=message):
+        reconstruct(cosine(1), 2, np.array([0.0, bad, 0.5]))
+    with pytest.raises(ValueError, match=message):
+        reconstruct(cosine(1), 2, bad)
+    with pytest.raises(ValueError, match=message):
+        rescale(lambda x: 1.0, 0.0, 1.0).reconstruct(2, [0.25, bad])
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -317,6 +352,20 @@ def test_rescale_validation():
 def test_rescale_rejects_non_finite_interval(a, b):
     with pytest.raises(ValueError, match="finite"):
         rescale(lambda x: 1.0, a, b)
+
+
+@pytest.mark.parametrize("b", [1e308, 3e154])
+def test_rescale_refuses_an_overflowing_chain_rule_factor(b):
+    # (b/2)^2 overflows; b/2 itself does not, so d1 alone is taken
+    def f(x):
+        return math.cos(2 * math.pi * (x / b))
+
+    def d(x):
+        return 0.0
+
+    with pytest.raises(ValueError, match=re.escape(f"derivative order 2 on [0.0, {b}]")):
+        rescale(f, 0.0, b, d1=d, d2=d)
+    assert rescale(f, 0.0, b, d1=d).pulled.d2 is None
 
 
 def test_gap_monomial_exact():

@@ -1,11 +1,12 @@
 """The public names, and the one rule every integer argument meets.
 
 Every name a module exports resolves, and star-import works for each
-module.  An integer argument (a grid size, mode, index, order, sample
-count or random-stream key) is an int or a numpy integer: a float, even
-an integral one, a NaN and a bool are refused with a ValueError that
-names the value, at the public entry.  NaN decay constants and
-tolerances are refused in the same way.
+module.  The package exports the concatenation of its modules' lists, each
+name listed once, in the module that defines it.  An integer argument (a
+grid size, mode, index, order, sample count or random-stream key) is an
+int or a numpy integer: a float, even an integral one, a NaN and a bool
+are refused with a ValueError that names the value, at the public entry.
+NaN decay constants and tolerances are refused in the same way.
 """
 
 import importlib
@@ -30,6 +31,7 @@ from gridfourier import (
     decay_bound_check,
     exp_cos,
     m_test_majorant,
+    m_test_majorants,
     random_grid_function,
     reconstruct,
     rescale,
@@ -37,11 +39,11 @@ from gridfourier import (
     run_lemma_suite,
     run_spectrum_decay,
     sup_error,
+    sup_errors,
     tail_sum,
     tail_threshold,
     trig_monomial,
 )
-from gridfourier.continuous_fourier import m_test_majorants, sup_errors
 
 MODULES = sorted(
     f"gridfourier.{info.name}"
@@ -73,6 +75,7 @@ INTEGER_CALLS = {
     "sup_error-samples": lambda bad: sup_error(cosine(1), 2, samples=bad),
     "sup_errors-samples": lambda bad: sup_errors(cosine(1), [1], samples=bad),
     "m_test_majorant": lambda bad: m_test_majorant(1.0, bad),
+    "m_test_majorants": lambda bad: m_test_majorants(1.0, [1, bad]),
     "RescaledFunction.coefficient_vector": lambda bad: RESCALED.coefficient_vector(bad),
     "RescaledFunction.reconstruct": lambda bad: RESCALED.reconstruct(bad, 1.0),
     "random_grid_function-seed": lambda bad: random_grid_function(bad, "dft", 4, 0),
@@ -93,8 +96,8 @@ NO_INTEGER_PARAMETER = {
     "GridFunction", "sample", "integrate", "SmoothPeriodicFunction", "BoundConstants",
     "exp_cos", "combine", "bound_constants", "shift_to_zero_endpoints", "get_function",
     "discrete_coefficients", "invert", "derivative", "shift", "ftc_residual",
-    "product_rule_residual", "parts_residual", "decay_bound_check", "tail_threshold",
-    "rescale", "RescaledFunction",
+    "product_rule_residual", "parts_residual", "dft_identity_residual_arrays",
+    "decay_bound_check", "tail_threshold", "rescale", "RescaledFunction",
     # formulas in n and m, evaluated elementwise on arrays of sizes and of
     # modes; the symbol sweep also evaluates them at j = n, not a mode
     "forward_symbol", "adjoint_symbol",
@@ -102,6 +105,8 @@ NO_INTEGER_PARAMETER = {
     "DecayCheck", "ConvergenceRow", "WorstLocation", "LemmaReport",
     # checked by run_lemma_suite, whose calls above cover its integer fields
     "SuiteConfig",
+    # a row of the check table: a name, a claim, a tolerance and a runner
+    "Check",
 }
 
 NON_INTEGERS = st.one_of(
@@ -123,10 +128,20 @@ def test_every_exported_name_resolves_and_star_import_works(module):
 
 
 def test_package_exports_resolve():
-    assert len(gridfourier.__all__) == 44 == len(set(gridfourier.__all__))
+    assert len(gridfourier.__all__) == 50 == len(set(gridfourier.__all__))
     namespace = {}
     exec("from gridfourier import *", namespace)
     assert [name for name in gridfourier.__all__ if name not in namespace] == []
+
+
+def test_package_exports_each_module_list_in_order():
+    order = ("grid", "functions", "discrete_fourier", "discrete_calculus", "spectral_bounds",
+             "continuous_fourier", "verification")
+    modules = [importlib.import_module(f"gridfourier.{name}") for name in order]
+    assert gridfourier.__all__ == [name for mod in modules for name in mod.__all__]
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(gridfourier, name) is getattr(mod, name), name
 
 
 def test_every_exported_callable_is_classified():
@@ -134,7 +149,7 @@ def test_every_exported_callable_is_classified():
     called = {label.split("-")[0] for label in INTEGER_CALLS if "." not in label}
     callables = {name for name in gridfourier.__all__ if callable(getattr(gridfourier, name))}
     assert called & NO_INTEGER_PARAMETER == set()
-    assert called | NO_INTEGER_PARAMETER == callables | {"sup_errors"}
+    assert called | NO_INTEGER_PARAMETER == callables
 
 
 @pytest.mark.parametrize("label", INTEGER_CALLS)

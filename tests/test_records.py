@@ -2,8 +2,9 @@
 
 Every record is built by position and by keyword with the same result,
 refuses assignment, keeps its field order and validation messages, and
-copies with changes through ``replace``.  ``LemmaReport.to_dict`` keeps
-the key order the verify JSON bytes depend on.
+copies with changes through ``replace``.  Every record's ``to_dict`` maps
+its fields in order, nested records as dicts, and ``LemmaReport.to_dict``
+keeps the key order the verify JSON bytes depend on.
 """
 
 import copy
@@ -251,6 +252,23 @@ def test_copy_and_pickle_round_trip(cls):
     record = _build(cls)
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert clone == record
+
+
+def _check_dict(d, record, names):
+    """d maps names in order to record's own field values, a nested record to its dict."""
+    assert type(d) is dict and list(d) == list(names)
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, Record):
+            _check_dict(d[name], value, RECORDS[type(value)][0])
+        else:
+            assert d[name] is value, name
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_to_dict_maps_fields_in_order_with_nested_records_as_dicts(cls):
+    record = _build(cls)
+    _check_dict(record.to_dict(), record, RECORDS[cls][0])
 
 
 def test_lemma_report_to_dict_keeps_key_order():
