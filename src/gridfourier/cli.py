@@ -15,6 +15,7 @@ on stderr and exit 2.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -294,6 +295,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """Entry of ``python -m gridfourier`` and the ``gridfourier`` script: ``main`` in its own process.
+
+    ``gc.freeze()`` first moves every object the imports made (about
+    21,000, most of them numpy's) out of the collector's reach, so that
+    the collections at exit do not walk them and their reference cycles
+    just before the process ends; the OS frees them.  What a command
+    creates is collected as usual.  ``main`` leaves the collector alone,
+    so a program that calls it keeps its own GC state.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

@@ -187,16 +187,22 @@ def reconstruct(f: SmoothPeriodicFunction, N: int, x):
     A non-finite point raises ValueError naming it, before any coefficient is read.
     """
     (N,) = _orders([N], 0)
-    xs = np.asarray(x, dtype=np.float64)
-    bad = ~np.isfinite(xs)
-    if bad.any():
-        raise ValueError(f"points must be finite, got x={float(xs.flat[np.argmax(bad)])!r}")
+    xs = _finite_points(x)
     _check_phase_cells(xs.size, N, f"{xs.size} points and N={N}")
     coeffs = _coefficient_vector(f, range(-N, N + 1))
     values = np.empty(xs.size, dtype=np.complex128)
     for chunk, phases in _phase_chunks(xs.reshape(-1), N):
         values[chunk] = _running_sums(phases, coeffs)[N]
     return complex(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
+
+
+def _finite_points(x) -> np.ndarray:
+    """x as a float64 array; ValueError naming the first point that is not finite."""
+    xs = np.asarray(x, dtype=np.float64)
+    bad = ~np.isfinite(xs)
+    if bad.any():
+        raise ValueError(f"points must be finite, got x={float(xs.flat[np.argmax(bad)])!r}")
+    return xs
 
 
 def _orders(N_values, least: int) -> list[int]:
@@ -350,9 +356,18 @@ class RescaledFunction(Record):
         return 0.5 * phases * parity * _coefficient_vector(self.pulled, range(-N, N + 1))
 
     def reconstruct(self, N: int, x):
-        """sum_{|m|<=N} ghat_[a,b](m) exp(2 pi i x m / L): the circle sum at t = 2(x - a)/L - 1."""
+        """sum_{|m|<=N} ghat_[a,b](m) exp(2 pi i x m / L): the circle sum at t = 2(x - a)/L - 1.
+
+        A point that is not finite, or whose t overflows, raises ValueError naming x.
+        """
+        xs = _finite_points(x)
         # divided before doubled, so that a length near the float maximum does not overflow
-        t = (np.asarray(x, dtype=np.float64) - self.a) / self.length * 2.0 - 1.0
+        with np.errstate(over="ignore"):
+            t = (xs - self.a) / self.length * 2.0 - 1.0
+        bad = ~np.isfinite(t)
+        if bad.any():
+            raise ValueError(f"point x={float(xs.flat[np.argmax(bad)])!r} is too far from "
+                             f"[{self.a!r}, {self.b!r}] to pull back to the circle")
         return reconstruct(self.pulled, N, t)
 
 

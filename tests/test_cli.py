@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -587,3 +588,35 @@ def test_exit_codes_through_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1
+
+
+def test_run_freezes_the_heap_before_main_and_main_alone_never_does(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert run_cli(["spectrum", "--function", "cos:1", "--n", "4"], capsys)[0] == 0
+    assert calls == []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
+    assert calls == ["freeze", "main"]
+
+
+def test_python_m_gridfourier_exits_with_the_import_heap_frozen(tmp_path):
+    # a sitecustomize on the path registers its atexit probe before
+    # gridfourier is imported, so the probe runs after the command
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen={gc.get_freeze_count()}\\n'))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridfourier", "spectrum", "--function", "cos:1", "--n", "4"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"m,abs_coeff,decay_bound\n")
+    assert proc.stderr.startswith(b"frozen=") and proc.stderr.count(b"\n") == 1
+    assert int(proc.stderr[len(b"frozen="):]) > 0

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,27 @@ def test_reconstruct_refuses_non_finite_points(monkeypatch, bad):
         reconstruct(cosine(1), 2, bad)
     with pytest.raises(ValueError, match=message):
         rescale(lambda x: 1.0, 0.0, 1.0).reconstruct(2, [0.25, bad])
+
+
+@pytest.mark.parametrize(
+    "a, b, x",
+    [(1e308, 1.5e308, -1.7e308), (0.0, 1e-300, 1e10), (0.0, 1.0, [0.5, 1e308])],
+    ids=["x - a overflows", "(x - a) / L overflows", "doubling overflows"],
+)
+def test_rescaled_reconstruct_refuses_a_point_whose_pull_back_overflows(monkeypatch, a, b, x):
+    # the caller's finite x is named with [a, b], with no numpy overflow
+    # warning and no "points must be finite" about the pulled-back t
+    def refuse(*args):
+        raise AssertionError("coefficients read before the point check")
+
+    rf = rescale(lambda x: 1.0, a, b)
+    monkeypatch.setattr(continuous_fourier, "_coefficient_vector", refuse)
+    bad = float(np.ravel(x)[-1])
+    message = re.escape(f"point x={bad!r} is too far from [{a!r}, {b!r}]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            rf.reconstruct(2, x)
 
 
 @pytest.mark.parametrize(

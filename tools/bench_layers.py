@@ -17,15 +17,16 @@ default suite, once, with whatever it imports on first use; then each
 other layer after one warm-up call: the layer is called until MIN_ROUND_S
 seconds have passed, at least once, and its time is the elapsed time
 over the number of calls, so a layer far below a millisecond is timed
-over many calls.  Each round also runs ``python -m gridfourier verify``,
-``python -m gridfourier spectrum --function expcos --n 4096`` and
-``python -m gridfourier rescale-demo --a 0 --b 3 --function
-exp-cos-period --N 8159`` once per tree, each through
-``perfbench/launch.py`` (a numpy-free process whose only child is that
-command), for its max RSS.  Round 0 warms the file cache and is dropped;
-every layer keeps the median of the other K rounds.  The JSON on stdout, or in FILE, holds each layer's seconds per
-call (the three *_rss_mb rows in MB) for the parent and the change side by
-side, with the git SHAs, the numpy version and nproc.
+over many calls.  Each round also launches, once per tree, three
+commands for their max RSS (the *_rss_mb rows) and the four commands of
+the benchmark's workloads for their wall time as fresh processes, from
+spawn to exit (the *_process_s rows), all through one
+``perfbench/launch.py`` (a numpy-free process whose only children are
+these commands).  Round 0 warms the file cache and is dropped; every
+layer keeps the median of the other K rounds.  The JSON on stdout, or in
+FILE, holds each layer's seconds per call (the three *_rss_mb rows in MB)
+for the parent and the change side by side, with the git SHAs, the numpy
+version and nproc.
 
 Layers:
   import_numpy       import numpy, first thing in the interpreter
@@ -47,6 +48,13 @@ Layers:
   rescale_rss_mb     max RSS in MB of a fresh `python -m gridfourier rescale-demo --a 0 --b 3
                      --function exp-cos-period --N 8159` (not seconds)
   verify_suite       run_lemma_suite(SuiteConfig()), the default verify in process
+  verify_process_s   wall time of a fresh `python -m gridfourier verify`, start and exit included
+  converge_process_s wall time of a fresh `python -m gridfourier converge --function expcos
+                     --N 1,2,...,64`
+  spectrum_process_s wall time of a fresh `python -m gridfourier spectrum --function expcos
+                     --n 4096`
+  rescale_process_s  wall time of a fresh `python -m gridfourier rescale-demo --function
+                     exp-cos-period --N 64 --a=-0.75 --b=2.125`
 """
 
 import argparse
@@ -73,6 +81,15 @@ RSS_COMMANDS = {
     "spectrum_rss_mb": SPECTRUM_ARGV,
     "rescale_rss_mb": ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period",
                        "--N", "8159"],
+}
+# Row name -> the gridfourier command whose wall time as a fresh process it
+# records: one op of each perfbench workload, with a fixed seed and interval.
+PROCESS_COMMANDS = {
+    "verify_process_s": ["verify"],
+    "converge_process_s": ["converge", "--function", "expcos", "--N", ",".join(map(str, ORDERS))],
+    "spectrum_process_s": SPECTRUM_ARGV,
+    "rescale_process_s": ["rescale-demo", "--function", "exp-cos-period", "--N", "64",
+                          "--a=-0.75", "--b=2.125"],
 }
 # Least time spent in one layer per round; each import is timed once.
 MIN_ROUND_S = 0.1
@@ -149,41 +166,43 @@ def _child() -> None:
     print(json.dumps(seconds))
 
 
-def _max_rss_mb(args: list[str], env: dict, tmp: str) -> float:
-    """Max RSS in MB of one fresh ``python -m gridfourier ARGS``.
+def _launch(commands: list[list[str]], env: dict, tmp: str) -> list[dict]:
+    """One reply ``{"seconds", "code", "maxrss_kib"}`` per fresh ``python -m gridfourier ARGS``.
 
-    The command is spawned by perfbench/launch.py, which stays far below
-    it, because Linux charges a new process with the peak RSS of the
-    process it was forked from.
+    The commands run one after another, spawned by perfbench/launch.py,
+    which stays far below them, because Linux charges a new process with
+    the peak RSS of the process it was forked from.
     """
-    request = {
-        "cmd": [sys.executable, "-m", "gridfourier", *args],
-        "cwd": tmp,
-        "out": os.path.join(tmp, "rss.out"),
-        "err": os.path.join(tmp, "rss.err"),
-        "timeout": 600,
-    }
-    out = subprocess.run([sys.executable, "-I", "-S", str(LAUNCHER)], env=env,
-                         input=json.dumps(request) + "\n", capture_output=True, text=True,
-                         check=True).stdout
-    reply = json.loads(out)
-    if reply["code"] != 0:
-        raise RuntimeError(f"{args[0]} exited {reply['code']}: {Path(request['err']).read_text()}")
-    return reply["maxrss_kib"] / 1024.0
+    requests = "".join(
+        json.dumps({"cmd": [sys.executable, "-m", "gridfourier", *args], "cwd": tmp,
+                    "out": os.path.join(tmp, f"launch{k}.out"),
+                    "err": os.path.join(tmp, f"launch{k}.err"), "timeout": 600}) + "\n"
+        for k, args in enumerate(commands)
+    )
+    replies = [json.loads(line) for line in subprocess.run(
+        [sys.executable, "-I", "-S", str(LAUNCHER)], env=env, input=requests,
+        capture_output=True, text=True, check=True).stdout.splitlines()]
+    for k, (args, reply) in enumerate(zip(commands, replies)):
+        if reply["code"] != 0:
+            err = Path(tmp, f"launch{k}.err").read_text()
+            raise RuntimeError(f"{args[0]} exited {reply['code']}: {err}")
+    return replies
 
 
 def _measure(srcs: dict, runs: int, tmp: str) -> dict:
     """Tree name -> layer medians, for every tree in srcs (tree name -> src path)."""
     rounds = {tree: [] for tree in srcs}
     order = list(srcs)
+    launched = {**RSS_COMMANDS, **PROCESS_COMMANDS}
     for _ in range(runs + 1):
         for tree in order:
             env = {**os.environ, "PYTHONPATH": str(srcs[tree])}
             out = subprocess.run([sys.executable, __file__, "--child"], env=env,
                                  capture_output=True, text=True, check=True).stdout
             layers = json.loads(out.splitlines()[-1])
-            for name, args in RSS_COMMANDS.items():
-                layers[name] = _max_rss_mb(args, env, tmp)
+            for name, reply in zip(launched, _launch(list(launched.values()), env, tmp)):
+                layers[name] = (reply["maxrss_kib"] / 1024.0 if name in RSS_COMMANDS
+                                else reply["seconds"])
             rounds[tree].append(layers)
         order.reverse()
     # round 0 warmed the file cache
@@ -243,7 +262,8 @@ def main(argv: list[str]) -> int:
                       "(import_numpy, import_own and verify_first once; verify_rss_mb, "
                       "spectrum_rss_mb and rescale_rss_mb are the max RSS in MB of one fresh "
                       "verify, one fresh spectrum --n 4096 and one fresh rescale-demo "
-                      "--N 8159), both trees byte-compiled before "
+                      "--N 8159; each *_process_s row is the wall time of one fresh "
+                      "process of that command), both trees byte-compiled before "
                       "round 0, and the tree that goes first flips each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),

@@ -109,6 +109,8 @@ ARGVS = (
     # the largest rescale table admitted: 257 points over 129 column chunks
     # of 2 points each
     ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period", "--N", "8159"],
+    # the argv form of the benchmark's rescale-quadrature ops
+    ["rescale-demo", "--function", "exp-cos-period", "--N", "64", "--a=-0.75", "--b=2.125"],
     # engine configs: a sweep of five sizes, then 40 random suites
     ["verify", "--grid-sizes", "3,5,64,100,1000", "--seed", "7"],
     *_random_verify_argvs(40, seed=21),
