@@ -17,16 +17,16 @@ default suite, once, with whatever it imports on first use; then each
 other layer after one warm-up call: the layer is called until MIN_ROUND_S
 seconds have passed, at least once, and its time is the elapsed time
 over the number of calls, so a layer far below a millisecond is timed
-over many calls.  Each round also launches, once per tree, three
-commands for their max RSS (the *_rss_mb rows) and the four commands of
-the benchmark's workloads for their wall time as fresh processes, from
-spawn to exit (the *_process_s rows), all through one
-``perfbench/launch.py`` (a numpy-free process whose only children are
-these commands).  Round 0 warms the file cache and is dropped; every
-layer keeps the median of the other K rounds.  The JSON on stdout, or in
-FILE, holds each layer's seconds per call (the three *_rss_mb rows in MB)
-for the parent and the change side by side, with the git SHAs, the numpy
-version and nproc.
+over many calls.  Each round then launches three commands for their max
+RSS (the *_rss_mb rows) and the four commands of the benchmark's
+workloads for their wall time as fresh processes, from spawn to exit
+(the *_process_s rows), each once per tree, the two trees back to back,
+in the round's tree order.  Each goes through ``perfbench/launch.py``, a
+numpy-free process whose only child is that command.  Round 0 warms the
+file cache and is dropped; every layer keeps the median of the other K
+rounds.  The JSON on stdout, or in FILE, holds each layer's seconds per
+call (the three *_rss_mb rows in MB) for the parent and the change side
+by side, with the git SHAs, the numpy version and nproc.
 
 Layers:
   import_numpy       import numpy, first thing in the interpreter
@@ -166,44 +166,46 @@ def _child() -> None:
     print(json.dumps(seconds))
 
 
-def _launch(commands: list[list[str]], env: dict, tmp: str) -> list[dict]:
-    """One reply ``{"seconds", "code", "maxrss_kib"}`` per fresh ``python -m gridfourier ARGS``.
+def _launch(args: list[str], env: dict, tmp: str) -> dict:
+    """``{"seconds", "code", "maxrss_kib"}`` of one fresh ``python -m gridfourier ARGS``.
 
-    The commands run one after another, spawned by perfbench/launch.py,
-    which stays far below them, because Linux charges a new process with
-    the peak RSS of the process it was forked from.
+    The command is spawned by perfbench/launch.py, which stays far below
+    it, because Linux charges a new process with the peak RSS of the
+    process it was forked from.
     """
-    requests = "".join(
-        json.dumps({"cmd": [sys.executable, "-m", "gridfourier", *args], "cwd": tmp,
-                    "out": os.path.join(tmp, f"launch{k}.out"),
-                    "err": os.path.join(tmp, f"launch{k}.err"), "timeout": 600}) + "\n"
-        for k, args in enumerate(commands)
-    )
-    replies = [json.loads(line) for line in subprocess.run(
-        [sys.executable, "-I", "-S", str(LAUNCHER)], env=env, input=requests,
-        capture_output=True, text=True, check=True).stdout.splitlines()]
-    for k, (args, reply) in enumerate(zip(commands, replies)):
-        if reply["code"] != 0:
-            err = Path(tmp, f"launch{k}.err").read_text()
-            raise RuntimeError(f"{args[0]} exited {reply['code']}: {err}")
-    return replies
+    request = {
+        "cmd": [sys.executable, "-m", "gridfourier", *args],
+        "cwd": tmp,
+        "out": os.path.join(tmp, "launch.out"),
+        "err": os.path.join(tmp, "launch.err"),
+        "timeout": 600,
+    }
+    out = subprocess.run([sys.executable, "-I", "-S", str(LAUNCHER)], env=env,
+                         input=json.dumps(request) + "\n", capture_output=True, text=True,
+                         check=True).stdout
+    reply = json.loads(out)
+    if reply["code"] != 0:
+        raise RuntimeError(f"{args[0]} exited {reply['code']}: {Path(request['err']).read_text()}")
+    return reply
 
 
 def _measure(srcs: dict, runs: int, tmp: str) -> dict:
     """Tree name -> layer medians, for every tree in srcs (tree name -> src path)."""
+    envs = {tree: {**os.environ, "PYTHONPATH": str(src)} for tree, src in srcs.items()}
     rounds = {tree: [] for tree in srcs}
     order = list(srcs)
-    launched = {**RSS_COMMANDS, **PROCESS_COMMANDS}
     for _ in range(runs + 1):
         for tree in order:
-            env = {**os.environ, "PYTHONPATH": str(srcs[tree])}
-            out = subprocess.run([sys.executable, __file__, "--child"], env=env,
+            out = subprocess.run([sys.executable, __file__, "--child"], env=envs[tree],
                                  capture_output=True, text=True, check=True).stdout
-            layers = json.loads(out.splitlines()[-1])
-            for name, reply in zip(launched, _launch(list(launched.values()), env, tmp)):
-                layers[name] = (reply["maxrss_kib"] / 1024.0 if name in RSS_COMMANDS
-                                else reply["seconds"])
-            rounds[tree].append(layers)
+            rounds[tree].append(json.loads(out.splitlines()[-1]))
+        # each command runs for one tree right after the other, so that the
+        # host's drift over a round's children does not fall on one tree
+        for name, args in {**RSS_COMMANDS, **PROCESS_COMMANDS}.items():
+            for tree in order:
+                reply = _launch(args, envs[tree], tmp)
+                rounds[tree][-1][name] = (reply["maxrss_kib"] / 1024.0 if name in RSS_COMMANDS
+                                          else reply["seconds"])
         order.reverse()
     # round 0 warmed the file cache
     return {
