@@ -20,13 +20,14 @@ over the number of calls, so a layer far below a millisecond is timed
 over many calls.  Each round then launches three commands for their max
 RSS (the *_rss_mb rows) and the four commands of the benchmark's
 workloads for their wall time as fresh processes, from spawn to exit
-(the *_process_s rows), each once per tree, the two trees back to back,
-in the round's tree order.  Each goes through ``perfbench/launch.py``, a
-numpy-free process whose only child is that command.  Round 0 warms the
-file cache and is dropped; every layer keeps the median of the other K
-rounds.  The JSON on stdout, or in FILE, holds each layer's seconds per
-call (the three *_rss_mb rows in MB) for the parent and the change side
-by side, with the git SHAs, the numpy version and nproc.
+(the *_process_s rows: the median of PROCESS_REPEATS = 5 processes),
+one tree right after the other, in the round's tree order.  Each goes
+through ``perfbench/launch.py``, a numpy-free process whose only child
+is that command.  Round 0 warms the file cache and is dropped; every
+layer keeps the median of the other K rounds.  The JSON on stdout, or
+in FILE, holds each layer's seconds per call (the three *_rss_mb rows in
+MB) for the parent and the change side by side, with the git SHAs, the
+numpy version and nproc.
 
 Layers:
   import_numpy       import numpy, first thing in the interpreter
@@ -91,6 +92,10 @@ PROCESS_COMMANDS = {
     "rescale_process_s": ["rescale-demo", "--function", "exp-cos-period", "--N", "64",
                           "--a=-0.75", "--b=2.125"],
 }
+# Fresh processes of one PROCESS_COMMANDS command per tree and round, whose
+# median is the round's time.  One process's wall time spreads by tens of
+# milliseconds on a shared host, as much as a change of its exit can save.
+PROCESS_REPEATS = 5
 # Least time spent in one layer per round; each import is timed once.
 MIN_ROUND_S = 0.1
 
@@ -201,11 +206,16 @@ def _measure(srcs: dict, runs: int, tmp: str) -> dict:
             rounds[tree].append(json.loads(out.splitlines()[-1]))
         # each command runs for one tree right after the other, so that the
         # host's drift over a round's children does not fall on one tree
-        for name, args in {**RSS_COMMANDS, **PROCESS_COMMANDS}.items():
+        for name, args in RSS_COMMANDS.items():
             for tree in order:
-                reply = _launch(args, envs[tree], tmp)
-                rounds[tree][-1][name] = (reply["maxrss_kib"] / 1024.0 if name in RSS_COMMANDS
-                                          else reply["seconds"])
+                rounds[tree][-1][name] = _launch(args, envs[tree], tmp)["maxrss_kib"] / 1024.0
+        for name, args in PROCESS_COMMANDS.items():
+            seconds = {tree: [] for tree in order}
+            for _ in range(PROCESS_REPEATS):
+                for tree in order:
+                    seconds[tree].append(_launch(args, envs[tree], tmp)["seconds"])
+            for tree in order:
+                rounds[tree][-1][name] = statistics.median(seconds[tree])
         order.reverse()
     # round 0 warmed the file cache
     return {
@@ -264,9 +274,10 @@ def main(argv: list[str]) -> int:
                       "(import_numpy, import_own and verify_first once; verify_rss_mb, "
                       "spectrum_rss_mb and rescale_rss_mb are the max RSS in MB of one fresh "
                       "verify, one fresh spectrum --n 4096 and one fresh rescale-demo "
-                      "--N 8159; each *_process_s row is the wall time of one fresh "
-                      "process of that command), both trees byte-compiled before "
-                      "round 0, and the tree that goes first flips each round"),
+                      "--N 8159; each *_process_s row is the median wall time of "
+                      f"{PROCESS_REPEATS} fresh processes of that command per round), both "
+                      "trees byte-compiled before round 0, and the tree that goes first "
+                      "flips each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
