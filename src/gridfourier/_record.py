@@ -12,7 +12,8 @@ method is shared, so no per-class ``exec`` runs at import, as it does for
   with ``object.__setattr__``;
 - immutability: assigning or deleting an attribute raises AttributeError;
 - ``==`` and ``hash`` over the field values (a record of another class is
-  never equal), and ``repr`` as ``Name(field=value, ...)``;
+  never equal; a class with a field that cannot be hashed sets
+  ``__hash__ = None``), and ``repr`` as ``Name(field=value, ...)``;
 - ``replace(**changes)``: a copy with some fields changed, built and
   validated anew;
 - ``to_dict()``: field name -> value in field order, nested records as

@@ -57,7 +57,6 @@ from .grid import (
     _check_constant,
     _check_integer,
     _evaluate,
-    _is_integer,
     _pointwise,
     build_grid,
     integrate,
@@ -207,13 +206,7 @@ def _finite_points(x) -> np.ndarray:
 
 def _orders(N_values, least: int) -> list[int]:
     """N_values as ints; ValueError naming the first one that is not an integer >= least."""
-    N_values = list(N_values)
-    for N in N_values:
-        if not _is_integer(N):
-            raise ValueError(f"truncation orders must be integers, got {N!r}")
-        if N < least:
-            raise ValueError(f"truncation orders must be >= {least}, got {N}")
-    return [int(N) for N in N_values]
+    return [_check_integer(N, "truncation order", least) for N in N_values]
 
 
 def sup_errors(f: SmoothPeriodicFunction, N_values, samples: int = SUP_ERROR_SAMPLES) -> np.ndarray:
@@ -235,8 +228,7 @@ def _sup_error_table(fs: list, N_values, samples: int) -> np.ndarray:
     its row.  The chunk maxima combine by max, which is exact and keeps a NaN.
     """
     N_values = _orders(N_values, 0)
-    if _check_integer(samples, "samples") < 2:
-        raise ValueError(f"samples >= 2 required, got {samples}")
+    _check_integer(samples, "samples", 2)
     if not N_values:
         return np.empty((len(fs), 0))
     N_max = max(N_values)

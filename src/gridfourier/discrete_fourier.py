@@ -32,9 +32,7 @@ class Spectrum(Record):
     coefficients: np.ndarray
 
     def __post_init__(self):
-        n = _check_integer(self.n, "spectrum size")
-        if n < 1:
-            raise ValueError(f"spectrum needs n >= 1, got n={n}")
+        n = _check_integer(self.n, "spectrum size", 1)
         object.__setattr__(self, "n", n)
         coeffs = np.array(self.coefficients, dtype=np.complex128, copy=True).reshape(-1)
         object.__setattr__(self, "coefficients", _frozen(coeffs, n, "coefficients"))
@@ -64,8 +62,8 @@ class Spectrum(Record):
         return np.arange(-self.n, self.n)
 
     def coeff(self, m: int) -> complex:
-        m = _check_integer(m, "mode", self.n)
-        return complex(self.coefficients[m + self.n])
+        n = self.n
+        return complex(self.coefficients[_check_integer(m, "mode", -n, n - 1) + n])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coefficients)))

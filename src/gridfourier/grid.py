@@ -24,15 +24,22 @@ def _is_integer(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_integer(value, what: str, n: int | None = None) -> int:
-    """value as an int, for an integer in -n .. n-1 (any integer if n is None).
+def _check_integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """value as an int, for an integer in [low, high]; a bound of None is no bound.
 
-    Anything else raises ValueError naming ``what`` and the value.
+    The one check of an integer argument's type and range.  Anything else
+    raises ValueError naming ``what`` and the value, in one of three forms:
+    "{what} must be an integer, got {value!r}", "{what} {value} outside
+    [{low}, {high}]" when both bounds are set, and "{what} must be >= {low},
+    got {value}" ("must be nonnegative" when low is 0) when only low is.
     """
     if not _is_integer(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    if n is not None and not -n <= value <= n - 1:
-        raise ValueError(f"{what} {value} outside [{-n}, {n - 1}]")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{what} {value} outside [{low}, {high}]")
+    if low is not None and value < low:
+        bound = "nonnegative" if low == 0 else f">= {low}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
     return int(value)
 
 
@@ -50,10 +57,7 @@ class Grid(Record):
     n: int
 
     def __post_init__(self):
-        n = _check_integer(self.n, "grid size")
-        if n < 1:
-            raise ValueError(f"grid needs n >= 1, got n={n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _check_integer(self.n, "grid size", 1))
 
     @property
     def size(self) -> int:
@@ -120,8 +124,8 @@ class GridFunction(Record):
 
     def at(self, j: int) -> complex:
         """Value at grid index j (j = -n .. n-1)."""
-        j = _check_integer(j, "grid index", self.grid.n)
-        return complex(self.values[j + self.grid.n])
+        n = self.grid.n
+        return complex(self.values[_check_integer(j, "grid index", -n, n - 1) + n])
 
     def value_at(self, x: float) -> complex:
         """Step-function value at a continuum coordinate x in [-1, 1]."""

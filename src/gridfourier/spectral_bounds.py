@@ -128,13 +128,12 @@ def tail_threshold(H: float, epsilon: float) -> float:
 
 def tail_sum(s: Spectrum, L: int, Lp: int) -> float:
     """sum_{m=L}^{Lp} |coefficients[m]| over a same-sign mode range."""
-    L, Lp = _check_integer(L, "L"), _check_integer(Lp, "Lp")
+    L = _check_integer(L, "L", -s.n, s.n - 1)
+    Lp = _check_integer(Lp, "Lp", -s.n, s.n - 1)
     if L > Lp:
         raise ValueError(f"need L <= Lp, got L={L}, Lp={Lp}")
     if L * Lp <= 0:
         raise ValueError(f"range [{L}, {Lp}] must not contain or touch 0")
-    if not (-s.n <= L and Lp <= s.n - 1):
-        raise ValueError(f"range [{L}, {Lp}] outside [{-s.n}, {s.n - 1}]")
     block = s.coefficients[L + s.n : Lp + s.n + 1]
     return float(np.sum(np.abs(block)))
 

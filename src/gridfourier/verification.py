@@ -37,7 +37,7 @@ from .continuous_fourier import (
 from .discrete_calculus import ftc_residual, parts_residual, product_rule_residual
 from .discrete_fourier import _alias_fold_table, discrete_coefficients, invert
 from .functions import DEFAULT_CATALOG, bound_constants, get_function
-from .grid import GridFunction, _check_integer, _is_integer, build_grid, sample
+from .grid import GridFunction, _check_integer, build_grid, sample
 from .spectral_bounds import (
     _UNIFORM_BOUND_TOL,
     _dft_identity_residuals,
@@ -98,7 +98,10 @@ MAX_SPECTRUM_N = 2**16
 
 
 class SuiteConfig(Record):
-    """Inputs of a verification run; identical configs give identical reports."""
+    """Inputs of a verification run; identical configs give identical reports.
+
+    Unhashable, as its ``tolerance_overrides`` is a dict.
+    """
 
     function_names: tuple[str, ...] = DEFAULT_CATALOG
     grid_sizes: tuple[int, ...] = (4, 16, 64, 256)
@@ -106,6 +109,8 @@ class SuiteConfig(Record):
     epsilons: tuple[float, ...] = (0.1, 0.01)
     seed: int = 42
     tolerance_overrides: dict = factory(dict)
+
+    __hash__ = None
 
 
 class WorstLocation(Record):
@@ -139,14 +144,6 @@ def _mix64(z):
     return z
 
 
-def _key_int(name: str, value, one_word: bool = True) -> int:
-    """A key argument as a nonnegative int, below 2^64 if one_word; else ValueError naming it."""
-    if not _is_integer(value) or value < 0 or one_word and value > _WORD:
-        below = " below 2**64" if one_word else ""
-        raise ValueError(f"{name} must be a nonnegative integer{below}, got {value!r}")
-    return int(value)
-
-
 def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0) -> GridFunction:
     """Seeded random grid function: re/im parts uniform on [-1, 1) with 53-bit resolution.
 
@@ -163,9 +160,9 @@ def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0
     """
     if stream not in _STREAMS:
         raise ValueError(f"unknown stream {stream!r}; known streams: {', '.join(_STREAMS)}")
-    seed = _key_int("seed", seed, one_word=False)
-    rep = _key_int("rep", rep)
-    part = _key_int("part", part)
+    seed = _check_integer(seed, "seed", 0)
+    rep = _check_integer(rep, "rep", 0, _WORD)
+    part = _check_integer(part, "part", 0, _WORD)
     grid = build_grid(n)
     n = grid.n
     seed_words = []
@@ -200,19 +197,14 @@ def _validate_config(cfg: SuiteConfig) -> None:
     if not cfg.grid_sizes:
         raise ValueError("grid_sizes must be nonempty")
     for n in cfg.grid_sizes:
-        if not _is_integer(n):
-            raise ValueError(f"invalid grid size: {n!r} (must be an integer)")
-        if not 1 <= n <= MAX_SPECTRUM_N:
-            raise ValueError(f"invalid grid size: {n} (must be in [1, {MAX_SPECTRUM_N}])")
-    if _check_integer(cfg.mode_limit, "mode_limit") < MTEST_ORDERS[0]:
-        raise ValueError(f"mode_limit must be >= {MTEST_ORDERS[0]}, got {cfg.mode_limit}")
+        _check_integer(n, "grid size", 1, MAX_SPECTRUM_N)
+    _check_integer(cfg.mode_limit, "mode_limit", MTEST_ORDERS[0])
     if not cfg.epsilons:
         raise ValueError("epsilons must be nonempty")
     for eps in cfg.epsilons:
         if not math.isfinite(eps) or eps <= 0:
             raise ValueError(f"invalid epsilon: {eps} (must be finite and > 0)")
-    if _check_integer(cfg.seed, "seed") < 0:
-        raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
+    _check_integer(cfg.seed, "seed", 0)
     for name, tol in cfg.tolerance_overrides.items():
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check in tolerance override: {name!r}")
@@ -521,8 +513,7 @@ def _decay_table(function_name: str, n: int) -> tuple[int, Callable[[int, int], 
     rows start .. stop - 1, so a caller can hold a few rows at a time.
     """
     f = get_function(function_name)
-    if not 1 <= _check_integer(n, "grid size") <= MAX_SPECTRUM_N:
-        raise ValueError(f"1 <= n <= {MAX_SPECTRUM_N} required, got {n}")
+    n = _check_integer(n, "grid size", 1, MAX_SPECTRUM_N)
     H = bound_constants(f).H
     coeffs = discrete_coefficients(sample(f, build_grid(n))).coefficients
 

@@ -317,9 +317,9 @@ def test_rescaled_reconstruct_refuses_a_point_whose_pull_back_overflows(monkeypa
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda bad: sup_error(cosine(1), bad), "truncation orders must be integers"),
-        (lambda bad: m_test_majorants(1.0, [bad]).tolist(), "truncation orders must be integers"),
-        (lambda bad: reconstruct(cosine(1), bad, 0.0), "truncation orders must be integers"),
+        (lambda bad: sup_error(cosine(1), bad), "truncation order must be an integer"),
+        (lambda bad: m_test_majorants(1.0, [bad]).tolist(), "truncation order must be an integer"),
+        (lambda bad: reconstruct(cosine(1), bad, 0.0), "truncation order must be an integer"),
         (lambda bad: (trig_monomial(bad).name, trig_monomial(bad).support), "k must be an integer"),
         (lambda bad: (cosine(bad).name, cosine(bad).support), "k must be an integer"),
     ],

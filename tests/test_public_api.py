@@ -6,6 +6,9 @@ name listed once, in the module that defines it.  An integer argument (a
 grid size, mode, index, order, sample count or random-stream key) is an
 int or a numpy integer: a float, even an integral one, a NaN and a bool
 are refused with a ValueError that names the value, at the public entry.
+A bounded one is refused just outside each bound with the whole message
+of ``grid._check_integer``, "... outside [low, high]" or "... must be >=
+low, got ..." ("nonnegative" when low is 0), and admitted at the bound.
 NaN decay constants and tolerances are refused in the same way.
 """
 
@@ -165,19 +168,107 @@ def test_integer_parameters_refuse_non_integers(label, bad):
     assert repr(bad) in str(info.value)
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: SPECTRUM.coeff(4), "mode 4 outside [-4, 3]"),
-        (lambda: SPECTRUM.coeff(np.int64(-5)), "mode -5 outside [-4, 3]"),
-        (lambda: GF.at(-5), "grid index -5 outside [-4, 3]"),
-        (lambda: GF.at(np.int32(4)), "grid index 4 outside [-4, 3]"),
-    ],
-    ids=["coeff-int", "coeff-int64", "at-int", "at-int32"],
-)
-def test_out_of_range_integers_keep_their_messages(call, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+_WORD = 2**64 - 1
+
+# label -> (a call with one bounded integer parameter just outside a bound,
+# its whole refusal): one row per bound of every bounded parameter
+OUT_OF_RANGE = {
+    "coeff-int": (lambda: SPECTRUM.coeff(4), "mode 4 outside [-4, 3]"),
+    "coeff-int64": (lambda: SPECTRUM.coeff(np.int64(-5)), "mode -5 outside [-4, 3]"),
+    "at-int": (lambda: GF.at(-5), "grid index -5 outside [-4, 3]"),
+    "at-int32": (lambda: GF.at(np.int32(4)), "grid index 4 outside [-4, 3]"),
+    "Grid": (lambda: Grid(0), "grid size must be >= 1, got 0"),
+    "build_grid": (lambda: build_grid(0), "grid size must be >= 1, got 0"),
+    "Spectrum": (lambda: Spectrum(0, []), "spectrum size must be >= 1, got 0"),
+    "trig_monomial-low": (lambda: trig_monomial(-(10**6) - 1),
+                          "k -1000001 outside [-1000000, 1000000]"),
+    "trig_monomial-high": (lambda: trig_monomial(10**6 + 1),
+                           "k 1000001 outside [-1000000, 1000000]"),
+    "cosine-low": (lambda: cosine(0), "k 0 outside [1, 1000000]"),
+    "cosine-high": (lambda: cosine(10**6 + 1), "k 1000001 outside [1, 1000000]"),
+    "tail_sum-L-low": (lambda: tail_sum(SPECTRUM, -5, -1), "L -5 outside [-4, 3]"),
+    "tail_sum-L-high": (lambda: tail_sum(SPECTRUM, 4, 3), "L 4 outside [-4, 3]"),
+    "tail_sum-Lp-low": (lambda: tail_sum(SPECTRUM, -1, -5), "Lp -5 outside [-4, 3]"),
+    "tail_sum-Lp-high": (lambda: tail_sum(SPECTRUM, 1, 4), "Lp 4 outside [-4, 3]"),
+    "reconstruct": (lambda: reconstruct(cosine(1), -1, 0.0),
+                    "truncation order must be nonnegative, got -1"),
+    "sup_error-N": (lambda: sup_error(cosine(1), -1),
+                    "truncation order must be nonnegative, got -1"),
+    "sup_error-samples": (lambda: sup_error(cosine(1), 2, samples=1),
+                          "samples must be >= 2, got 1"),
+    "sup_errors-samples": (lambda: sup_errors(cosine(1), [1], samples=1),
+                           "samples must be >= 2, got 1"),
+    "m_test_majorant": (lambda: m_test_majorant(1.0, 0), "truncation order must be >= 1, got 0"),
+    "m_test_majorants": (lambda: m_test_majorants(1.0, [1, 0]),
+                         "truncation order must be >= 1, got 0"),
+    "RescaledFunction.coefficient_vector": (lambda: RESCALED.coefficient_vector(-1),
+                                            "truncation order must be nonnegative, got -1"),
+    "RescaledFunction.reconstruct": (lambda: RESCALED.reconstruct(-1, 1.0),
+                                     "truncation order must be nonnegative, got -1"),
+    "random_grid_function-seed": (lambda: random_grid_function(-1, "dft", 4, 0),
+                                  "seed must be nonnegative, got -1"),
+    "random_grid_function-n": (lambda: random_grid_function(0, "dft", 0, 0),
+                               "grid size must be >= 1, got 0"),
+    "random_grid_function-rep-low": (lambda: random_grid_function(0, "dft", 4, -1),
+                                     f"rep -1 outside [0, {_WORD}]"),
+    "random_grid_function-rep-high": (lambda: random_grid_function(0, "dft", 4, _WORD + 1),
+                                      f"rep {_WORD + 1} outside [0, {_WORD}]"),
+    "random_grid_function-part-low": (lambda: random_grid_function(0, "dft", 4, 0, -1),
+                                      f"part -1 outside [0, {_WORD}]"),
+    "random_grid_function-part-high": (lambda: random_grid_function(0, "dft", 4, 0, _WORD + 1),
+                                       f"part {_WORD + 1} outside [0, {_WORD}]"),
+    "run_lemma_suite-grid_sizes-low": (lambda: run_lemma_suite(SuiteConfig(grid_sizes=(4, 0))),
+                                       "grid size 0 outside [1, 65536]"),
+    "run_lemma_suite-grid_sizes-high": (
+        lambda: run_lemma_suite(SuiteConfig(grid_sizes=(4, 65537))),
+        "grid size 65537 outside [1, 65536]",
+    ),
+    "run_lemma_suite-mode_limit": (lambda: run_lemma_suite(SuiteConfig(mode_limit=1)),
+                                   "mode_limit must be >= 2, got 1"),
+    "run_lemma_suite-seed": (lambda: run_lemma_suite(SuiteConfig(seed=-1)),
+                             "seed must be nonnegative, got -1"),
+    "run_convergence-N": (lambda: run_convergence("cos:1", [0, 1]),
+                          "truncation order must be >= 1, got 0"),
+    "run_convergence-samples": (lambda: run_convergence("cos:1", [1], samples=1),
+                                "samples must be >= 2, got 1"),
+    "run_spectrum_decay-low": (lambda: run_spectrum_decay("cos:1", 0),
+                               "grid size 0 outside [1, 65536]"),
+    "run_spectrum_decay-high": (lambda: run_spectrum_decay("cos:1", 65537),
+                                "grid size 65537 outside [1, 65536]"),
+}
+
+# label -> a cheap call with one bounded integer parameter at a bound
+AT_THE_BOUND = {
+    "Grid": lambda: Grid(1),
+    "Spectrum": lambda: Spectrum(1, np.zeros(2)),
+    "GridFunction.at": lambda: (GF.at(-4), GF.at(3)),
+    "Spectrum.coeff": lambda: (SPECTRUM.coeff(-4), SPECTRUM.coeff(3)),
+    "trig_monomial": lambda: (trig_monomial(-(10**6)), trig_monomial(10**6)),
+    "cosine": lambda: (cosine(1), cosine(10**6)),
+    "tail_sum": lambda: (tail_sum(SPECTRUM, -4, -1), tail_sum(SPECTRUM, 1, 3)),
+    "reconstruct": lambda: reconstruct(cosine(1), 0, 0.0),
+    "sup_errors": lambda: sup_errors(cosine(1), [0], samples=2),
+    "m_test_majorants": lambda: m_test_majorants(1.0, [1]),
+    "random_grid_function": lambda: random_grid_function(0, "dft", 1, _WORD, _WORD),
+    "run_lemma_suite": lambda: run_lemma_suite(
+        SuiteConfig(function_names=("cos:1",), grid_sizes=(1,), mode_limit=2, seed=0)
+    ),
+    "run_convergence": lambda: run_convergence("cos:1", [1], samples=2),
+    "run_spectrum_decay": lambda: run_spectrum_decay("cos:1", 1),
+}
+
+
+@pytest.mark.parametrize("label", OUT_OF_RANGE)
+def test_out_of_range_integers_keep_their_messages(label):
+    call, message = OUT_OF_RANGE[label]
+    with pytest.raises(ValueError) as info:
         call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("label", AT_THE_BOUND)
+def test_integers_at_their_bounds_are_admitted(label):
+    AT_THE_BOUND[label]()
 
 
 @pytest.mark.parametrize(

@@ -191,6 +191,12 @@ def test_array_records_compare_values_exactly_and_stay_unhashable(cls):
         hash(a)
 
 
+def test_suite_config_is_unhashable_by_its_own_name():
+    # not through its dict field: the refusal names the record
+    with pytest.raises(TypeError, match="unhashable type: 'SuiteConfig'"):
+        hash(SuiteConfig())
+
+
 def test_grid_functions_on_other_grids_are_unequal():
     assert GridFunction(Grid(2), np.zeros(4)) != GridFunction(Grid(1), np.zeros(2))
     assert Spectrum(2, np.zeros(4)) != Spectrum(1, np.zeros(2))
@@ -199,11 +205,11 @@ def test_grid_functions_on_other_grids_are_unequal():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Grid(0), "grid needs n >= 1, got n=0"),
+        (lambda: Grid(0), "grid size must be >= 1, got 0"),
         (lambda: Grid(2.5), "grid size must be an integer, got 2.5"),
         (lambda: Grid(True), "grid size must be an integer, got True"),
         (lambda: GridFunction(Grid(2), [1, 2, 3]), "expected 4 values for n=2, got 3"),
-        (lambda: Spectrum(0, []), "spectrum needs n >= 1, got n=0"),
+        (lambda: Spectrum(0, []), "spectrum size must be >= 1, got 0"),
         (lambda: Spectrum(2.0, np.zeros(4)), "spectrum size must be an integer, got 2.0"),
         (lambda: Spectrum(2, [1]), "expected 4 coefficients for n=2, got 1"),
         (lambda: BoundConstants(1.0, -1.0, 1.0, 1.0, 1.0),
@@ -214,7 +220,7 @@ def test_grid_functions_on_other_grids_are_unequal():
         (lambda: ConvergenceRow(1, 0.5, -1.0), "row entries must be nonnegative"),
         (lambda: ConvergenceRow(1, math.nan, 1.0), "row entries must be nonnegative"),
         (lambda: ConvergenceRow(1, 1.0, math.nan), "row entries must be nonnegative"),
-        (lambda: Grid(4).replace(n=0), "grid needs n >= 1, got n=0"),
+        (lambda: Grid(4).replace(n=0), "grid size must be >= 1, got 0"),
     ],
 )
 def test_validation_messages(build, message):

@@ -41,7 +41,7 @@ def _random_gf(rng, n):
 def _boundary_terms(gf, m):
     """(C, D, Cp, Dp, E, F) at a mode m of the grid: slot m + n of ``_boundary_arrays``."""
     n = gf.grid.n
-    return tuple(complex(a[_check_integer(m, "mode", n) + n]) for a in _boundary_arrays(gf))
+    return tuple(complex(a[_check_integer(m, "mode", -n, n - 1) + n]) for a in _boundary_arrays(gf))
 
 
 def _uniform_slacks(f, n):

@@ -8,23 +8,28 @@ into a temporary directory.  Both trees are byte-compiled first
 (``compileall``), so that the import layers time loading, not the
 compilation of a tree without current ``.pyc`` files.  Every layer, the
 import floor included, is timed in one loop of K + 1 rounds (K defaults
-to 7, at least 5).  Each round starts one fresh interpreter per tree, and
-the tree that goes first flips from round to round, so a drift of the
-host speed reaches both trees alike.  Each interpreter times ``import
-numpy`` first, then ``import gridfourier.cli`` on top of it, so that
-gridfourier's own import is not lost in numpy's noise, then the first
-default suite, once, with whatever it imports on first use; then each
-other layer after one warm-up call: the layer is called until MIN_ROUND_S
-seconds have passed, at least once, and its time is the elapsed time
-over the number of calls, so a layer far below a millisecond is timed
-over many calls.  Each round then launches three commands for their max
-RSS (the *_rss_mb rows) and the four commands of the benchmark's
-workloads for their wall time as fresh processes, from spawn to exit
-(the *_process_s rows: the median of PROCESS_REPEATS = 5 processes),
-one tree right after the other, in the round's tree order.  Each goes
-through ``perfbench/launch.py``, a numpy-free process whose only child
-is that command.  Round 0 warms the file cache and is dropped; every
-layer keeps the median of the other K rounds.  The JSON on stdout, or
+to 7, at least 5).  Within a round, every measurement runs for one tree
+right after the other, and the tree that goes first flips from round to
+round, so a drift of the host speed reaches both trees alike:
+
+- the import rows: one fresh interpreter per tree times ``import numpy``
+  first, then ``import gridfourier.cli`` on top of it, so that
+  gridfourier's own import is not lost in numpy's noise, then the first
+  default suite, once, with whatever it imports on first use;
+- each in-process layer, in turn: one fresh interpreter per tree sets up
+  that layer alone and times it after one warm-up call.  The layer is
+  called until MIN_ROUND_S seconds have passed, at least once, and its
+  time is the elapsed time over the number of calls, so a layer far below
+  a millisecond is timed over many calls;
+- three commands for their max RSS (the *_rss_mb rows) and the four
+  commands of the benchmark's workloads for their wall time as fresh
+  processes, from spawn to exit (the *_process_s rows: the median of
+  PROCESS_REPEATS = 5 processes).  Each goes through
+  ``perfbench/launch.py``, a numpy-free process whose only child is that
+  command.
+
+Round 0 warms the file cache and is dropped; every layer keeps the
+median of the other K rounds.  The JSON on stdout, or
 in FILE, holds each layer's seconds per call (the three *_rss_mb rows in
 MB) for the parent and the change side by side, with the git SHAs, the
 numpy version and nproc.
@@ -98,6 +103,14 @@ PROCESS_COMMANDS = {
 PROCESS_REPEATS = 5
 # Least time spent in one layer per round; each import is timed once.
 MIN_ROUND_S = 0.1
+# The child argument of the import rows; every other child times the
+# in-process layer of its name, one of the keys of _layers().
+IMPORTS = "imports"
+IN_PROCESS_LAYERS = (
+    "random_inputs", "m_test_majorants", "sup_errors", "run_convergence", "m_test_runner",
+    "alias_runner", "symbol_sweep", "dft_identities", "spectrum_rows", "spectrum_text",
+    "verify_suite",
+)
 
 
 def _layers():
@@ -144,31 +157,33 @@ def _layers():
     }
 
 
-def _child() -> None:
-    start = time.perf_counter()
-    import numpy  # noqa: F401
-
-    numpy_done = time.perf_counter()
-    import gridfourier.cli  # noqa: F401
-
-    own_done = time.perf_counter()
-    from gridfourier.verification import SuiteConfig, run_lemma_suite
-
-    run_lemma_suite(SuiteConfig())
-    seconds = {
-        "import_numpy": numpy_done - start,
-        "import_own": own_done - numpy_done,
-        "verify_first": time.perf_counter() - own_done,
-    }
-    for name, run in _layers().items():
-        run()
-        calls = 0
+def _child(layer: str) -> None:
+    """Print as JSON the import rows (layer IMPORTS) or the seconds per call of one layer."""
+    if layer == IMPORTS:
         start = time.perf_counter()
-        while calls == 0 or time.perf_counter() - start < MIN_ROUND_S:
-            run()
-            calls += 1
-        seconds[name] = (time.perf_counter() - start) / calls
-    print(json.dumps(seconds))
+        import numpy  # noqa: F401
+
+        numpy_done = time.perf_counter()
+        import gridfourier.cli  # noqa: F401
+
+        own_done = time.perf_counter()
+        from gridfourier.verification import SuiteConfig, run_lemma_suite
+
+        run_lemma_suite(SuiteConfig())
+        print(json.dumps({
+            "import_numpy": numpy_done - start,
+            "import_own": own_done - numpy_done,
+            "verify_first": time.perf_counter() - own_done,
+        }))
+        return
+    run = _layers()[layer]
+    run()
+    calls = 0
+    start = time.perf_counter()
+    while calls == 0 or time.perf_counter() - start < MIN_ROUND_S:
+        run()
+        calls += 1
+    print(json.dumps({layer: (time.perf_counter() - start) / calls}))
 
 
 def _launch(args: list[str], env: dict, tmp: str) -> dict:
@@ -201,11 +216,15 @@ def _measure(srcs: dict, runs: int, tmp: str) -> dict:
     order = list(srcs)
     for _ in range(runs + 1):
         for tree in order:
-            out = subprocess.run([sys.executable, __file__, "--child"], env=envs[tree],
-                                 capture_output=True, text=True, check=True).stdout
-            rounds[tree].append(json.loads(out.splitlines()[-1]))
-        # each command runs for one tree right after the other, so that the
-        # host's drift over a round's children does not fall on one tree
+            rounds[tree].append({})
+        # each child and command runs for one tree right after the other, so
+        # that the host's drift over a round does not fall on one tree
+        for layer in (IMPORTS, *IN_PROCESS_LAYERS):
+            for tree in order:
+                out = subprocess.run([sys.executable, __file__, "--child", layer],
+                                     env=envs[tree], capture_output=True, text=True,
+                                     check=True).stdout
+                rounds[tree][-1].update(json.loads(out.splitlines()[-1]))
         for name, args in RSS_COMMANDS.items():
             for tree in order:
                 rounds[tree][-1][name] = _launch(args, envs[tree], tmp)["maxrss_kib"] / 1024.0
@@ -234,10 +253,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--parent", help="git revision to time next to this checkout")
     parser.add_argument("--runs", type=int, default=7)
     parser.add_argument("--out", help="write the JSON here instead of stdout")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=(IMPORTS, *IN_PROCESS_LAYERS), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        _child()
+        _child(args.child)
         return 0
     if args.runs < 5:
         parser.error("--runs must be at least 5")
@@ -269,8 +288,10 @@ def main(argv: list[str]) -> int:
     payload = {
         "tool": "tools/bench_layers.py",
         "statistic": (f"median seconds per call over {args.runs} rounds after one warm-up "
-                      "round; each round times every layer in one fresh interpreter per tree, "
-                      f"after one warm-up call, over as many calls as fill {MIN_ROUND_S} s "
+                      "round; each round times the import rows in one fresh interpreter per "
+                      "tree and each other in-process layer in a fresh interpreter of its own "
+                      "per tree, the two trees back to back layer by layer, after one warm-up "
+                      f"call, over as many calls as fill {MIN_ROUND_S} s "
                       "(import_numpy, import_own and verify_first once; verify_rss_mb, "
                       "spectrum_rss_mb and rescale_rss_mb are the max RSS in MB of one fresh "
                       "verify, one fresh spectrum --n 4096 and one fresh rescale-demo "

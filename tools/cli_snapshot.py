@@ -74,6 +74,7 @@ ARGVS = (
     ["verify", "--tolerance", "nosuch=1"],
     ["verify", "--functions", "nosuch"],
     ["verify", "--mode-limit", "1"],
+    ["verify", "--seed", "-1"],
     ["verify", "--format", "xml"],
     ["converge", "--function", "cos:1", "--N", "3,2"],
     ["converge", "--function", "cos:1", "--samples", "1"],
