@@ -16,8 +16,9 @@ round, so a drift of the host speed reaches both trees alike:
   first, then ``import gridfourier.cli`` on top of it, so that
   gridfourier's own import is not lost in numpy's noise, then the first
   default suite, once, with whatever it imports on first use;
-- each in-process layer, in turn: one fresh interpreter per tree sets up
-  that layer alone and times it after one warm-up call.  The layer is
+- each in-process layer, in turn: one fresh interpreter per tree builds
+  the layers' inputs and times that layer alone, after one warm-up call
+  and with no other layer run before it.  The layer is
   called until MIN_ROUND_S seconds have passed, at least once, and its
   time is the elapsed time over the number of calls, so a layer far below
   a millisecond is timed over many calls;
