@@ -34,12 +34,12 @@ the column chunks of ``_phase_chunks``, whose phases serve every function
 of one ``_sup_error_table`` call (the catalog of the M-test check); each
 column is computed on its own, so chunking moves no bit, and no whole phase
 matrix is held: MAX_PHASE_CELLS bounds the work and the coefficient vector.
-``m_test_majorants`` takes each tail sum_{N < m <= C} 1/m^2,
-C = MAJORANT_MODE_CUTOFF, in closed form as zeta(2, N+1) - zeta(2, C+1),
-with the Hurwitz zeta function from its Euler-Maclaurin series (DLMF
-5.15.8).  The one-N helpers ``sup_error`` and ``m_test_majorant`` are
-views on the batched forms; every slot equals the one-N computation bit
-for bit, since no slot depends on the other orders requested.
+``m_test_majorants`` takes each tail sum_{m > N} 1/m^2 as the Hurwitz zeta
+value zeta(2, N+1), from its Euler-Maclaurin series (DLMF 5.15.8), with no
+mode cutoff, and pushes H * zeta(2, N+1) outward past its rounding error,
+so the bound holds for every N and tends to 0.  The one-N helpers
+``sup_error`` and ``m_test_majorant`` are views on the batched forms; every
+slot equals the one-N computation bit for bit.
 """
 
 from __future__ import annotations
@@ -75,9 +75,6 @@ __all__ = [
     "rescale",
 ]
 
-# Hard mode cutoff of the majorant sum; the discarded tail is covered by
-# an explicit 2*H*1e-6 slack folded into the returned bound.
-MAJORANT_MODE_CUTOFF = 10**6
 # Largest points x (2*N+1) phase cells ``sup_errors`` and ``reconstruct``
 # will admit, checked before anything is allocated.
 MAX_PHASE_CELLS = 2**22
@@ -269,50 +266,47 @@ def _hurwitz_zeta2(x):
     return inv + inv2 * (0.5 + inv * (1 / 6 + inv2 * (-1 / 30 + inv2 * (1 / 42 - inv2 / 30))))
 
 
-_ZETA2_PAST_CUTOFF = _hurwitz_zeta2(MAJORANT_MODE_CUTOFF + 1.0)
-# sum_{N < m <= C} 1/m^2 for N below _ZETA_SERIES_FROM: the terms up to 63
-# one by one and zeta(2, 64) - zeta(2, C+1), in one correctly rounded sum
-_MAJORANT_HEADS = tuple(
-    math.fsum(
-        [1.0 / (m * m) for m in range(N + 1, _ZETA_SERIES_FROM)]
-        + [_hurwitz_zeta2(float(_ZETA_SERIES_FROM)), -_ZETA2_PAST_CUTOFF]
-    )
+# zeta(2, N+1) for N below _ZETA_SERIES_FROM, at index N: the terms up to
+# 63 one by one and zeta(2, 64), in one correctly rounded sum
+_MAJORANT_HEADS = np.array([
+    math.fsum([1.0 / (m * m) for m in range(N + 1, _ZETA_SERIES_FROM)]
+              + [_hurwitz_zeta2(_ZETA_SERIES_FROM)])
     for N in range(_ZETA_SERIES_FROM)
-)
+])
+# H * zeta(2, N+1) in floats reads up to 2 ulp below the exact value (4 by the
+# error bounds of its operations); this factor of 16 to 32 ulp lifts it above
+_MAJORANT_MARGIN = 1.0 + 2.0**-48
 
 
 def m_test_majorants(H: float, N_values) -> np.ndarray:
-    """m_test_majorant(H, N) for every N in N_values, in one pass.
-
-    Each tail sum_{N < m <= C} 1/m^2 is zeta(2, N+1) - zeta(2, C+1),
-    C = MAJORANT_MODE_CUTOFF, and 0 for N >= C; no term array is built.
-    """
+    """m_test_majorant(H, N) for every N in N_values, in one pass; no term array is built."""
     N_values = _orders(N_values, 1)
     _check_constant(H, "H")
-    if not N_values:
-        return np.empty(0)
-    Ns = np.array([min(N, MAJORANT_MODE_CUTOFF) for N in N_values], dtype=np.float64)
-    tails = _hurwitz_zeta2(np.maximum(Ns + 1.0, _ZETA_SERIES_FROM)) - _ZETA2_PAST_CUTOFF
-    for i, N in enumerate(N_values):
-        if N < _ZETA_SERIES_FROM:
-            tails[i] = _MAJORANT_HEADS[N]
-    tails[Ns == MAJORANT_MODE_CUTOFF] = 0.0
-    return H * tails + 2.0 * H * 1e-6
+    # N + 1 >= x * 2^s with x = (N + 1) >> s an exact float; as zeta(2, .)
+    # decreases and each block of 2^s terms is at most 2^s times its first,
+    # zeta(2, N+1) <= zeta(2, x) / 2^s, which is within 2^-51 of it
+    shifts = [(N + 1).bit_length() - 53 if N >= 2**53 - 1 else 0 for N in N_values]
+    xs = np.array([(N + 1) >> s for N, s in zip(N_values, shifts)], dtype=np.float64)
+    tails = _hurwitz_zeta2(np.maximum(xs, _ZETA_SERIES_FROM))
+    heads = xs <= _ZETA_SERIES_FROM  # N < _ZETA_SERIES_FROM, where s = 0
+    tails[heads] = _MAJORANT_HEADS[xs[heads].astype(np.int64) - 1]
+    bounds = np.ldexp(H * tails * _MAJORANT_MARGIN, -np.array(shifts, dtype=np.int64))
+    # a subnormal bound, which the factor cannot lift, may be 3 steps of 2^-1074 low
+    return bounds + (2.0**-1072 if H > 0 else 0.0)
 
 
 def m_test_majorant(H: float, N: int) -> float:
     """Uniform bound on the truncation error implied by |ghat(m)| <= H/m^2.
 
-    Returns (1/2) * sum_{N < |m| <= C} H/m^2, C = MAJORANT_MODE_CUTOFF =
-    1e6, plus an explicit 2*H*1e-6 term covering the discarded modes beyond
-    the cutoff, so the result is a majorant of |f - reconstruct(f, N, .)|
-    given the sampled constants behind H; certified constants are ROADMAP
-    item 1.  The tail is H * (zeta(2, N+1) - zeta(2, C+1)) in closed form:
-    the terms 1/m^2 for m < 64 are summed exactly rounded, and zeta(2, x)
-    for x >= 64 comes from 1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) +
-    1/(42x^7) - 1/(30x^9), whose remainder is below (5/66)/x^11.  For
-    N >= C the tail is empty and the result is 2*H*1e-6 exactly.  The
-    one-N view of ``m_test_majorants``.
+    Returns (1/2) * sum_{|m| > N} H/m^2 = H * zeta(2, N+1) times 1 + 2^-48,
+    plus 2^-1072 for H > 0, so that rounding, even to a subnormal, leaves it
+    above the exact tail: a majorant of |f - reconstruct(f, N, .)| given the
+    sampled constants behind H (certified constants are ROADMAP item 1).  No
+    mode is cut off, so it tends to 0 as N grows.  The terms 1/m^2, m < 64,
+    are summed exactly rounded; zeta(2, x), x >= 64, is 1/x + 1/(2x^2) +
+    1/(6x^3) - 1/(30x^5) + 1/(42x^7) - 1/(30x^9) within (5/66)/x^11, with an
+    N + 1 above 2^53 rounded down to 53 bits times 2^s, which raises the
+    bound by at most 2^-51 of it.  The one-N view of ``m_test_majorants``.
     """
     return float(m_test_majorants(H, [N])[0])
 

@@ -44,9 +44,9 @@ def _check_integer(value, what: str, low: int | None = None, high: int | None = 
 
 
 def _check_constant(value, what: str) -> None:
-    """Raise ValueError naming ``what`` and the value unless it is finite and >= 0, as H must be."""
-    if not value >= 0:  # written so that a NaN fails
-        raise ValueError(f"{what} must be nonnegative, got {value}")
+    """Raise ValueError naming ``what`` and the value unless it is a finite real >= 0, as H is."""
+    if not (isinstance(value, numbers.Real) and value >= 0):  # written so that a NaN fails
+        raise ValueError(f"{what} must be nonnegative, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
 

@@ -17,6 +17,8 @@ From these and |psi_n(m)|^2 >= 4 m^2 follow the uniform bounds
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ._record import Record
@@ -121,8 +123,8 @@ def _dft_identity_residuals(gf: GridFunction, spectrum: Spectrum) -> tuple[np.nd
 def tail_threshold(H: float, epsilon: float) -> float:
     """Mode threshold 2H/epsilon + 1 beyond which coefficient tails sum below epsilon."""
     _check_constant(H, "H")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (isinstance(epsilon, numbers.Real) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     return 2.0 * H / epsilon + 1.0
 
 

@@ -19,6 +19,7 @@ with the negative mode first, then to the earliest (function, n) cell.
 from __future__ import annotations
 
 import math
+import numbers
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
@@ -192,6 +193,8 @@ def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0
 
 
 def _validate_config(cfg: SuiteConfig) -> None:
+    if isinstance(cfg.function_names, str):
+        raise ValueError(f"function_names must be a sequence of names, got {cfg.function_names!r}")
     if not cfg.function_names:
         raise ValueError("function_names must be nonempty")
     if not cfg.grid_sizes:
@@ -202,15 +205,15 @@ def _validate_config(cfg: SuiteConfig) -> None:
     if not cfg.epsilons:
         raise ValueError("epsilons must be nonempty")
     for eps in cfg.epsilons:
-        if not math.isfinite(eps) or eps <= 0:
-            raise ValueError(f"invalid epsilon: {eps} (must be finite and > 0)")
+        if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps > 0):
+            raise ValueError(f"invalid epsilon: {eps!r} (must be finite and > 0)")
     _check_integer(cfg.seed, "seed", 0)
     for name, tol in cfg.tolerance_overrides.items():
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check in tolerance override: {name!r}")
-        if not math.isfinite(tol) or tol <= 0:
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
             raise ValueError(
-                f"invalid tolerance override for {name}: {tol} (must be finite and > 0)"
+                f"invalid tolerance override for {name}: {tol!r} (must be finite and > 0)"
             )
 
 

@@ -117,16 +117,10 @@ def per_n_sup_errors(f, orders, samples):
     return out
 
 
-def mp_majorant(H, N, cutoff=10**6):
-    """H * (zeta(2, N+1) - zeta(2, cutoff+1)) + 2*H*1e-6 in 200-bit mpmath.
-
-    The Hurwitz zeta difference is the tail sum_{N < m <= cutoff} 1/m^2,
-    empty for N >= cutoff.
-    """
+def mp_majorant(H, N):
+    """H * zeta(2, N+1), the tail (1/2) sum_{|m| > N} H/m^2, in 200-bit mpmath."""
     with mpmath.workprec(200):
-        H = mpmath.mpf(H)
-        tail = mpmath.zeta(2, N + 1) - mpmath.zeta(2, cutoff + 1) if N < cutoff else 0
-        return H * tail + 2 * H * mpmath.mpf(1e-6)
+        return mpmath.mpf(H) * mpmath.zeta(2, N + 1)
 
 
 def mp_sup_errors(f, orders, samples):

@@ -17,9 +17,9 @@ def _report(residual: float) -> bytes:
     return (json.dumps({"schema": 1, "reports": reports}, indent=2) + "\n").encode()
 
 
-def _snapshot(root: Path, verify_stdout: bytes) -> Path:
+def _snapshot(root: Path, verify_stdout: bytes, table_stdout: bytes = b"m\n1\n") -> Path:
     root.mkdir()
-    for k, argv, stdout in (("00", "verify", verify_stdout), ("01", "spectrum --n 4", b"m\n1\n")):
+    for k, argv, stdout in (("00", "verify", verify_stdout), ("01", "spectrum --n 4", table_stdout)):
         (root / f"{k}.argv").write_text(argv + "\n")
         (root / f"{k}.stdout").write_bytes(stdout)
         (root / f"{k}.stderr").write_bytes(b"")
@@ -47,4 +47,20 @@ def test_compare_names_each_moved_verify_field(tmp_path, capsys):
         "00 verify: argv same, exit same, stderr same, stdout DIFFERS",
         "  inversion.worst_residual: 1e-16 -> 2e-16",
         "01 spectrum --n 4: argv same, exit same, stderr same, stdout same",
+    ]
+
+
+def test_compare_names_each_moved_csv_column(tmp_path, capsys):
+    table = b"N,sup_error,m_test_bound\n1,0.25,4.0\n2,0.125,2.0\n4,0.0625,1.0\n"
+    moved = b"N,sup_error,m_test_bound\n1,0.25,3.0\n2,0.125,2.0\n4,0.0625,0.75\n"
+    a = _snapshot(tmp_path / "a", _report(1e-16), table)
+    b = _snapshot(tmp_path / "b", _report(1e-16), moved)
+    c = _snapshot(tmp_path / "c", _report(1e-16), b"N,sup_error\n1,0.25\n")
+    d = _snapshot(tmp_path / "d", _report(1e-16), table + b"8,0.03125,0.5\n")
+    assert [cli_snapshot.compare(a, other) for other in (b, c, d)] == [1, 1, 1]
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    assert lines == [
+        "  m_test_bound: 2 of 3 rows moved, largest change 1, largest relative change 0.25",
+        "  CSV headers differ: 'N,sup_error,m_test_bound' -> 'N,sup_error'",
+        "  CSV row counts differ: 3 -> 4",
     ]

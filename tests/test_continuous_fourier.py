@@ -1,11 +1,12 @@
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import iv
+from scipy.special import iv, zeta
 
 from _oracles import interval_partial_sum, mp_majorant, mp_sup_errors, per_n_sup_errors
 from gridfourier import (
@@ -27,7 +28,6 @@ from gridfourier import (
 )
 from gridfourier import continuous_fourier
 from gridfourier.continuous_fourier import (
-    MAJORANT_MODE_CUTOFF,
     MAX_PHASE_CELLS,
     MAX_QUADRATURE_N,
     _coefficient_vector,
@@ -169,11 +169,12 @@ def test_majorant_basel_value():
 
 
 def test_majorant_matches_independent_sum():
+    # the terms up to 10^4 summed smallest first, and scipy's Hurwitz zeta past them
     H, N = 3.5, 7
     tail = 0.0
-    for m in range(MAJORANT_MODE_CUTOFF, N, -1):
+    for m in range(10**4, N, -1):
         tail += 1.0 / (m * m)
-    want = H * tail + 2.0 * H * 1e-6
+    want = H * (tail + zeta(2, 10**4 + 1))
     assert m_test_majorant(H, N) == pytest.approx(want, rel=1e-12)
 
 
@@ -468,26 +469,32 @@ def test_sup_errors_match_mpmath_partial_sums(name):
     assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
-MAJORANT_ORDERS = [*range(1, 129), 10**3, 10**4, 10**5, 699050, 999999]
+# ascending; past 2^53 an N + 1 is no longer an exact float, and 10^400 is no float at all
+MAJORANT_ORDERS = [*range(1, 129), 10**3, 10**4, 10**5, 699050, 999999, 10**6, 10**7,
+                   2**53 - 1, 2**53, 2**53 + 1, 10**16, 10**400]
+MAJORANT_CONSTANTS = [1.0, 3.7, 1e300, 5e-300]
 
 
 def test_m_test_majorants_match_mpmath_hurwitz_tail():
-    for H in (1.0, 3.7, 1e300):
+    for H in MAJORANT_CONSTANTS:
         batched = m_test_majorants(H, MAJORANT_ORDERS).tolist()
         for N, got in zip(MAJORANT_ORDERS, batched):
-            want = mp_majorant(H, N, MAJORANT_MODE_CUTOFF)
-            assert abs(got - want) <= 1e-15 * want, (H, N)
+            want = mp_majorant(H, N)
+            # a true majorant, subnormal results (H = 5e-300, N >= 10^16) included ...
+            assert got >= want, (H, N)
+            # ... and a tight one wherever the result is a normal float
+            if got >= sys.float_info.min:
+                assert got <= (1 + 2**-40) * want, (H, N)
             # the one-N view is its batched slot
             assert m_test_majorant(H, N) == got, (H, N)
 
 
-@pytest.mark.parametrize("H", [1.0, 3.7, 1e300])
-def test_majorant_at_and_past_the_cutoff(H):
-    want = H * 1e-12 + 2.0 * H * 1e-6
-    assert abs(m_test_majorant(H, MAJORANT_MODE_CUTOFF - 1) - want) <= 1e-15 * want
-    # the tail is empty: only the slack for the discarded modes is left
-    for N in (MAJORANT_MODE_CUTOFF, 2 * MAJORANT_MODE_CUTOFF, 10**400):
-        assert m_test_majorant(H, N) == 2.0 * H * 1e-6, N
+@pytest.mark.parametrize("H", MAJORANT_CONSTANTS)
+def test_majorant_is_nonincreasing_and_tends_to_zero(H):
+    # no mode is cut off, so the bound keeps falling past 10^6
+    values = m_test_majorants(H, MAJORANT_ORDERS).tolist()
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert m_test_majorant(H, 10**16) < H * 1e-15
 
 
 def test_m_test_majorants_builds_no_term_array():

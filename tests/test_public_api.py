@@ -9,7 +9,9 @@ are refused with a ValueError that names the value, at the public entry.
 A bounded one is refused just outside each bound with the whole message
 of ``grid._check_integer``, "... outside [low, high]" or "... must be >=
 low, got ..." ("nonnegative" when low is 0), and admitted at the bound.
-NaN decay constants and tolerances are refused in the same way.
+A decay constant, epsilon or tolerance that is NaN or not a real number
+(a str, None or a complex) is refused in the same way, with the value's
+repr, and so is a single string given as the tuple of function names.
 """
 
 import importlib
@@ -282,9 +284,30 @@ def test_integers_at_their_bounds_are_admitted(label):
         (lambda: m_test_majorant(math.inf, 2), "H must be finite, got inf"),
         (lambda: tail_threshold(math.inf, 0.1), "H must be finite, got inf"),
         (lambda: decay_bound_check(SPECTRUM, math.inf), "H must be finite, got inf"),
+        (lambda: m_test_majorant("1", 2), "H must be nonnegative, got '1'"),
+        (lambda: m_test_majorants(None, [2, 4]), "H must be nonnegative, got None"),
+        (lambda: tail_threshold(1j, 0.1), "H must be nonnegative, got 1j"),
+        (lambda: tail_threshold(1.0, "0.1"), "epsilon must be positive, got '0.1'"),
+        (lambda: tail_threshold(1.0, None), "epsilon must be positive, got None"),
+        (lambda: decay_bound_check(SPECTRUM, 2 + 0j), "H must be nonnegative, got (2+0j)"),
+        (lambda: run_lemma_suite(SuiteConfig(epsilons=(0.1, None))),
+         "invalid epsilon: None (must be finite and > 0)"),
+        (lambda: run_lemma_suite(SuiteConfig(epsilons=("0.1",))),
+         "invalid epsilon: '0.1' (must be finite and > 0)"),
+        (lambda: run_lemma_suite(SuiteConfig(tolerance_overrides={"ftc": None})),
+         "invalid tolerance override for ftc: None (must be finite and > 0)"),
+        (lambda: run_lemma_suite(SuiteConfig(tolerance_overrides={"ftc": 1e-9j})),
+         "invalid tolerance override for ftc: 1e-09j (must be finite and > 0)"),
+        (lambda: run_lemma_suite(SuiteConfig(function_names="expcos")),
+         "function_names must be a sequence of names, got 'expcos'"),
     ],
     ids=["m_test_majorant", "m_test_majorants", "tail_threshold-H", "tail_threshold-epsilon",
-         "decay_bound_check", "m_test_majorant-inf", "tail_threshold-inf", "decay_bound_check-inf"],
+         "decay_bound_check", "m_test_majorant-inf", "tail_threshold-inf", "decay_bound_check-inf",
+         "m_test_majorant-str", "m_test_majorants-None", "tail_threshold-H-complex",
+         "tail_threshold-epsilon-str", "tail_threshold-epsilon-None", "decay_bound_check-complex",
+         "run_lemma_suite-epsilon-None", "run_lemma_suite-epsilon-str",
+         "run_lemma_suite-tolerance-None", "run_lemma_suite-tolerance-complex",
+         "run_lemma_suite-function_names-str"],
 )
 def test_nan_constants_are_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -12,11 +12,17 @@ between their snapshots.
 ``--compare A B`` reads two such directories and prints one line per
 argv, saying whether its exit code, stderr and stdout match.  Where a
 ``verify`` stdout differs and both sides are JSON reports, it then prints
-each (check, field) that moved with its value in A and in B.  It exits 0
-when every file matches and 1 otherwise.
+each (check, field) that moved with its value in A and in B.  Where any
+other stdout differs and both sides are CSV tables with the same header
+and row count, it prints each moved column with its count of moved rows
+and its largest absolute and relative change, and otherwise says which
+of the two differs.  It exits 0 when every file matches and 1 otherwise.
 """
 
+import csv
+import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -84,8 +90,9 @@ ARGVS = (
     ["rescale-demo", "--a", "0", "--b", "0"],
     ["rescale-demo", "--a", "0", "--b", "5e-324"],
     ["rescale-demo", "--a", "0", "--b", "1", "--function", "nosuch"],
-    # the largest converge table admitted at 3 points (N = 699050 is next
-    # to the majorant cutoff), and the first one refused before allocating
+    # the largest converge table admitted at 3 points (N = 699050 is the
+    # largest N whose 3 x (2N+1) phase cells fit in 2^22), and the first
+    # one refused before allocating
     ["converge", "--function", "cos:1", "--samples", "2", "--N", "1,1000,100000,699050"],
     ["converge", "--function", "cos:1", "--samples", "2", "--N", "699051"],
     # the alias fold over each function's support: modes near the 10^6 cap,
@@ -134,6 +141,32 @@ def _moved_fields(old: bytes, new: bytes) -> list[str]:
     return lines
 
 
+def _moved_columns(old: bytes, new: bytes) -> list[str]:
+    """Lines ``column: k of n rows moved, ...`` for each CSV column that differs, in header order."""
+    (head_a, *rows_a), (head_b, *rows_b) = (
+        list(csv.reader(io.StringIO(side.decode()))) or [[]] for side in (old, new)
+    )
+    if head_a != head_b:
+        return [f"  CSV headers differ: {','.join(head_a)!r} -> {','.join(head_b)!r}"]
+    if len(rows_a) != len(rows_b):
+        return [f"  CSV row counts differ: {len(rows_a)} -> {len(rows_b)}"]
+    lines = []
+    for j, column in enumerate(head_a):
+        moved = [(a[j], b[j]) for a, b in zip(rows_a, rows_b) if a[j] != b[j]]
+        if not moved:
+            continue
+        line = f"  {column}: {len(moved)} of {len(rows_a)} rows moved"
+        try:
+            changes = [(abs(float(y) - float(x)), abs(float(x))) for x, y in moved]
+        except ValueError:
+            lines.append(line + ", not all of them numbers")
+            continue
+        largest = max(change for change, _ in changes)
+        relative = max(change / size if size else math.inf for change, size in changes)
+        lines.append(f"{line}, largest change {largest:.6g}, largest relative change {relative:.6g}")
+    return lines
+
+
 def compare(a: Path, b: Path) -> int:
     """Print per argv whether A and B match; 0 when all match, else 1."""
     differs = False
@@ -146,9 +179,9 @@ def compare(a: Path, b: Path) -> int:
         differs |= not all(same.values())
         marks = ", ".join(f"{part} {'same' if ok else 'DIFFERS'}" for part, ok in same.items())
         print(f"{k} {argv_file.read_text().strip()}: {marks}")
-        if not same["stdout"] and argv_file.read_text().startswith("verify"):
-            for line in _moved_fields((a / f"{k}.stdout").read_bytes(),
-                                      (b / f"{k}.stdout").read_bytes()):
+        if not same["stdout"]:
+            moved = _moved_fields if argv_file.read_text().startswith("verify") else _moved_columns
+            for line in moved((a / f"{k}.stdout").read_bytes(), (b / f"{k}.stdout").read_bytes()):
                 print(line)
     return 1 if differs else 0
 
