@@ -1,11 +1,11 @@
 """Frozen, slotted records, built without generating code at import.
 
 A record class inherits ``Record`` and lists its fields as class
-annotations, in order, each with an optional default; ``factory(make)``
-is a default that calls ``make()`` once per instance.  The metaclass turns
-the annotations into ``__slots__`` when the class is created, and every
-method is shared, so no per-class ``exec`` runs at import, as it does for
-``dataclasses``.  Every record has:
+annotations, in order, each with an optional default that every instance
+built without the field shares, so ``__post_init__`` copies a mutable one.
+The metaclass turns the annotations into ``__slots__`` when the class is
+created, and every method is shared, so no per-class ``exec`` runs at
+import, as it does for ``dataclasses``.  Every record has:
 
 - construction by position or keyword, defaults for missing arguments,
   and then ``__post_init__``, which may validate and normalize fields
@@ -22,19 +22,7 @@ method is shared, so no per-class ``exec`` runs at import, as it does for
 
 from __future__ import annotations
 
-__all__ = ["Record", "factory"]
-
-
-class _Factory:
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-def factory(make) -> _Factory:
-    """A field default that calls ``make()`` for each instance, as a mutable default needs."""
-    return _Factory(make)
+__all__ = ["Record"]
 
 
 class _RecordMeta(type):
@@ -65,8 +53,7 @@ class Record(metaclass=_RecordMeta):
             if name in kwargs:
                 values.append(kwargs.pop(name))
             elif name in cls._defaults:
-                value = cls._defaults[name]
-                values.append(value.make() if type(value) is _Factory else value)
+                values.append(cls._defaults[name])
             else:
                 raise TypeError(f"{cls.__name__} missing argument {name!r}")
         if kwargs:

@@ -156,16 +156,17 @@ def _validate_worker_env() -> None:
 def _cmd_verify(args) -> int:
     if args.format != "json":
         raise ValueError(f"--format: only 'json' is supported, got {args.format!r}")
-    cfg = SuiteConfig(
-        function_names=tuple(s.strip() for s in args.functions.split(",") if s.strip()),
-        grid_sizes=tuple(_parse_int_list(args.grid_sizes, "--grid-sizes", 1, MAX_SPECTRUM_N)),
+    # the flags are parsed, then the environment checked, then the config built
+    fields = dict(
+        function_names=[s.strip() for s in args.functions.split(",") if s.strip()],
+        grid_sizes=_parse_int_list(args.grid_sizes, "--grid-sizes", 1, MAX_SPECTRUM_N),
         mode_limit=args.mode_limit,
-        epsilons=tuple(_parse_float_list(args.epsilons, "--epsilons")),
+        epsilons=_parse_float_list(args.epsilons, "--epsilons"),
         seed=args.seed,
         tolerance_overrides=_parse_overrides(args.tolerance),
     )
     _validate_worker_env()
-    reports = run_lemma_suite(cfg)
+    reports = run_lemma_suite(SuiteConfig(**fields))
     # imported here, in the one command that writes JSON, so that the others
     # start without it (about 2.7 ms on 2 shared vCPUs)
     import json

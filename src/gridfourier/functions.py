@@ -308,6 +308,8 @@ _COMBO_TERM = re.compile(r"^(?P<coeff>[^*]+)\*(?P<name>.+)$")
 
 def get_function(name: str) -> SmoothPeriodicFunction:
     """Resolve a catalog identifier to a function; raises ValueError if unknown."""
+    if not isinstance(name, str):
+        raise ValueError(f"unknown function name: {name!r}")
     if name == "expcos":
         return exp_cos()
     if name.startswith("trig:"):

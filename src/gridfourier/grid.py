@@ -24,6 +24,11 @@ def _is_integer(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for a real number such as a float, an int or a numpy float; False for a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
     """value as an int, for an integer in [low, high]; a bound of None is no bound.
 
@@ -45,7 +50,7 @@ def _check_integer(value, what: str, low: int | None = None, high: int | None = 
 
 def _check_constant(value, what: str) -> None:
     """Raise ValueError naming ``what`` and the value unless it is a finite real >= 0, as H is."""
-    if not (isinstance(value, numbers.Real) and value >= 0):  # written so that a NaN fails
+    if not (_is_real(value) and value >= 0):  # written so that a NaN fails
         raise ValueError(f"{what} must be nonnegative, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")

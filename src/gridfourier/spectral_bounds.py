@@ -17,14 +17,12 @@ From these and |psi_n(m)|^2 >= 4 m^2 follow the uniform bounds
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from ._record import Record
 from .discrete_calculus import derivative
 from .discrete_fourier import Spectrum, discrete_coefficients
-from .grid import GridFunction, _check_constant, _check_integer
+from .grid import GridFunction, _check_constant, _check_integer, _is_real
 
 __all__ = [
     "DecayCheck",
@@ -40,8 +38,6 @@ __all__ = [
 # When the decay constant H is zero, every nonzero-mode coefficient must
 # vanish; this floor budgets the rounding of that exact statement.
 ZERO_DECAY_FLOOR = 1e-12
-
-_UNIFORM_BOUND_TOL = 1e-9
 
 
 def forward_symbol(n: int, m):
@@ -123,7 +119,7 @@ def _dft_identity_residuals(gf: GridFunction, spectrum: Spectrum) -> tuple[np.nd
 def tail_threshold(H: float, epsilon: float) -> float:
     """Mode threshold 2H/epsilon + 1 beyond which coefficient tails sum below epsilon."""
     _check_constant(H, "H")
-    if not (isinstance(epsilon, numbers.Real) and epsilon > 0):
+    if not (_is_real(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     return 2.0 * H / epsilon + 1.0
 

@@ -19,13 +19,14 @@ with the negative mode first, then to the earliest (function, n) cell.
 from __future__ import annotations
 
 import math
-import numbers
+from collections.abc import Iterable, Mapping
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ._record import Record, factory
+from ._record import Record
 from .continuous_fourier import (
     SUP_ERROR_SAMPLES,
     ConvergenceRow,
@@ -38,9 +39,8 @@ from .continuous_fourier import (
 from .discrete_calculus import ftc_residual, parts_residual, product_rule_residual
 from .discrete_fourier import _alias_fold_table, discrete_coefficients, invert
 from .functions import DEFAULT_CATALOG, bound_constants, get_function
-from .grid import GridFunction, _check_integer, build_grid, sample
+from .grid import GridFunction, _check_integer, _is_real, build_grid, sample
 from .spectral_bounds import (
-    _UNIFORM_BOUND_TOL,
     _dft_identity_residuals,
     _uniform_maxima,
     _worst_mode,
@@ -98,10 +98,23 @@ TAIL_BIG_GRID = 4096
 MAX_SPECTRUM_N = 2**16
 
 
+def _nonempty_tuple(value, field: str, kind: str) -> tuple:
+    """The items of value; a str, a non-iterable or no items raises ValueError naming the field."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ValueError(f"{field} must be a sequence of {kind}, got {value!r}")
+    items = tuple(value)
+    if not items:
+        raise ValueError(f"{field} must be nonempty")
+    return items
+
+
 class SuiteConfig(Record):
     """Inputs of a verification run; identical configs give identical reports.
 
-    Unhashable, as its ``tolerance_overrides`` is a dict.
+    Checked field by field when built, and so by ``replace``, copy and
+    pickle, each bad field raising a ValueError that names it; stored as
+    tuples, ints and a new dict of float overrides, which leaves it
+    unhashable.  ``run_lemma_suite`` refuses an unknown function name.
     """
 
     function_names: tuple[str, ...] = DEFAULT_CATALOG
@@ -109,9 +122,35 @@ class SuiteConfig(Record):
     mode_limit: int = 32
     epsilons: tuple[float, ...] = (0.1, 0.01)
     seed: int = 42
-    tolerance_overrides: dict = factory(dict)
+    tolerance_overrides: dict = MappingProxyType({})
 
     __hash__ = None
+
+    def __post_init__(self):
+        names = _nonempty_tuple(self.function_names, "function_names", "names")
+        sizes = _nonempty_tuple(self.grid_sizes, "grid_sizes", "sizes")
+        sizes = tuple(_check_integer(n, "grid size", 1, MAX_SPECTRUM_N) for n in sizes)
+        mode_limit = _check_integer(self.mode_limit, "mode_limit", MTEST_ORDERS[0])
+        epsilons = _nonempty_tuple(self.epsilons, "epsilons", "numbers")
+        for eps in epsilons:
+            if not (_is_real(eps) and math.isfinite(eps) and eps > 0):
+                raise ValueError(f"invalid epsilon: {eps!r} (must be finite and > 0)")
+        seed = _check_integer(self.seed, "seed", 0)
+        given = self.tolerance_overrides
+        if not isinstance(given, Mapping):
+            raise ValueError(f"tolerance_overrides must be a mapping, got {given!r}")
+        overrides = {}
+        for name, tol in given.items():
+            if name not in CHECK_NAMES:
+                raise ValueError(f"unknown check in tolerance override: {name!r}")
+            if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
+                raise ValueError(
+                    f"invalid tolerance override for {name}: {tol!r} (must be finite and > 0)"
+                )
+            overrides[name] = float(tol)
+        values = (names, sizes, mode_limit, epsilons, seed, overrides)
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
 
 
 class WorstLocation(Record):
@@ -192,31 +231,6 @@ def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0
     return GridFunction._adopt(grid, values)
 
 
-def _validate_config(cfg: SuiteConfig) -> None:
-    if isinstance(cfg.function_names, str):
-        raise ValueError(f"function_names must be a sequence of names, got {cfg.function_names!r}")
-    if not cfg.function_names:
-        raise ValueError("function_names must be nonempty")
-    if not cfg.grid_sizes:
-        raise ValueError("grid_sizes must be nonempty")
-    for n in cfg.grid_sizes:
-        _check_integer(n, "grid size", 1, MAX_SPECTRUM_N)
-    _check_integer(cfg.mode_limit, "mode_limit", MTEST_ORDERS[0])
-    if not cfg.epsilons:
-        raise ValueError("epsilons must be nonempty")
-    for eps in cfg.epsilons:
-        if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps > 0):
-            raise ValueError(f"invalid epsilon: {eps!r} (must be finite and > 0)")
-    _check_integer(cfg.seed, "seed", 0)
-    for name, tol in cfg.tolerance_overrides.items():
-        if name not in CHECK_NAMES:
-            raise ValueError(f"unknown check in tolerance override: {name!r}")
-        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
-            raise ValueError(
-                f"invalid tolerance override for {name}: {tol!r} (must be finite and > 0)"
-            )
-
-
 def _ranks_worse(residual: float, current: float) -> bool:
     """Strict improvement on the current worst, with NaN ranked worst of all.
 
@@ -254,7 +268,7 @@ class _Suite(Record):
 
 def _build_suite(cfg: SuiteConfig) -> _Suite:
     fns = {name: get_function(name) for name in cfg.function_names}
-    ns = sorted(set(int(n) for n in cfg.grid_sizes))
+    ns = sorted(set(cfg.grid_sizes))
     consts = {name: bound_constants(f) for name, f in fns.items()}
 
     # tail grids are pinned by the threshold rule, independent of grid_sizes
@@ -458,13 +472,8 @@ CHECKS = (
     Check("dft_identity_2", "second-derivative-transform-identity", 1e-9, _dft_identities),
     Check("psi_lower", "symbol-quadratic-lower-bound", 1e-9, _symbol_sweep),
     Check("phi_psi_mag", "symbol-conjugacy-and-magnitude", 1e-12, _symbol_sweep),
-    Check("F_bound", "boundary-term-uniform-bound", _UNIFORM_BOUND_TOL, _uniform_bounds),
-    Check(
-        "g2_bound",
-        "second-difference-spectrum-uniform-bound",
-        _UNIFORM_BOUND_TOL,
-        _uniform_bounds,
-    ),
+    Check("F_bound", "boundary-term-uniform-bound", 1e-9, _uniform_bounds),
+    Check("g2_bound", "second-difference-spectrum-uniform-bound", 1e-9, _uniform_bounds),
     Check("decay_H", "quadratic-coefficient-decay", 1.0, _decay),
     Check("tail_eps", "tail-sum-smallness", 1.0, _tails),
     Check("alias_oracle", "alias-folding-identity", 1e-12, _alias),
@@ -480,9 +489,8 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
     """Run every check over the configured cross-product.
 
     Returns one report per check name, sorted by check name.  Raises
-    ValueError for unknown function names or invalid overrides.
+    ValueError for an unknown function name; the config checked the rest.
     """
-    _validate_config(cfg)
     suite = _build_suite(cfg)
     worst: dict[str, tuple[float, WorstLocation]] = {}
     for run in dict.fromkeys(check.run for check in CHECKS):
@@ -490,7 +498,7 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
             _offer(worst, name, residual, loc)
     reports = []
     for check in sorted(CHECKS, key=attrgetter("name")):
-        tol = float(cfg.tolerance_overrides.get(check.name, check.tolerance))
+        tol = cfg.tolerance_overrides.get(check.name, check.tolerance)
         residual, loc = worst[check.name]
         status = "pass" if residual <= tol else "fail"
         reports.append(LemmaReport(check.name, status, residual, loc, tol))

@@ -202,6 +202,28 @@ def test_invalid_worker_env(capsys, monkeypatch, bad):
     assert "FOURIER_WORKERS" in err
 
 
+@pytest.mark.parametrize(
+    "flags, workers, message",
+    [
+        (["--grid-sizes", "4,x", "--mode-limit", "1"], "0",
+         "error: --grid-sizes: not an integer: 'x'\n"),
+        (["--mode-limit", "1"], "0", "error: FOURIER_WORKERS: must be a positive integer, got 0\n"),
+        (["--mode-limit", "1"], None, "error: mode_limit must be >= 2, got 1\n"),
+        (["--functions", "nosuch", "--seed", "-1"], None,
+         "error: seed must be nonnegative, got -1\n"),
+    ],
+    ids=["flag-before-env", "env-before-config", "config", "config-before-function-names"],
+)
+def test_verify_reports_flag_then_env_then_config_errors(capsys, monkeypatch, flags, workers,
+                                                         message):
+    if workers is None:
+        monkeypatch.delenv("FOURIER_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("FOURIER_WORKERS", workers)
+    code, out, err = run_cli(["verify", *flags], capsys)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_verify_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(SMALL_VERIFY + ["--out", str(path)], capsys)

@@ -10,8 +10,10 @@ A bounded one is refused just outside each bound with the whole message
 of ``grid._check_integer``, "... outside [low, high]" or "... must be >=
 low, got ..." ("nonnegative" when low is 0), and admitted at the bound.
 A decay constant, epsilon or tolerance that is NaN or not a real number
-(a str, None or a complex) is refused in the same way, with the value's
-repr, and so is a single string given as the tuple of function names.
+(a str, None, a complex or a bool) is refused in the same way, with the
+value's repr.  So are a single string or a non-iterable given as one of a
+``SuiteConfig``'s sequences, overrides that are not a mapping, and a
+function name that is not a string.
 """
 
 import importlib
@@ -35,6 +37,7 @@ from gridfourier import (
     cosine,
     decay_bound_check,
     exp_cos,
+    get_function,
     m_test_majorant,
     m_test_majorants,
     random_grid_function,
@@ -108,7 +111,8 @@ NO_INTEGER_PARAMETER = {
     "forward_symbol", "adjoint_symbol",
     # result records, filled by the library from checked integers
     "DecayCheck", "ConvergenceRow", "WorstLocation", "LemmaReport",
-    # checked by run_lemma_suite, whose calls above cover its integer fields
+    # checked when built, which the run_lemma_suite calls above do with each
+    # bad integer field
     "SuiteConfig",
     # a row of the check table: a name, a claim, a tolerance and a runner
     "Check",
@@ -300,6 +304,27 @@ def test_integers_at_their_bounds_are_admitted(label):
          "invalid tolerance override for ftc: 1e-09j (must be finite and > 0)"),
         (lambda: run_lemma_suite(SuiteConfig(function_names="expcos")),
          "function_names must be a sequence of names, got 'expcos'"),
+        (lambda: SuiteConfig(grid_sizes="4"), "grid_sizes must be a sequence of sizes, got '4'"),
+        (lambda: SuiteConfig(epsilons="0.1"),
+         "epsilons must be a sequence of numbers, got '0.1'"),
+        (lambda: SuiteConfig(grid_sizes=4), "grid_sizes must be a sequence of sizes, got 4"),
+        (lambda: SuiteConfig(epsilons=0.1), "epsilons must be a sequence of numbers, got 0.1"),
+        (lambda: SuiteConfig(tolerance_overrides=[("ftc", 1.0)]),
+         "tolerance_overrides must be a mapping, got [('ftc', 1.0)]"),
+        (lambda: SuiteConfig(tolerance_overrides=None),
+         "tolerance_overrides must be a mapping, got None"),
+        (lambda: get_function(3), "unknown function name: 3"),
+        (lambda: run_lemma_suite(SuiteConfig(function_names=("cos:1", 3))),
+         "unknown function name: 3"),
+        (lambda: m_test_majorant(True, 3), "H must be nonnegative, got True"),
+        (lambda: m_test_majorants(True, [2, 4]), "H must be nonnegative, got True"),
+        (lambda: tail_threshold(True, 0.1), "H must be nonnegative, got True"),
+        (lambda: tail_threshold(1.0, True), "epsilon must be positive, got True"),
+        (lambda: decay_bound_check(SPECTRUM, True), "H must be nonnegative, got True"),
+        (lambda: SuiteConfig(epsilons=(0.1, True)),
+         "invalid epsilon: True (must be finite and > 0)"),
+        (lambda: SuiteConfig(tolerance_overrides={"ftc": True}),
+         "invalid tolerance override for ftc: True (must be finite and > 0)"),
     ],
     ids=["m_test_majorant", "m_test_majorants", "tail_threshold-H", "tail_threshold-epsilon",
          "decay_bound_check", "m_test_majorant-inf", "tail_threshold-inf", "decay_bound_check-inf",
@@ -307,7 +332,12 @@ def test_integers_at_their_bounds_are_admitted(label):
          "tail_threshold-epsilon-str", "tail_threshold-epsilon-None", "decay_bound_check-complex",
          "run_lemma_suite-epsilon-None", "run_lemma_suite-epsilon-str",
          "run_lemma_suite-tolerance-None", "run_lemma_suite-tolerance-complex",
-         "run_lemma_suite-function_names-str"],
+         "run_lemma_suite-function_names-str", "SuiteConfig-grid_sizes-str",
+         "SuiteConfig-epsilons-str", "SuiteConfig-grid_sizes-int", "SuiteConfig-epsilons-float",
+         "SuiteConfig-tolerance-pairs", "SuiteConfig-tolerance-None", "get_function-int",
+         "run_lemma_suite-function_names-int", "m_test_majorant-bool", "m_test_majorants-bool",
+         "tail_threshold-H-bool", "tail_threshold-epsilon-bool", "decay_bound_check-bool",
+         "SuiteConfig-epsilon-bool", "SuiteConfig-tolerance-bool"],
 )
 def test_nan_constants_are_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -221,12 +221,61 @@ def test_grid_functions_on_other_grids_are_unequal():
         (lambda: ConvergenceRow(1, math.nan, 1.0), "row entries must be nonnegative"),
         (lambda: ConvergenceRow(1, 1.0, math.nan), "row entries must be nonnegative"),
         (lambda: Grid(4).replace(n=0), "grid size must be >= 1, got 0"),
+        (lambda: SuiteConfig(mode_limit=1), "mode_limit must be >= 2, got 1"),
+        (lambda: SuiteConfig().replace(seed=-1), "seed must be nonnegative, got -1"),
+        (lambda: SuiteConfig(grid_sizes=()), "grid_sizes must be nonempty"),
+        (lambda: SuiteConfig().replace(tolerance_overrides={"nosuch": 1.0}),
+         "unknown check in tolerance override: 'nosuch'"),
     ],
 )
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+# one bad value per SuiteConfig field, in field order, with its message
+SUITE_CONFIG_FAULTS = [
+    ("function_names", "cos:1", "function_names must be a sequence of names, got 'cos:1'"),
+    ("grid_sizes", (4, 0), "grid size 0 outside [1, 65536]"),
+    ("mode_limit", 1.5, "mode_limit must be an integer, got 1.5"),
+    ("epsilons", (), "epsilons must be nonempty"),
+    ("seed", -1, "seed must be nonnegative, got -1"),
+    ("tolerance_overrides", {"ftc": 0.0},
+     "invalid tolerance override for ftc: 0.0 (must be finite and > 0)"),
+]
+
+
+@pytest.mark.parametrize("first", range(len(SUITE_CONFIG_FAULTS)))
+def test_suite_config_reports_its_first_bad_field(first):
+    # every later field is bad too; the constructor and replace agree
+    bad = {field: value for field, value, _ in SUITE_CONFIG_FAULTS[first:]}
+    message = SUITE_CONFIG_FAULTS[first][2]
+    for build in (lambda: SuiteConfig(**bad), lambda: SuiteConfig().replace(**bad)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_suite_config_stores_its_fields_normalized():
+    overrides = {"ftc": 1, "parts": np.float32(0.5)}
+    cfg = SuiteConfig(
+        function_names=["cos:1"],
+        grid_sizes=(n for n in (np.int64(4), 16)),
+        mode_limit=np.int64(3),
+        epsilons=[0.5],
+        seed=np.uint8(7),
+        tolerance_overrides=overrides,
+    )
+    assert cfg.function_names == ("cos:1",) and cfg.epsilons == (0.5,)
+    assert cfg.grid_sizes == (4, 16) and [type(n) for n in cfg.grid_sizes] == [int, int]
+    assert type(cfg.mode_limit) is int and type(cfg.seed) is int
+    assert cfg.tolerance_overrides == {"ftc": 1.0, "parts": 0.5}
+    assert type(cfg.tolerance_overrides) is dict and cfg.tolerance_overrides is not overrides
+    assert {type(tol) for tol in cfg.tolerance_overrides.values()} == {float}
+    assert cfg == SuiteConfig(("cos:1",), (4, 16), 3, (0.5,), 7, {"ftc": 1.0, "parts": 0.5})
+    for clone in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert clone == cfg
 
 
 def test_post_init_normalizes_fields():

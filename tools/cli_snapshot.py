@@ -122,6 +122,10 @@ ARGVS = (
     # engine configs: a sweep of five sizes, then 40 random suites
     ["verify", "--grid-sizes", "3,5,64,100,1000", "--seed", "7"],
     *_random_verify_argvs(40, seed=21),
+    # refused configs whose messages no argv above pins: no function names,
+    # and a tolerance override that is not > 0
+    ["verify", "--functions", ","],
+    ["verify", "--tolerance", "ftc=-1"],
 )
 
 
