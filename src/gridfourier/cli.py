@@ -218,8 +218,7 @@ def _demo_function(kind: str, a: float, b: float):
 
 
 def _cmd_rescale_demo(args) -> int:
-    if not (args.b > args.a and math.isfinite(args.b - args.a)):
-        raise ValueError(f"need a < b with b - a finite, got a={args.a}, b={args.b}")
+    continuous_fourier._check_interval(args.a, args.b)
     if args.N < 0:
         raise ValueError(f"--N: must be >= 0, got {args.N}")
     _check_phase_cells("--N", _RESCALE_DEMO_POINTS, args.N)

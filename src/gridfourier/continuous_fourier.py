@@ -51,11 +51,11 @@ import numpy as np
 
 from ._record import Record
 from .discrete_fourier import discrete_coefficients
-from .functions import SmoothPeriodicFunction, _make_function
+from .functions import SmoothPeriodicFunction
 from .grid import (
     GridFunction,
-    _check_constant,
     _check_integer,
+    _check_real,
     _evaluate,
     _pointwise,
     build_grid,
@@ -100,8 +100,9 @@ class ConvergenceRow(Record):
     m_test_bound: float
 
     def __post_init__(self):
-        if not (self.sup_error >= 0 and self.m_test_bound >= 0):  # so that a NaN fails
-            raise ValueError("row entries must be nonnegative")
+        object.__setattr__(self, "N", _check_integer(self.N, "truncation order", 0))
+        for field in ("sup_error", "m_test_bound"):
+            object.__setattr__(self, field, _check_real(getattr(self, field), field))
 
 
 def coefficient(f: SmoothPeriodicFunction, m: int) -> complex:
@@ -281,7 +282,7 @@ _MAJORANT_MARGIN = 1.0 + 2.0**-48
 def m_test_majorants(H: float, N_values) -> np.ndarray:
     """m_test_majorant(H, N) for every N in N_values, in one pass; no term array is built."""
     N_values = _orders(N_values, 1)
-    _check_constant(H, "H")
+    H = _check_real(H, "H")
     # N + 1 >= x * 2^s with x = (N + 1) >> s an exact float; as zeta(2, .)
     # decreases and each block of 2^s terms is at most 2^s times its first,
     # zeta(2, N+1) <= zeta(2, x) / 2^s, which is within 2^-51 of it
@@ -311,6 +312,13 @@ def m_test_majorant(H: float, N: int) -> float:
     return float(m_test_majorants(H, [N])[0])
 
 
+def _check_interval(a, b) -> tuple[float, float]:
+    """The ends as floats, for a < b with b - a finite; else ValueError naming both (a NaN fails)."""
+    if not (b > a and math.isfinite(b - a)):
+        raise ValueError(f"need a < b with b - a finite, got a={a}, b={b}")
+    return float(a), float(b)
+
+
 class RescaledFunction(Record):
     """A periodic function on [a, b] pulled back to the circle model.
 
@@ -328,6 +336,10 @@ class RescaledFunction(Record):
     pulled: SmoothPeriodicFunction
     a: float
     b: float
+
+    def __post_init__(self):
+        for field, end in zip(("a", "b"), _check_interval(self.a, self.b)):
+            object.__setattr__(self, field, end)
 
     @property
     def length(self) -> float:
@@ -374,9 +386,7 @@ def rescale(
     by the chain-rule factors L/2 and (L/2)^2; a factor that overflows raises
     ValueError naming the interval and the derivative order.
     """
-    # written so that a NaN end fails the test
-    if not (b > a and math.isfinite(b - a)):
-        raise ValueError(f"need a < b with b - a finite, got a={a}, b={b}")
+    _check_interval(a, b)
     L = b - a
     fa = complex(f(a))
     fb = complex(f(b))
@@ -402,8 +412,8 @@ def rescale(
             ) from None
         return lambda t: factor * points(to_x(t)) if order else points(to_x(t))
 
-    pulled = _make_function(f"{name}[{a},{b}]", pull(f, 0), pull(d1, 1), pull(d2, 2), None)
-    return RescaledFunction(pulled=pulled, a=float(a), b=float(b))
+    pulled = SmoothPeriodicFunction(f"{name}[{a},{b}]", pull(f, 0), pull(d1, 1), pull(d2, 2), None)
+    return RescaledFunction(pulled=pulled, a=a, b=b)
 
 
 def _integral_gap(f: SmoothPeriodicFunction, gf: GridFunction) -> float:

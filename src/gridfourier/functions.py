@@ -6,10 +6,10 @@ normalization ghat(m) = integral_{-1}^{1} g(x) exp(-i pi x m) dx.
 Evaluators are pure numpy expressions, evaluated on whole point arrays;
 ``combine`` sums its parts' arrays.
 
-Every function (catalog entry, combination or ``rescale`` pullback) is
-built by ``_make_function``, which records the endpoint value g(1);
-``combine`` lifts eval, d1, d2 and the coefficient map linearly, each
-present only when every part carries it.
+Every function (catalog entry, combination or ``rescale`` pullback) is a
+``SmoothPeriodicFunction`` record, whose endpoint value g(1) is read from
+its eval on each access; ``combine`` lifts eval, d1, d2 and the
+coefficient map linearly, each present only when every part carries it.
 
 Functions are addressable by string name for CLI use:
 
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._record import Record
-from .grid import _check_integer, _evaluate
+from .grid import _check_integer, _check_real, _evaluate
 
 __all__ = [
     "SmoothPeriodicFunction",
@@ -56,7 +56,7 @@ SIMPSON_PANELS = 4096
 SUP_NORM_POINTS = SIMPSON_PANELS + 1
 
 _BESSEL_TERM_FLOOR = 1e-18
-# exp(cos(pi x)) has coefficients 2 I_m(1), and 2 I_33(1) < 1e-46
+# exp(cos(pi x)) has coefficients 2 I_m(1), which _bessel_i_at_one reads as 0.0 for |m| >= 16
 _EXPCOS_SUPPORT = tuple(range(-32, 33))
 _MAX_MODE = 10**6
 
@@ -81,15 +81,14 @@ class SmoothPeriodicFunction(Record):
         without supplied derivatives).
     exact_coefficient : callable or None
         m -> closed-form Fourier coefficient, when one exists.
-    endpoint_value : complex
-        The common value g(-1) = g(1), recorded as complex(eval(1.0)) by
-        ``_make_function``, the constructor every function is built by.
     support : tuple of int or None
         The ascending modes outside which exact_coefficient is zero or
         negligible: (k,) for ``trig:k``, (-k, k) for ``cos:k``, -32 .. 32
         for ``expcos`` and the sorted union of the parts' supports for a
         combination; None when there is no exact coefficient, as for
         ``rescale`` pullbacks.
+    endpoint_value : complex
+        Property: g(1) = g(-1) as complex(eval(1.0)), read anew on each access.
     """
 
     name: str
@@ -97,11 +96,16 @@ class SmoothPeriodicFunction(Record):
     d1: Optional[Callable[[float], complex]]
     d2: Optional[Callable[[float], complex]]
     exact_coefficient: Optional[Callable[[int], complex]]
-    endpoint_value: complex
     support: Optional[tuple[int, ...]] = None
 
     def __call__(self, x: float) -> complex:
         return self.eval(x)
+
+    @property
+    def endpoint_value(self) -> complex:
+        # an overflowing value is reported where the function is evaluated
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(self.eval(1.0))
 
 
 class BoundConstants(Record):
@@ -120,18 +124,8 @@ class BoundConstants(Record):
     H: float
 
     def __post_init__(self):
-        for field_name in self._fields:
-            value = getattr(self, field_name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{field_name} must be finite and nonnegative, got {value}")
-
-
-def _make_function(name, ev, d1, d2, exact_coefficient, support=None) -> SmoothPeriodicFunction:
-    """The one constructor: records endpoint_value = complex(ev(1.0))."""
-    # an overflowing value is reported where the function is evaluated
-    with np.errstate(over="ignore", invalid="ignore"):
-        endpoint_value = complex(ev(1.0))
-    return SmoothPeriodicFunction(name, ev, d1, d2, exact_coefficient, endpoint_value, support)
+        for field in self._fields:
+            object.__setattr__(self, field, _check_real(getattr(self, field), field))
 
 
 def trig_monomial(k: int) -> SmoothPeriodicFunction:
@@ -151,7 +145,7 @@ def trig_monomial(k: int) -> SmoothPeriodicFunction:
     def coeff(m):
         return 2.0 + 0.0j if m == k else 0.0j
 
-    return _make_function(f"trig:{k}", ev, d1, d2, coeff, (k,))
+    return SmoothPeriodicFunction(f"trig:{k}", ev, d1, d2, coeff, (k,))
 
 
 def cosine(k: int) -> SmoothPeriodicFunction:
@@ -172,7 +166,7 @@ def cosine(k: int) -> SmoothPeriodicFunction:
     def coeff(m):
         return 1.0 + 0.0j if abs(m) == k else 0.0j
 
-    return _make_function(f"cos:{k}", ev, d1, d2, coeff, (-k, k))
+    return SmoothPeriodicFunction(f"cos:{k}", ev, d1, d2, coeff, (-k, k))
 
 
 def _bessel_i_at_one(order: int) -> float:
@@ -180,7 +174,8 @@ def _bessel_i_at_one(order: int) -> float:
 
     Terms are generated by recurrence and the sum stops once a term falls
     below 1e-18, so the oracle is independent of any library special
-    function.
+    function.  As the floor is absolute, orders |m| >= 16 read exactly 0.0
+    and order 15 keeps one term: 2 I_m(1) is off by at most 1.5e-18.
     """
     a = abs(int(order))
     term = 1.0
@@ -219,7 +214,7 @@ def exp_cos() -> SmoothPeriodicFunction:
     def coeff(m):
         return complex(2.0 * _bessel_i_at_one(m))
 
-    return _make_function("expcos", ev, d1, d2, coeff, _EXPCOS_SUPPORT)
+    return SmoothPeriodicFunction("expcos", ev, d1, d2, coeff, _EXPCOS_SUPPORT)
 
 
 def combine(parts) -> SmoothPeriodicFunction:
@@ -244,7 +239,7 @@ def combine(parts) -> SmoothPeriodicFunction:
     name = "combo:" + "+".join(f"{c.real:g}*{f.name}" for c, f in parts)
     supports = [f.support for _, f in parts]
     support = None if None in supports else tuple(sorted(set().union(*supports)))
-    return _make_function(
+    return SmoothPeriodicFunction(
         name, lift("eval"), lift("d1"), lift("d2"), lift("exact_coefficient"), support
     )
 

@@ -48,12 +48,22 @@ def _check_integer(value, what: str, low: int | None = None, high: int | None = 
     return int(value)
 
 
-def _check_constant(value, what: str) -> None:
-    """Raise ValueError naming ``what`` and the value unless it is a finite real >= 0, as H is."""
-    if not (_is_real(value) and value >= 0):  # written so that a NaN fails
-        raise ValueError(f"{what} must be nonnegative, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value}")
+def _check_real(value, what: str, positive: bool = False) -> float:
+    """value as a float, for a finite real >= 0, or > 0 when ``positive``.
+
+    The one check of a real argument's type, finiteness and sign.  Anything
+    else, a bool or an int beyond the float range too, raises ValueError
+    naming ``what`` and the value, in the "> 0" form when ``positive``.
+    """
+    try:  # converted before tested, as a numpy float compared with a Python float can warn
+        number = float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an int or fraction beyond the float range
+        number = math.inf
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+        if positive:
+            raise ValueError(f"invalid {what}: {value!r} (must be finite and > 0)")
+        raise ValueError(f"{what} must be finite and nonnegative, got {value!r}")
+    return number
 
 
 class Grid(Record):

@@ -22,7 +22,7 @@ import numpy as np
 from ._record import Record
 from .discrete_calculus import derivative
 from .discrete_fourier import Spectrum, discrete_coefficients
-from .grid import GridFunction, _check_constant, _check_integer, _is_real
+from .grid import GridFunction, _check_integer, _check_real
 
 __all__ = [
     "DecayCheck",
@@ -118,10 +118,8 @@ def _dft_identity_residuals(gf: GridFunction, spectrum: Spectrum) -> tuple[np.nd
 
 def tail_threshold(H: float, epsilon: float) -> float:
     """Mode threshold 2H/epsilon + 1 beyond which coefficient tails sum below epsilon."""
-    _check_constant(H, "H")
-    if not (_is_real(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    return 2.0 * H / epsilon + 1.0
+    H = _check_real(H, "H")
+    return 2.0 * H / _check_real(epsilon, "epsilon", positive=True) + 1.0
 
 
 def tail_sum(s: Spectrum, L: int, Lp: int) -> float:
@@ -171,7 +169,7 @@ class DecayCheck(Record):
 
 def decay_bound_check(s: Spectrum, H: float) -> DecayCheck:
     """Check |coefficients[m]| <= H / m^2 for every mode m != 0."""
-    _check_constant(H, "H")
+    H = _check_real(H, "H")
     modes = s.modes()
     mags = np.abs(s.coefficients)
     if H == 0.0:

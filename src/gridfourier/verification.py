@@ -39,7 +39,7 @@ from .continuous_fourier import (
 from .discrete_calculus import ftc_residual, parts_residual, product_rule_residual
 from .discrete_fourier import _alias_fold_table, discrete_coefficients, invert
 from .functions import DEFAULT_CATALOG, bound_constants, get_function
-from .grid import GridFunction, _check_integer, _is_real, build_grid, sample
+from .grid import GridFunction, _check_integer, _check_real, build_grid, sample
 from .spectral_bounds import (
     _dft_identity_residuals,
     _uniform_maxima,
@@ -113,7 +113,7 @@ class SuiteConfig(Record):
 
     Checked field by field when built, and so by ``replace``, copy and
     pickle, each bad field raising a ValueError that names it; stored as
-    tuples, ints and a new dict of float overrides, which leaves it
+    tuples, ints, floats and a new dict of float overrides, which leaves it
     unhashable.  ``run_lemma_suite`` refuses an unknown function name.
     """
 
@@ -132,9 +132,7 @@ class SuiteConfig(Record):
         sizes = tuple(_check_integer(n, "grid size", 1, MAX_SPECTRUM_N) for n in sizes)
         mode_limit = _check_integer(self.mode_limit, "mode_limit", MTEST_ORDERS[0])
         epsilons = _nonempty_tuple(self.epsilons, "epsilons", "numbers")
-        for eps in epsilons:
-            if not (_is_real(eps) and math.isfinite(eps) and eps > 0):
-                raise ValueError(f"invalid epsilon: {eps!r} (must be finite and > 0)")
+        epsilons = tuple(_check_real(eps, "epsilon", positive=True) for eps in epsilons)
         seed = _check_integer(self.seed, "seed", 0)
         given = self.tolerance_overrides
         if not isinstance(given, Mapping):
@@ -143,11 +141,7 @@ class SuiteConfig(Record):
         for name, tol in given.items():
             if name not in CHECK_NAMES:
                 raise ValueError(f"unknown check in tolerance override: {name!r}")
-            if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
-                raise ValueError(
-                    f"invalid tolerance override for {name}: {tol!r} (must be finite and > 0)"
-                )
-            overrides[name] = float(tol)
+            overrides[name] = _check_real(tol, f"tolerance override for {name}", positive=True)
         values = (names, sizes, mode_limit, epsilons, seed, overrides)
         for field, value in zip(self._fields, values):
             object.__setattr__(self, field, value)

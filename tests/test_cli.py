@@ -547,7 +547,6 @@ def test_rescale_demo_agrees_with_circle_model(capsys):
         d1=None,
         d2=None,
         exact_coefficient=None,
-        endpoint_value=math.e,
     )
     # 256 sample intervals -> the demo's 257 equispaced points
     assert abs(demo_err - sup_error(circle, 8, 256)) <= 1e-10

@@ -152,7 +152,7 @@ def test_sup_error_rejects_non_finite_values():
     # sup error itself must see the nan (it used to return nan)
     f = SmoothPeriodicFunction(
         name="nan-valued", eval=lambda x: math.nan, d1=None, d2=None,
-        exact_coefficient=lambda m: 0j, endpoint_value=0j,
+        exact_coefficient=lambda m: 0j,
     )
     with pytest.raises(ValueError, match=r"nan-valued: non-finite value at x=-1\.0"):
         sup_error(f, 2, 8)

@@ -180,7 +180,7 @@ def test_alias_fold_examples():
 def test_alias_fold_requires_oracle():
     bare = SmoothPeriodicFunction(
         name="bare", eval=lambda x: x, d1=None, d2=None,
-        exact_coefficient=None, endpoint_value=0.0,
+        exact_coefficient=None,
     )
     with pytest.raises(ValueError):
         alias_fold(bare, 4, 0, 16)

@@ -201,7 +201,7 @@ def test_bound_constants_needs_derivatives():
 
     bare = SmoothPeriodicFunction(
         name="bare", eval=lambda x: 0.0, d1=None, d2=None,
-        exact_coefficient=None, endpoint_value=0.0,
+        exact_coefficient=None,
     )
     with pytest.raises(ValueError):
         bound_constants(bare)
@@ -219,6 +219,13 @@ def test_shift_to_zero_endpoints():
         h = shift_to_zero_endpoints(f)
         assert abs(h.eval(1.0)) <= 1e-15
         assert abs(h.eval(-1.0)) <= 1e-12
+
+
+def test_endpoint_value_is_read_from_eval_after_replace():
+    # a stored endpoint value kept cos(pi) = -1 here, and B read 3.0 against the true 2.0
+    g = cosine(1).replace(eval=lambda x: np.cos(np.pi * x) + 1 + 0j)
+    assert g.endpoint_value == g.eval(1.0) == 0
+    assert bound_constants(g).B == 2.0
 
 
 def test_get_function_names():
@@ -326,7 +333,7 @@ def test_scalar_callables_are_evaluated_per_point():
 def test_array_path_rejects_non_finite_values():
     f = SmoothPeriodicFunction(
         name="blowup", eval=lambda x: np.exp(1000.0 * x) + 0j, d1=None, d2=None,
-        exact_coefficient=None, endpoint_value=0j,
+        exact_coefficient=None,
     )
     # exp(1000 x) first overflows at the grid point x = 0.75
     with pytest.raises(ValueError, match=r"^blowup: non-finite value at x=0\.75 on the n=4 grid$"):

@@ -13,13 +13,19 @@ A decay constant, epsilon or tolerance that is NaN or not a real number
 (a str, None, a complex or a bool) is refused in the same way, with the
 value's repr.  So are a single string or a non-iterable given as one of a
 ``SuiteConfig``'s sequences, overrides that are not a mapping, and a
-function name that is not a string.
+function name that is not a string.  A real argument meets one rule,
+``grid._check_real``: it is refused unless a finite real >= 0 (> 0 for an
+epsilon or a tolerance), an int beyond the float range too, and stored as
+a float; a source scan keeps that rule the only test of a real's type.
 """
 
+import ast
 import importlib
 import math
 import pkgutil
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +34,8 @@ from hypothesis import strategies as st
 
 import gridfourier
 from gridfourier import (
+    BoundConstants,
+    ConvergenceRow,
     Grid,
     GridFunction,
     Spectrum,
@@ -280,20 +288,20 @@ def test_integers_at_their_bounds_are_admitted(label):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: m_test_majorant(math.nan, 2), "H must be nonnegative, got nan"),
-        (lambda: m_test_majorants(math.nan, [2, 4]), "H must be nonnegative, got nan"),
-        (lambda: tail_threshold(math.nan, 0.1), "H must be nonnegative, got nan"),
-        (lambda: tail_threshold(1.0, math.nan), "epsilon must be positive, got nan"),
-        (lambda: decay_bound_check(SPECTRUM, math.nan), "H must be nonnegative, got nan"),
-        (lambda: m_test_majorant(math.inf, 2), "H must be finite, got inf"),
-        (lambda: tail_threshold(math.inf, 0.1), "H must be finite, got inf"),
-        (lambda: decay_bound_check(SPECTRUM, math.inf), "H must be finite, got inf"),
-        (lambda: m_test_majorant("1", 2), "H must be nonnegative, got '1'"),
-        (lambda: m_test_majorants(None, [2, 4]), "H must be nonnegative, got None"),
-        (lambda: tail_threshold(1j, 0.1), "H must be nonnegative, got 1j"),
-        (lambda: tail_threshold(1.0, "0.1"), "epsilon must be positive, got '0.1'"),
-        (lambda: tail_threshold(1.0, None), "epsilon must be positive, got None"),
-        (lambda: decay_bound_check(SPECTRUM, 2 + 0j), "H must be nonnegative, got (2+0j)"),
+        (lambda: m_test_majorant(math.nan, 2), "H must be finite and nonnegative, got nan"),
+        (lambda: m_test_majorants(math.nan, [2, 4]), "H must be finite and nonnegative, got nan"),
+        (lambda: tail_threshold(math.nan, 0.1), "H must be finite and nonnegative, got nan"),
+        (lambda: tail_threshold(1.0, math.nan), "invalid epsilon: nan (must be finite and > 0)"),
+        (lambda: decay_bound_check(SPECTRUM, math.nan), "H must be finite and nonnegative, got nan"),
+        (lambda: m_test_majorant(math.inf, 2), "H must be finite and nonnegative, got inf"),
+        (lambda: tail_threshold(math.inf, 0.1), "H must be finite and nonnegative, got inf"),
+        (lambda: decay_bound_check(SPECTRUM, math.inf), "H must be finite and nonnegative, got inf"),
+        (lambda: m_test_majorant("1", 2), "H must be finite and nonnegative, got '1'"),
+        (lambda: m_test_majorants(None, [2, 4]), "H must be finite and nonnegative, got None"),
+        (lambda: tail_threshold(1j, 0.1), "H must be finite and nonnegative, got 1j"),
+        (lambda: tail_threshold(1.0, "0.1"), "invalid epsilon: '0.1' (must be finite and > 0)"),
+        (lambda: tail_threshold(1.0, None), "invalid epsilon: None (must be finite and > 0)"),
+        (lambda: decay_bound_check(SPECTRUM, 2 + 0j), "H must be finite and nonnegative, got (2+0j)"),
         (lambda: run_lemma_suite(SuiteConfig(epsilons=(0.1, None))),
          "invalid epsilon: None (must be finite and > 0)"),
         (lambda: run_lemma_suite(SuiteConfig(epsilons=("0.1",))),
@@ -316,11 +324,11 @@ def test_integers_at_their_bounds_are_admitted(label):
         (lambda: get_function(3), "unknown function name: 3"),
         (lambda: run_lemma_suite(SuiteConfig(function_names=("cos:1", 3))),
          "unknown function name: 3"),
-        (lambda: m_test_majorant(True, 3), "H must be nonnegative, got True"),
-        (lambda: m_test_majorants(True, [2, 4]), "H must be nonnegative, got True"),
-        (lambda: tail_threshold(True, 0.1), "H must be nonnegative, got True"),
-        (lambda: tail_threshold(1.0, True), "epsilon must be positive, got True"),
-        (lambda: decay_bound_check(SPECTRUM, True), "H must be nonnegative, got True"),
+        (lambda: m_test_majorant(True, 3), "H must be finite and nonnegative, got True"),
+        (lambda: m_test_majorants(True, [2, 4]), "H must be finite and nonnegative, got True"),
+        (lambda: tail_threshold(True, 0.1), "H must be finite and nonnegative, got True"),
+        (lambda: tail_threshold(1.0, True), "invalid epsilon: True (must be finite and > 0)"),
+        (lambda: decay_bound_check(SPECTRUM, True), "H must be finite and nonnegative, got True"),
         (lambda: SuiteConfig(epsilons=(0.1, True)),
          "invalid epsilon: True (must be finite and > 0)"),
         (lambda: SuiteConfig(tolerance_overrides={"ftc": True}),
@@ -347,3 +355,88 @@ def test_nan_constants_are_refused(call, message):
 def test_infinite_tail_threshold_stays_legal():
     # a finite H over a tiny epsilon: the vacuous tail case of the engine
     assert tail_threshold(1.0, 1e-320) == math.inf
+
+
+HUGE = 10**400
+
+# label -> (a call with one real argument refused by grid._check_real, its
+# whole message); an int beyond the float range raised OverflowError at each
+# of the six checks the rule replaced, and an infinite epsilon was admitted
+REAL_FAULTS = {
+    "m_test_majorant": (lambda: m_test_majorant(HUGE, 2),
+                        f"H must be finite and nonnegative, got {HUGE!r}"),
+    "m_test_majorants": (lambda: m_test_majorants(HUGE, [2, 4]),
+                         f"H must be finite and nonnegative, got {HUGE!r}"),
+    "tail_threshold-H": (lambda: tail_threshold(HUGE, 0.1),
+                         f"H must be finite and nonnegative, got {HUGE!r}"),
+    "decay_bound_check": (lambda: decay_bound_check(SPECTRUM, HUGE),
+                          f"H must be finite and nonnegative, got {HUGE!r}"),
+    "tail_threshold-epsilon": (lambda: tail_threshold(1.0, HUGE),
+                               f"invalid epsilon: {HUGE!r} (must be finite and > 0)"),
+    "tail_threshold-epsilon-inf": (lambda: tail_threshold(1.0, math.inf),
+                                   "invalid epsilon: inf (must be finite and > 0)"),
+    "SuiteConfig-epsilon": (lambda: SuiteConfig(epsilons=(0.1, HUGE)),
+                            f"invalid epsilon: {HUGE!r} (must be finite and > 0)"),
+    "SuiteConfig-tolerance": (
+        lambda: SuiteConfig(tolerance_overrides={"ftc": HUGE}),
+        f"invalid tolerance override for ftc: {HUGE!r} (must be finite and > 0)",
+    ),
+    "BoundConstants": (lambda: BoundConstants(1.0, 1.0, HUGE, 1.0, 1.0),
+                       f"M must be finite and nonnegative, got {HUGE!r}"),
+    "ConvergenceRow": (lambda: ConvergenceRow(1, 0.5, HUGE),
+                       f"m_test_bound must be finite and nonnegative, got {HUGE!r}"),
+}
+
+
+@pytest.mark.parametrize("label", REAL_FAULTS)
+def test_real_arguments_meet_one_rule(label):
+    call, message = REAL_FAULTS[label]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_admitted_reals_are_stored_as_floats():
+    # a numpy float32 is converted before it is compared, so it warns nowhere
+    bc = BoundConstants(np.float32(0.5), 1, Fraction(3, 2), np.float64(5.5), np.int64(1))
+    assert [(type(v), v) for v in bc.to_dict().values()] == [
+        (float, 0.5), (float, 1.0), (float, 1.5), (float, 5.5), (float, 1.0)]
+    row = ConvergenceRow(np.int64(2), np.float32(0.25), 1)
+    assert (type(row.N), type(row.sup_error), type(row.m_test_bound)) == (int, float, float)
+    cfg = SuiteConfig(epsilons=(np.float32(0.5), 1))
+    assert [(type(eps), eps) for eps in cfg.epsilons] == [(float, 0.5), (float, 1.0)]
+    assert tail_threshold(np.float32(1.0), np.float32(0.5)) == 5.0
+
+
+SRC = Path(gridfourier.__file__).parent
+# the call -> the (module, top-level function) pairs allowed to make it: the
+# two rules of grid, the interval rule, and the sites that parse text
+ALLOWED_CALLS = {
+    "_is_integer": {("grid", "_check_integer")},
+    "_is_real": {("grid", "_check_real")},
+    "math.isfinite": {
+        ("grid", "_check_real"), ("continuous_fourier", "_check_interval"),
+        ("cli", "_parse_float_list"), ("cli", "_parse_overrides"), ("cli", "_demo_function"),
+        ("functions", "get_function"),
+    },
+}
+
+
+def _callers(tree: ast.Module, module: str):
+    """(call, (module, top-level definition)) for each call of a name in ALLOWED_CALLS."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name in ALLOWED_CALLS:
+                    yield name, (module, getattr(top, "name", None))
+
+
+def test_each_number_rule_is_written_once():
+    found = {name: set() for name in ALLOWED_CALLS}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "_check_constant" not in text and "_make_function" not in text, path.name
+        for name, site in _callers(ast.parse(text), path.stem):
+            found[name].add(site)
+    assert found == ALLOWED_CALLS

@@ -43,8 +43,8 @@ RECORDS = {
     GridFunction: (("grid", "values"), (Grid(2), np.arange(4.0))),
     Spectrum: (("n", "coefficients"), (2, np.arange(4.0))),
     SmoothPeriodicFunction: (
-        ("name", "eval", "d1", "d2", "exact_coefficient", "endpoint_value", "support"),
-        ("trig:1", TRIG.eval, TRIG.d1, TRIG.d2, TRIG.exact_coefficient, -1 + 0j, (1,)),
+        ("name", "eval", "d1", "d2", "exact_coefficient", "support"),
+        ("trig:1", TRIG.eval, TRIG.d1, TRIG.d2, TRIG.exact_coefficient, (1,)),
     ),
     BoundConstants: (("B", "D", "M", "W", "H"), (1.0, 2.0, 3.0, 15.0, 3.75)),
     ConvergenceRow: (("N", "sup_error", "m_test_bound"), (3, 0.25, 0.5)),
@@ -216,10 +216,35 @@ def test_grid_functions_on_other_grids_are_unequal():
          "D must be finite and nonnegative, got -1.0"),
         (lambda: BoundConstants(1.0, 1.0, 1.0, 1.0, float("inf")),
          "H must be finite and nonnegative, got inf"),
-        (lambda: ConvergenceRow(1, -0.5, 1.0), "row entries must be nonnegative"),
-        (lambda: ConvergenceRow(1, 0.5, -1.0), "row entries must be nonnegative"),
-        (lambda: ConvergenceRow(1, math.nan, 1.0), "row entries must be nonnegative"),
-        (lambda: ConvergenceRow(1, 1.0, math.nan), "row entries must be nonnegative"),
+        # these four keep the case ids they had when all four shared the
+        # message "row entries must be nonnegative"
+        pytest.param(lambda: ConvergenceRow(1, -0.5, 1.0),
+                     "sup_error must be finite and nonnegative, got -0.5",
+                     id="<lambda>-row entries must be nonnegative0"),
+        pytest.param(lambda: ConvergenceRow(1, 0.5, -1.0),
+                     "m_test_bound must be finite and nonnegative, got -1.0",
+                     id="<lambda>-row entries must be nonnegative1"),
+        pytest.param(lambda: ConvergenceRow(1, math.nan, 1.0),
+                     "sup_error must be finite and nonnegative, got nan",
+                     id="<lambda>-row entries must be nonnegative2"),
+        pytest.param(lambda: ConvergenceRow(1, 1.0, math.nan),
+                     "m_test_bound must be finite and nonnegative, got nan",
+                     id="<lambda>-row entries must be nonnegative3"),
+        # refused by the real, integer and interval rules, each built at the parent
+        (lambda: ConvergenceRow(1, True, 1.0),
+         "sup_error must be finite and nonnegative, got True"),
+        (lambda: ConvergenceRow(1, math.inf, 1.0),
+         "sup_error must be finite and nonnegative, got inf"),
+        (lambda: ConvergenceRow(1.5, 0.1, 0.2), "truncation order must be an integer, got 1.5"),
+        (lambda: ConvergenceRow(-3, 0.1, 0.2), "truncation order must be nonnegative, got -3"),
+        (lambda: BoundConstants(True, 1.0, 1.0, 1.0, 1.0),
+         "B must be finite and nonnegative, got True"),
+        (lambda: BoundConstants("1", 1.0, 1.0, 1.0, 1.0),
+         "B must be finite and nonnegative, got '1'"),
+        (lambda: RescaledFunction(TRIG, 3.0, 0.0),
+         "need a < b with b - a finite, got a=3.0, b=0.0"),
+        (lambda: RescaledFunction(TRIG, 0.0, math.inf),
+         "need a < b with b - a finite, got a=0.0, b=inf"),
         (lambda: Grid(4).replace(n=0), "grid size must be >= 1, got 0"),
         (lambda: SuiteConfig(mode_limit=1), "mode_limit must be >= 2, got 1"),
         (lambda: SuiteConfig().replace(seed=-1), "seed must be nonnegative, got -1"),

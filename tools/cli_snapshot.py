@@ -126,6 +126,8 @@ ARGVS = (
     # and a tolerance override that is not > 0
     ["verify", "--functions", ","],
     ["verify", "--tolerance", "ftc=-1"],
+    # a decay constant refused by BoundConstants: M overflows to inf
+    ["verify", "--functions", "combo:1e304*cos:1"],
 )
 
 
