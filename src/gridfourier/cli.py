@@ -19,7 +19,7 @@ import gc
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -70,20 +70,20 @@ def _write_output(pieces, out: str | None) -> None:
         raise ValueError(f"--out: {exc}") from None
 
 
-def _write_table(header: str, row_format: str, count: int, rows, out: str | None) -> None:
-    """Write a CSV table through ``_write_output``: the header, then ``count`` rows.
+def _write_table(header: str, row_format: str, rows, out: str | None) -> None:
+    """Write a CSV table through ``_write_output``: the header, then the value tuples of ``rows``.
 
-    ``rows(start, stop)`` gives the value tuples of rows start .. stop - 1.
-    The rows are formatted _CHUNK_ROWS at a time, each chunk by one ``%``
-    on row_format repeated, and written before the next chunk is made, so
-    the whole text is never held.
+    ``rows`` is any iterable, read once and in order.  The rows are
+    formatted _CHUNK_ROWS at a time, each chunk by one ``%`` on row_format
+    repeated, and written before the next chunk is read, so the whole text
+    is never held.
     """
+    rows = iter(rows)
 
     def chunks():
         yield header + "\n"
-        for start in range(0, count, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, count)
-            yield (row_format * (stop - start)) % tuple(chain.from_iterable(rows(start, stop)))
+        while chunk := tuple(islice(rows, _CHUNK_ROWS)):
+            yield (row_format * len(chunk)) % tuple(chain.from_iterable(chunk))
 
     _write_output(chunks(), out)
 
@@ -192,17 +192,15 @@ def _cmd_converge(args) -> int:
     _check_phase_cells("--samples/--N", args.samples + 1, orders[-1])
     rows = run_convergence(args.function, orders, args.samples)
     values = attrgetter("N", "sup_error", "m_test_bound")
-    _write_table("N,sup_error,m_test_bound", "%d,%.17g,%.17g\n", len(rows),
-                 lambda start, stop: map(values, rows[start:stop]), args.out)
+    _write_table("N,sup_error,m_test_bound", "%d,%.17g,%.17g\n", map(values, rows), args.out)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     if not 1 <= args.n <= MAX_SPECTRUM_N:
         raise ValueError(f"--n: must be in [1, {MAX_SPECTRUM_N}], got {args.n}")
-    count, columns = _decay_table(args.function, args.n)
-    _write_table("m,abs_coeff,decay_bound", "%d,%.17g,%.17g\n", count,
-                 lambda start, stop: zip(*columns(start, stop)), args.out)
+    rows = _decay_table(args.function, args.n)
+    _write_table("m,abs_coeff,decay_bound", "%d,%.17g,%.17g\n", rows, args.out)
     return 0
 
 
@@ -232,8 +230,7 @@ def _cmd_rescale_demo(args) -> int:
         (x, fx.real, recon.real, abs(fx - recon))
         for x, fx, recon in zip(xs.tolist(), fvals.tolist(), recons.tolist())
     ]
-    _write_table("x,f,reconstruction,abs_error", "%.17g,%.17g,%.17g,%.17g\n", len(table),
-                 lambda start, stop: table[start:stop], args.out)
+    _write_table("x,f,reconstruction,abs_error", "%.17g,%.17g,%.17g,%.17g\n", table, args.out)
     return 0
 
 

@@ -57,6 +57,7 @@ from .grid import (
     _check_integer,
     _check_real,
     _evaluate,
+    _is_real,
     _pointwise,
     build_grid,
     integrate,
@@ -313,10 +314,18 @@ def m_test_majorant(H: float, N: int) -> float:
 
 
 def _check_interval(a, b) -> tuple[float, float]:
-    """The ends as floats, for a < b with b - a finite; else ValueError naming both (a NaN fails)."""
-    if not (b > a and math.isfinite(b - a)):
+    """The ends as floats, for real a < b with b - a finite; else ValueError naming both.
+
+    A NaN, a bool, an end that is no real number and an int beyond the
+    float range fail.
+    """
+    try:  # converted before compared, so that no end is compared or subtracted raw
+        lo, hi = (float(end) if _is_real(end) else math.nan for end in (a, b))
+    except OverflowError:  # an int or fraction beyond the float range
+        lo = hi = math.nan
+    if not (hi > lo and math.isfinite(hi - lo)):
         raise ValueError(f"need a < b with b - a finite, got a={a}, b={b}")
-    return float(a), float(b)
+    return lo, hi
 
 
 class RescaledFunction(Record):

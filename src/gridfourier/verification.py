@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
+from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Optional
@@ -96,6 +97,8 @@ TAIL_BIG_GRID = 4096
 # Largest grid size of a spectrum table (2n rows) and of a verify grid,
 # checked before sampling.
 MAX_SPECTRUM_N = 2**16
+# Modes per block of a decay table: bounds the Python list that one ``.tolist()`` builds.
+_DECAY_BLOCK = 512
 
 
 def _nonempty_tuple(value, field: str, kind: str) -> tuple:
@@ -510,34 +513,32 @@ def run_convergence(function_name: str, N_values, samples: int = SUP_ERROR_SAMPL
     return [ConvergenceRow(*row) for row in zip(N_values, errs, bounds)]
 
 
-def _decay_table(function_name: str, n: int) -> tuple[int, Callable[[int, int], tuple]]:
-    """Check the inputs, sample and transform; return (row count, columns) of the decay table.
+def _decay_table(function_name: str, n: int) -> Iterator[tuple[int, float, float]]:
+    """Check the inputs, sample and transform; return an iterator over the decay table's rows.
 
-    The table has one row per nonzero mode m = -n .. n-1, ascending.
-    ``columns(start, stop)`` gives the lists of m, |ghat_n(m)| and H/m^2 over
-    rows start .. stop - 1, so a caller can hold a few rows at a time.
+    The table has one row (m, |ghat_n(m)|, H/m^2) per nonzero mode m = -n .. n-1,
+    ascending; the rows are made _DECAY_BLOCK modes at a time, as they are read.
     """
     f = get_function(function_name)
     n = _check_integer(n, "grid size", 1, MAX_SPECTRUM_N)
     H = bound_constants(f).H
     coeffs = discrete_coefficients(sample(f, build_grid(n))).coefficients
 
-    def columns(start: int, stop: int) -> tuple[list, list, list]:
-        # row r < n holds m = r - n, row r >= n holds m = r - n + 1; mode m sits at m + n
-        split = min(max(start, n), stop)
-        ms = [*range(start - n, split - n), *range(split - n + 1, stop - n + 1)]
-        cs = coeffs[start:split].tolist() + coeffs[split + 1 : stop + 1].tolist()
+    def block(start: int) -> Iterator[tuple[int, float, float]]:
+        # modes from start up to the next block, 0 or n; mode m sits at m + n
+        ms = range(start, min(start + _DECAY_BLOCK, 0 if start < 0 else n))
+        cs = coeffs[start + n : ms.stop + n].tolist()
         # scalar abs on purpose (np.abs can differ in the last ulp); m * m is
         # exact in float64 for |m| <= 2^16
-        return ms, list(map(abs, cs)), [H / (m * m) for m in ms]
+        return zip(ms, map(abs, cs), [H / (m * m) for m in ms])
 
-    return 2 * n - 1, columns
+    starts = chain(range(-n, 0, _DECAY_BLOCK), range(1, n, _DECAY_BLOCK))
+    return chain.from_iterable(map(block, starts))
 
 
 def run_spectrum_decay(function_name: str, n: int) -> list[tuple[int, float, float]]:
     """Rows (m, |ghat_n(m)|, H/m^2) for every nonzero mode, ascending m.
 
-    The rows of the decay table that ``gridfourier spectrum`` writes, all at once.
+    The rows of the decay table that ``gridfourier spectrum`` writes, as one list.
     """
-    count, columns = _decay_table(function_name, n)
-    return list(zip(*columns(0, count)))
+    return list(_decay_table(function_name, n))

@@ -366,13 +366,15 @@ def _row_by_row(header, rows):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("chunks", [1, 2, 3])
+@pytest.mark.parametrize(
+    "chunks, offset",
+    [(0, 0), *((chunks, offset) for chunks in (1, 2, 3) for offset in (-1, 0, 1))],
+)
 def test_table_writer_chunk_boundaries(capsys, chunks, offset):
+    # the rows come as a one-shot iterator; no rows writes the header alone
     count = chunks * cli._CHUNK_ROWS + offset
     rows = [(k - 3, (k - 3) / 7.0, math.ldexp(1.0, k - 1074)) for k in range(count)]
-    cli._write_table("k,third,tiny", "%d,%.17g,%.17g\n", count,
-                     lambda start, stop: rows[start:stop], None)
+    cli._write_table("k,third,tiny", "%d,%.17g,%.17g\n", iter(rows), None)
     assert capsys.readouterr().out == _row_by_row("k,third,tiny", rows)
 
 
@@ -474,6 +476,26 @@ def test_out_write_error_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --out: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--functions", "nosuch"],
+        ["converge", "--function", "nosuch"],
+        ["spectrum", "--function", "nosuch"],
+        ["rescale-demo", "--a", "0", "--b", "1", "--function", "nosuch"],
+        ["spectrum", "--function", "combo:1e308*cos:1+1e308*cos:1", "--n", "4"],
+    ],
+    ids=["verify", "converge", "spectrum", "rescale-demo", "spectrum-overflow"],
+)
+def test_refused_input_writes_no_out_file(tmp_path, capsys, argv):
+    # every input check runs before the --out file is opened
+    path = tmp_path / "table.csv"
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_spectrum_cosine(capsys):

@@ -377,6 +377,22 @@ def test_rescale_rejects_non_finite_interval(a, b):
         rescale(lambda x: 1.0, a, b)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(0, 10**400), (10**400, 10**400 + 1), ("0", "1"), (None, 1.0), (0.0, 1 + 0j), (False, True)],
+    ids=["int-beyond-float", "both-beyond-float", "str", "None", "complex", "bool"],
+)
+def test_interval_ends_that_are_no_floats_are_refused_by_name(a, b):
+    # each end is converted to a float before it is compared or subtracted
+    message = f"need a < b with b - a finite, got a={a}, b={b}"
+    with pytest.raises(ValueError) as info:
+        rescale(lambda x: 1.0, a, b)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        continuous_fourier.RescaledFunction(get_function("trig:1"), a, b)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("b", [1e308, 3e154])
 def test_rescale_refuses_an_overflowing_chain_rule_factor(b):
     # (b/2)^2 overflows; b/2 itself does not, so d1 alone is taken

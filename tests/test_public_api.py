@@ -21,6 +21,7 @@ a float; a source scan keeps that rule the only test of a real's type.
 
 import ast
 import importlib
+import inspect
 import math
 import pkgutil
 import re
@@ -413,7 +414,7 @@ SRC = Path(gridfourier.__file__).parent
 # two rules of grid, the interval rule, and the sites that parse text
 ALLOWED_CALLS = {
     "_is_integer": {("grid", "_check_integer")},
-    "_is_real": {("grid", "_check_real")},
+    "_is_real": {("grid", "_check_real"), ("continuous_fourier", "_check_interval")},
     "math.isfinite": {
         ("grid", "_check_real"), ("continuous_fourier", "_check_interval"),
         ("cli", "_parse_float_list"), ("cli", "_parse_overrides"), ("cli", "_demo_function"),
@@ -440,3 +441,12 @@ def test_each_number_rule_is_written_once():
         for name, site in _callers(ast.parse(text), path.stem):
             found[name].add(site)
     assert found == ALLOWED_CALLS
+
+
+def test_numpy_floor_has_the_fft_out_argument():
+    # the transform passes out= to np.fft.fft and np.fft.ifft, new in numpy 2.0;
+    # read as text, since tomllib needs Python 3.11
+    assert "out" in inspect.signature(np.fft.fft).parameters
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', text)
+    assert tuple(map(int, floor.split("."))) >= (2, 0)

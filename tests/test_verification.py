@@ -645,16 +645,13 @@ def test_run_spectrum_decay_rows_equal_scalar_form(name, n):
     assert repr(run_spectrum_decay(name, n)) == repr(want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_decay_columns_of_any_row_range_are_slices_of_the_table(n):
-    # the CLI asks for the rows a chunk at a time; a chunk may start, end or
-    # straddle at the missing mode 0
-    count, columns = verification._decay_table("expcos", n)
-    rows = run_spectrum_decay("expcos", n)
-    assert count == len(rows) == 2 * n - 1
-    for start in range(count + 1):
-        for stop in range(start, count + 1):
-            assert list(zip(*columns(start, stop))) == rows[start:stop]
+@pytest.mark.parametrize("n", [1, 2, 5, verification._DECAY_BLOCK + 3])
+def test_decay_table_iterates_the_rows_once_in_order(n):
+    # the CLI writes this iterator; the last n crosses a block boundary on both signs
+    rows = verification._decay_table("expcos", n)
+    assert iter(rows) is rows
+    assert [next(rows) for _ in range(2 * n - 1)] == run_spectrum_decay("expcos", n)
+    assert next(rows, None) is None
 
 
 def test_run_spectrum_decay_validation():
