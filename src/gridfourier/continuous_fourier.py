@@ -324,6 +324,7 @@ def _check_interval(a, b) -> tuple[float, float]:
     except OverflowError:  # an int or fraction beyond the float range
         lo = hi = math.nan
     if not (hi > lo and math.isfinite(hi - lo)):
+        a, b = (end if _is_real(end) else repr(end) for end in (a, b))
         raise ValueError(f"need a < b with b - a finite, got a={a}, b={b}")
     return lo, hi
 

@@ -150,7 +150,7 @@ def trig_monomial(k: int) -> SmoothPeriodicFunction:
 
 def cosine(k: int) -> SmoothPeriodicFunction:
     """cos(pi k x) for 1 <= k <= 10**6; coefficients 1 at m = +-k, 0 elsewhere."""
-    # the trig cap: rounding the phase pi*k*x already costs 1.5e-10 at k = 10**6
+    # the trig cap: rounding pi*k*x costs ~k*u, 1.5e-10 at 10**6; alias_oracle fails from k = 3488
     k = _check_integer(k, "k", 1, _MAX_MODE)
     w = math.pi * k
 

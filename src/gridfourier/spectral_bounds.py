@@ -32,12 +32,7 @@ __all__ = [
     "tail_threshold",
     "tail_sum",
     "decay_bound_check",
-    "ZERO_DECAY_FLOOR",
 ]
-
-# When the decay constant H is zero, every nonzero-mode coefficient must
-# vanish; this floor budgets the rounding of that exact statement.
-ZERO_DECAY_FLOOR = 1e-12
 
 
 def forward_symbol(n: int, m):
@@ -155,11 +150,11 @@ def _worst_mode(values_by_mode: np.ndarray, n: int, include_zero: bool = False):
 
 
 class DecayCheck(Record):
-    """Result of the quadratic-decay test |coefficients[m]| <= H/m^2.
+    """Result of the quadratic-decay test |coefficients[m]| <= H/m^2, to rounding.
 
-    worst_ratio is max_m |c(m)| m^2 / H (or max_m |c(m)| / 1e-12 when
-    H = 0, where the bound degenerates to exact vanishing); the bound
-    holds iff worst_ratio <= 1.
+    worst_ratio is max_m |c(m)| m^2 / max(H, beta m^2) over m != 0, where beta =
+    log2(2n) sum_m ulp|c(m)| bounds the FFT's rounding of one coefficient (Higham
+    2002, section 24.1); the bound holds iff worst_ratio <= 1.
     """
 
     worst_ratio: float
@@ -168,14 +163,16 @@ class DecayCheck(Record):
 
 
 def decay_bound_check(s: Spectrum, H: float) -> DecayCheck:
-    """Check |coefficients[m]| <= H / m^2 for every mode m != 0."""
+    """Check |coefficients[m]| <= H / m^2 for every mode m != 0, to rounding (see DecayCheck)."""
     H = _check_real(H, "H")
     modes = s.modes()
     mags = np.abs(s.coefficients)
-    if H == 0.0:
-        ratios = mags / ZERO_DECAY_FLOOR
-    else:
-        ratios = mags * modes.astype(float) ** 2 / H
+    # > 0 for a finite spectrum, and NaN, which fails, for one that is not
+    beta = np.log2(2 * s.n) * np.sum(np.spacing(mags))
+    ratios = mags / beta
+    # the modes where H > beta m^2, compared by square roots so that nothing overflows
+    over_H = np.sqrt(beta) * np.abs(modes) < np.sqrt(H)
+    ratios[over_H] = mags[over_H] * modes[over_H].astype(float) ** 2 / H
     worst, worst_m = _worst_mode(ratios, s.n, include_zero=False)
     return DecayCheck(worst_ratio=worst, worst_m=worst_m, passed=worst <= 1.0)
 

@@ -271,6 +271,26 @@ def test_verify_folds_a_combo_of_expcos_and_a_high_mode(capsys):
     assert all(r["status"] == "pass" for r in reports)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("args", [
+    ["--functions", "combo:10000*trig:0", "--grid-sizes", "3,100,333,1000"],
+    ["--functions", "combo:1e5*trig:0", "--grid-sizes", "5"],
+    ["--functions", "combo:9.316692462759197e+19*trig:0", "--grid-sizes", "5"],
+    ["--functions", "combo:8.195055023835682e-121*cos:222142+1.0755043539175863e+266*trig:0",
+     "--grid-sizes", "7"],
+], ids=["1e4-constant", "1e5-constant", "9.3e19-constant", "tiny-H-over-a-huge-constant"])
+def test_verify_reads_large_constants_against_their_rounding(capsys, args):
+    # the transform's rounding of a large constant is budgeted by its own scale,
+    # and a tiny H neither overflows the decay ratio nor warns
+    code, out, err = run_cli(["verify", *args], capsys)
+    reports = json.loads(out, parse_constant=_refuse_constant)["reports"]
+    assert (code, err) == (0, "")
+    assert [r["status"] for r in reports] == ["pass"] * 16
+
+
 def test_converge_trig(capsys):
     code, out, _ = run_cli(
         ["converge", "--function", "trig:2", "--N", "1,2,3", "--samples", "256"], capsys

@@ -383,8 +383,9 @@ def test_rescale_rejects_non_finite_interval(a, b):
     ids=["int-beyond-float", "both-beyond-float", "str", "None", "complex", "bool"],
 )
 def test_interval_ends_that_are_no_floats_are_refused_by_name(a, b):
-    # each end is converted to a float before it is compared or subtracted
-    message = f"need a < b with b - a finite, got a={a}, b={b}"
+    # each end is converted to a float before it is compared or subtracted;
+    # an end that is no real number is named by its repr
+    message = f"need a < b with b - a finite, got a={a!r}, b={b!r}"
     with pytest.raises(ValueError) as info:
         rescale(lambda x: 1.0, a, b)
     assert str(info.value) == message

@@ -146,7 +146,7 @@ def test_every_exported_name_resolves_and_star_import_works(module):
 
 
 def test_package_exports_resolve():
-    assert len(gridfourier.__all__) == 50 == len(set(gridfourier.__all__))
+    assert len(gridfourier.__all__) == 49 == len(set(gridfourier.__all__))
     namespace = {}
     exec("from gridfourier import *", namespace)
     assert [name for name in gridfourier.__all__ if name not in namespace] == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridfourier import (
+    DecayCheck,
     GridFunction,
     Spectrum,
     adjoint_symbol,
@@ -16,12 +17,14 @@ from gridfourier import (
     discrete_coefficients,
     exp_cos,
     forward_symbol,
+    get_function,
     sample,
     shift_to_zero_endpoints,
     tail_sum,
     tail_threshold,
     trig_monomial,
 )
+from gridfourier.functions import DEFAULT_CATALOG
 from gridfourier.grid import _check_integer
 from gridfourier.spectral_bounds import (
     _boundary_arrays,
@@ -29,7 +32,7 @@ from gridfourier.spectral_bounds import (
     canonical_mode_order,
     dft_identity_residual_arrays,
 )
-from gridfourier.verification import random_grid_function
+from gridfourier.verification import SuiteConfig, random_grid_function
 
 from _oracles import reference_boundary_arrays, reference_identity_residuals
 
@@ -258,6 +261,75 @@ def test_decay_check_cosine():
         s = discrete_coefficients(sample(cosine(1), build_grid(n)))
         check = decay_bound_check(s, H)
         assert check.passed, f"n={n}: ratio {check.worst_ratio} at m={check.worst_m}"
+
+
+# functions whose decay_H ratios must not move when scaled by 2^k: a budget
+# read from the spectrum's own scale scales with it, exactly
+_SCALED_NAMES = ["cos:1", "trig:3", "expcos", "combo:0.731*trig:0+1.9*cos:2", "trig:0",
+                 "combo:3*trig:0+1e-9*cos:5"]
+
+
+@pytest.mark.parametrize("name", _SCALED_NAMES)
+def test_decay_check_is_invariant_under_power_of_two_scaling(name):
+    f = get_function(name)
+    H = bound_constants(f).H
+    for n in (3, 5, 100, 333):
+        check = decay_bound_check(discrete_coefficients(sample(f, build_grid(n))), H)
+        for k in (-40, -7, 10, 200):
+            g = combine([(2.0**k, f)])
+            scaled = decay_bound_check(discrete_coefficients(sample(g, build_grid(n))),
+                                       bound_constants(g).H)
+            assert scaled == check, f"n={n}, k={k}"
+
+
+@pytest.mark.parametrize("K", [1.0, 9.316692462759197e19, 1.0755043539175863e266])
+def test_transform_rounding_of_a_constant_stays_in_its_budget(K):
+    # the FFT's error bound u log2(2n) sum|c| (Higham 2002, section 24.1) on the
+    # exactly vanishing coefficients m != 0 of a constant, over every small n and
+    # a few large sizes with large prime factors; decay_bound_check budgets at
+    # least that much, so with H = 0 it passes
+    for n in [*range(1, 513), 4093, 4099, 5003, 6151]:
+        s = discrete_coefficients(GridFunction(build_grid(n), np.full(2 * n, K, dtype=complex)))
+        mags = np.abs(s.coefficients)
+        budget = np.log2(2 * n) * np.sum(mags * 2.0**-53)
+        assert np.max(np.delete(mags, n)) <= budget, f"n={n}"
+        assert decay_bound_check(s, 0.0).passed, f"n={n}"
+
+
+def test_decay_check_budgets_the_underflow_of_a_subnormal_spectrum():
+    # u|c| underflows to 0 for every coefficient of this constant, while the
+    # transform leaves one subnormal step at m = 2: each ulp of the budget is
+    # at least that step
+    s = discrete_coefficients(sample(get_function("combo:1e-308*trig:0"), build_grid(13)))
+    assert np.sum(np.abs(s.coefficients) * 2.0**-53) == 0.0
+    assert abs(s.coeff(2)) == 5e-324
+    check = decay_bound_check(s, 0.0)
+    assert check.passed and check.worst_ratio > 0.0
+
+
+def test_decay_check_of_a_nan_coefficient_is_nan():
+    coefficients = np.ones(8, dtype=complex)
+    coefficients[2] = math.nan
+    for H in (0.0, 1e-300, 1.0):
+        check = decay_bound_check(Spectrum(4, coefficients), H)
+        assert math.isnan(check.worst_ratio) and not check.passed
+
+
+@pytest.mark.parametrize("H", [0.0, 5e-324, 1.0])
+def test_decay_check_of_a_zero_spectrum_is_zero(H):
+    assert decay_bound_check(Spectrum(4, np.zeros(8)), H) == DecayCheck(0.0, -1, True)
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+@pytest.mark.parametrize("n", SuiteConfig().grid_sizes)
+def test_decay_check_of_a_catalog_cell_is_the_ratio_to_H(name, n):
+    # H is far above the rounding budget on the catalog: the ratio is |c| m^2 / H,
+    # bit for bit
+    f = get_function(name)
+    H = bound_constants(f).H
+    s = discrete_coefficients(sample(f, build_grid(n)))
+    ratios = np.abs(s.coefficients) * s.modes().astype(float) ** 2 / H
+    assert decay_bound_check(s, H).worst_ratio == np.max(np.delete(ratios, n))
 
 
 def test_decay_check_rejects_negative_H():

@@ -128,6 +128,18 @@ ARGVS = (
     ["verify", "--tolerance", "ftc=-1"],
     # a decay constant refused by BoundConstants: M overflows to inf
     ["verify", "--functions", "combo:1e304*cos:1"],
+    # large constants, whose transform rounds the vanishing modes m != 0 to
+    # the scale of the constant, and a tiny H over a huge constant
+    ["verify", "--functions", "combo:10000*trig:0", "--grid-sizes", "3,100,333,1000"],
+    ["verify", "--functions", "combo:1e5*trig:0", "--grid-sizes", "5"],
+    ["verify", "--functions", "combo:9.316692462759197e+19*trig:0", "--grid-sizes", "5"],
+    ["verify", "--functions",
+     "combo:8.195055023835682e-121*cos:222142+1.0755043539175863e+266*trig:0", "--grid-sizes", "7"],
+    # open false fails: alias_oracle from the mode 3488 on, and the sampled
+    # decay constants of cos:k at n = k (decay_H and g2_bound, then F_bound)
+    ["verify", "--functions", "trig:3488"],
+    ["verify", "--functions", "cos:1024", "--grid-sizes", "1024"],
+    ["verify", "--functions", "cos:2048", "--grid-sizes", "2048"],
 )
 
 
