@@ -9,7 +9,11 @@ identical flags yields byte-identical output.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 Bad input has one error path: every check, here and in the library,
 raises ValueError, and ``main`` alone turns it into one ``error:`` line
-on stderr and exit 2.
+on stderr and exit 2.  Each range, finiteness or size refusal is made by
+the library rule that owns the value and prints that rule's message, such
+as ``grid size 0 outside [1, 65536]`` or ``samples must be >= 2, got 1``.
+The CLI's own errors are the parse errors of its flags, ``--format``,
+``FOURIER_WORKERS`` and the ``rescale-demo`` interval.
 """
 
 from __future__ import annotations
@@ -24,16 +28,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import continuous_fourier
-from .continuous_fourier import SUP_ERROR_SAMPLES, rescale
-from .grid import _evaluate, _pointwise
-from .verification import (
-    MAX_SPECTRUM_N,
-    SuiteConfig,
-    _decay_table,
-    run_convergence,
-    run_lemma_suite,
-)
+from .continuous_fourier import SUP_ERROR_SAMPLES, _check_interval, rescale
+from .grid import _check_integer, _evaluate, _pointwise
+from .verification import SuiteConfig, _decay_table, run_convergence, run_lemma_suite
 
 JSON_SCHEMA_VERSION = 1
 WORKER_ENV_VAR = "FOURIER_WORKERS"
@@ -88,39 +85,17 @@ def _write_table(header: str, row_format: str, rows, out: str | None) -> None:
     _write_output(chunks(), out)
 
 
-def _parse_list(raw: str, flag: str, convert, what: str, check) -> list:
-    """Convert the nonempty comma-separated pieces in order; check(value, piece) vets each."""
+def _parse_list(raw: str, flag: str, convert, what: str) -> list:
+    """The nonempty comma-separated pieces of raw, each through convert, in order."""
     items = []
     for piece in filter(None, map(str.strip, raw.split(","))):
         try:
-            value = convert(piece)
+            items.append(convert(piece))
         except ValueError:
             raise ValueError(f"{flag}: {what}: {piece!r}") from None
-        check(value, piece)
-        items.append(value)
     if not items:
         raise ValueError(f"{flag}: empty list")
     return items
-
-
-def _parse_int_list(raw: str, flag: str, minimum: int, maximum: float = math.inf) -> list[int]:
-    def check(value, _):
-        if value < minimum:
-            raise ValueError(f"{flag}: invalid value {value} (must be >= {minimum})")
-        if value > maximum:
-            raise ValueError(f"{flag}: invalid value {value} (must be <= {maximum})")
-
-    return _parse_list(raw, flag, int, "not an integer", check)
-
-
-def _parse_float_list(raw: str, flag: str) -> list[float]:
-    def check(value, piece):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag}: non-finite value {piece!r}")
-        if value <= 0:
-            raise ValueError(f"{flag}: invalid value {value} (must be > 0)")
-
-    return _parse_list(raw, flag, float, "not a number", check)
 
 
 def _parse_overrides(pairs) -> dict:
@@ -130,12 +105,9 @@ def _parse_overrides(pairs) -> dict:
         if not sep:
             raise ValueError(f"--tolerance: expected name=value, got {pair!r}")
         try:
-            tol = float(value)
+            overrides[name] = float(value)
         except ValueError:
             raise ValueError(f"--tolerance: not a number: {value!r}") from None
-        if not math.isfinite(tol):
-            raise ValueError(f"--tolerance: non-finite value for {name}: {value!r}")
-        overrides[name] = tol
     return overrides
 
 
@@ -149,8 +121,7 @@ def _validate_worker_env() -> None:
         count = int(raw)
     except ValueError:
         raise ValueError(f"{WORKER_ENV_VAR}: not an integer: {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"{WORKER_ENV_VAR}: must be a positive integer, got {count}")
+    _check_integer(count, WORKER_ENV_VAR, 1)
 
 
 def _cmd_verify(args) -> int:
@@ -159,9 +130,9 @@ def _cmd_verify(args) -> int:
     # the flags are parsed, then the environment checked, then the config built
     fields = dict(
         function_names=[s.strip() for s in args.functions.split(",") if s.strip()],
-        grid_sizes=_parse_int_list(args.grid_sizes, "--grid-sizes", 1, MAX_SPECTRUM_N),
+        grid_sizes=_parse_list(args.grid_sizes, "--grid-sizes", int, "not an integer"),
         mode_limit=args.mode_limit,
-        epsilons=_parse_float_list(args.epsilons, "--epsilons"),
+        epsilons=_parse_list(args.epsilons, "--epsilons", float, "not a number"),
         seed=args.seed,
         tolerance_overrides=_parse_overrides(args.tolerance),
     )
@@ -179,17 +150,8 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
-def _check_phase_cells(flag: str, points: int, N: int) -> None:
-    continuous_fourier._check_phase_cells(points, N, f"{flag}: {points} points and N={N}")
-
-
 def _cmd_converge(args) -> int:
-    orders = _parse_int_list(args.N, "--N", 1)
-    if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise ValueError(f"--N: values must be strictly increasing, got {orders}")
-    if args.samples < 2:
-        raise ValueError(f"--samples: must be >= 2, got {args.samples}")
-    _check_phase_cells("--samples/--N", args.samples + 1, orders[-1])
+    orders = _parse_list(args.N, "--N", int, "not an integer")
     rows = run_convergence(args.function, orders, args.samples)
     values = attrgetter("N", "sup_error", "m_test_bound")
     _write_table("N,sup_error,m_test_bound", "%d,%.17g,%.17g\n", map(values, rows), args.out)
@@ -197,8 +159,6 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if not 1 <= args.n <= MAX_SPECTRUM_N:
-        raise ValueError(f"--n: must be in [1, {MAX_SPECTRUM_N}], got {args.n}")
     rows = _decay_table(args.function, args.n)
     _write_table("m,abs_coeff,decay_bound", "%d,%.17g,%.17g\n", rows, args.out)
     return 0
@@ -216,10 +176,8 @@ def _demo_function(kind: str, a: float, b: float):
 
 
 def _cmd_rescale_demo(args) -> int:
-    continuous_fourier._check_interval(args.a, args.b)
-    if args.N < 0:
-        raise ValueError(f"--N: must be >= 0, got {args.N}")
-    _check_phase_cells("--N", _RESCALE_DEMO_POINTS, args.N)
+    # before _demo_function divides by b - a
+    _check_interval(args.a, args.b)
     ev = _demo_function(args.function, args.a, args.b)
     scaled = rescale(ev, args.a, args.b, name=args.function)
     xs = np.linspace(args.a, args.b, _RESCALE_DEMO_POINTS)

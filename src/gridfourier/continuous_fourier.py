@@ -396,7 +396,7 @@ def rescale(
     by the chain-rule factors L/2 and (L/2)^2; a factor that overflows raises
     ValueError naming the interval and the derivative order.
     """
-    _check_interval(a, b)
+    a, b = _check_interval(a, b)
     L = b - a
     fa = complex(f(a))
     fb = complex(f(b))

@@ -172,7 +172,12 @@ def decay_bound_check(s: Spectrum, H: float) -> DecayCheck:
     ratios = mags / beta
     # the modes where H > beta m^2, compared by square roots so that nothing overflows
     over_H = np.sqrt(beta) * np.abs(modes) < np.sqrt(H)
-    ratios[over_H] = mags[over_H] * modes[over_H].astype(float) ** 2 / H
+    m2 = modes.astype(float) ** 2
+    with np.errstate(over="ignore"):  # a |c| m^2 that overflows is redone below
+        ratios[over_H] = mags[over_H] * m2[over_H] / H
+    # there H > beta m^2 keeps the ratio below |c| / beta < 2^53, so |c| / H m^2 is finite
+    redo = over_H & np.isinf(ratios)
+    ratios[redo] = mags[redo] / H * m2[redo]
     worst, worst_m = _worst_mode(ratios, s.n, include_zero=False)
     return DecayCheck(worst_ratio=worst, worst_m=worst_m, passed=worst <= 1.0)
 

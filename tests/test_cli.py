@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gridfourier import cli, verification
+from gridfourier import cli, continuous_fourier, verification
 from gridfourier.cli import main
+from gridfourier.continuous_fourier import rescale
 from gridfourier.discrete_fourier import discrete_coefficients
 from gridfourier.functions import bound_constants, get_function
 from gridfourier.grid import build_grid, sample
@@ -119,10 +120,9 @@ def test_verify_rejects_bad_tolerance(capsys):
 )
 def test_verify_rejects_non_finite_numbers(capsys, flag, value, bad):
     # nan used to be reported as a failed check and inf made a check vacuous
+    what = {"--tolerance": "tolerance override for ftc", "--epsilons": "epsilon"}[flag]
     code, out, err = run_cli(SMALL_VERIFY + [flag, value], capsys)
-    assert code == 2
-    assert out == ""
-    assert flag in err and bad in err
+    assert (code, out, err) == (2, "", f"error: invalid {what}: {bad} (must be finite and > 0)\n")
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf"])
@@ -207,7 +207,7 @@ def test_invalid_worker_env(capsys, monkeypatch, bad):
     [
         (["--grid-sizes", "4,x", "--mode-limit", "1"], "0",
          "error: --grid-sizes: not an integer: 'x'\n"),
-        (["--mode-limit", "1"], "0", "error: FOURIER_WORKERS: must be a positive integer, got 0\n"),
+        (["--mode-limit", "1"], "0", "error: FOURIER_WORKERS must be >= 1, got 0\n"),
         (["--mode-limit", "1"], None, "error: mode_limit must be >= 2, got 1\n"),
         (["--functions", "nosuch", "--seed", "-1"], None,
          "error: seed must be nonnegative, got -1\n"),
@@ -325,36 +325,90 @@ def test_converge_validation(capsys):
     assert run_cli(["converge", "--function", "cos:1", "--samples", "1"], capsys)[0] == 2
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        # (2048 + 1) x (2*1024 + 1) cells, just above the 2**22 limit
-        (["converge", "--function", "cos:1", "--N", "1,1024"], "--samples/--N"),
-        (["converge", "--function", "cos:1", "--N", "1,2", "--samples", str(10**12)], "--samples/--N"),
-        (["converge", "--function", "cos:1", "--N", str(10**12)], "--samples/--N"),
-        (["spectrum", "--function", "cos:1", "--n", str(2**16 + 1)], "--n"),
-        (["spectrum", "--function", "cos:1", "--n", str(10**12)], "--n"),
-        (["verify", "--grid-sizes", f"4,{2**16 + 1}"], "--grid-sizes"),
-        (["verify", "--grid-sizes", str(10**12)], "--grid-sizes"),
-        # 257 x (2*8160 + 1) cells, just above the 2**22 limit
-        (["rescale-demo", "--a", "0", "--b", "1", "--N", "8160"], "--N"),
-        (["rescale-demo", "--a", "0", "--b", "1", "--N", str(10**12)], "--N"),
-    ],
-)
-def test_oversized_tables_are_rejected_before_allocation(argv, flag, capsys, monkeypatch):
-    import gridfourier.cli as cli
+_OVERSIZED = [
+    # (2048 + 1) x (2*1024 + 1) cells, just above the 2**22 limit
+    (["converge", "--function", "cos:1", "--N", "1,1024"], "--samples/--N",
+     "samples=2048 and N=1024 need a 4198401-cell phase matrix, above the limit of 4194304"),
+    (["converge", "--function", "cos:1", "--N", "1,2", "--samples", str(10**12)], "--samples/--N",
+     "samples=1000000000000 and N=2 need a 5000000000005-cell phase matrix, "
+     "above the limit of 4194304"),
+    (["converge", "--function", "cos:1", "--N", str(10**12)], "--samples/--N",
+     "samples=2048 and N=1000000000000 need a 4098000000002049-cell phase matrix, "
+     "above the limit of 4194304"),
+    (["spectrum", "--function", "cos:1", "--n", str(2**16 + 1)], "--n",
+     "grid size 65537 outside [1, 65536]"),
+    (["spectrum", "--function", "cos:1", "--n", str(10**12)], "--n",
+     "grid size 1000000000000 outside [1, 65536]"),
+    (["verify", "--grid-sizes", f"4,{2**16 + 1}"], "--grid-sizes",
+     "grid size 65537 outside [1, 65536]"),
+    (["verify", "--grid-sizes", str(10**12)], "--grid-sizes",
+     "grid size 1000000000000 outside [1, 65536]"),
+    # 257 x (2*8160 + 1) cells, just above the 2**22 limit
+    (["rescale-demo", "--a", "0", "--b", "1", "--N", "8160"], "--N",
+     "257 points and N=8160 need a 4194497-cell phase matrix, above the limit of 4194304"),
+    (["rescale-demo", "--a", "0", "--b", "1", "--N", str(10**12)], "--N",
+     "257 points and N=1000000000000 need a 514000000000257-cell phase matrix, "
+     "above the limit of 4194304"),
+]
 
+
+@pytest.mark.parametrize(
+    "argv, flag, message", _OVERSIZED,
+    ids=[f"argv{k}-{flag}" for k, (_, flag, _) in enumerate(_OVERSIZED)],
+)
+def test_oversized_tables_are_rejected_before_allocation(argv, flag, message, capsys,
+                                                         monkeypatch):
+    # flag names the input that sets the table's size; the refusal is the library's
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr(cli, "run_convergence", refuse)
-    monkeypatch.setattr(cli, "_decay_table", refuse)
-    monkeypatch.setattr(cli, "run_lemma_suite", refuse)
-    monkeypatch.setattr(cli, "rescale", refuse)
+    for module, name in [(continuous_fourier, "_phase_chunks"),
+                         (continuous_fourier, "_coefficient_vector"),
+                         (verification, "sample"), (verification, "discrete_coefficients"),
+                         (cli, "run_lemma_suite")]:
+        monkeypatch.setattr(module, name, refuse)
     code, out, err = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}: ")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _demo_reconstruct(N: int):
+    scaled = rescale(cli._demo_function("cos-period", 0.0, 1.0), 0.0, 1.0)
+    return scaled.reconstruct(N, np.linspace(0.0, 1.0, cli._RESCALE_DEMO_POINTS))
+
+
+@pytest.mark.parametrize(
+    "argv, owner",
+    [
+        (["verify", "--grid-sizes", "0"], lambda: SuiteConfig(grid_sizes=[0])),
+        (["verify", "--grid-sizes", "65537"], lambda: SuiteConfig(grid_sizes=[65537])),
+        (["verify", "--epsilons", "0"], lambda: SuiteConfig(epsilons=[0.0])),
+        (["verify", "--epsilons", "inf"], lambda: SuiteConfig(epsilons=[math.inf])),
+        (["verify", "--tolerance", "ftc=inf"],
+         lambda: SuiteConfig(tolerance_overrides={"ftc": math.inf})),
+        (["converge", "--function", "cos:1", "--N", "3,2"],
+         lambda: verification.run_convergence("cos:1", [3, 2])),
+        (["converge", "--function", "cos:1", "--N", "0"],
+         lambda: verification.run_convergence("cos:1", [0])),
+        (["converge", "--function", "cos:1", "--samples", "1"],
+         lambda: verification.run_convergence("cos:1", [1, 2, 4, 8, 16, 32], 1)),
+        (["converge", "--function", "cos:1", "--samples", "2", "--N", "699051"],
+         lambda: verification.run_convergence("cos:1", [699051], 2)),
+        (["spectrum", "--function", "cos:1", "--n", "0"],
+         lambda: verification._decay_table("cos:1", 0)),
+        (["rescale-demo", "--a", "0", "--b", "1", "--N", "-1"], lambda: _demo_reconstruct(-1)),
+        (["rescale-demo", "--a", "0", "--b", "1", "--N", "8160"],
+         lambda: _demo_reconstruct(8160)),
+    ],
+    ids=["grid-size-0", "grid-size-65537", "epsilon-0", "epsilon-inf", "tolerance-inf",
+         "N-decreasing", "N-0", "samples-1", "phase-cells", "n-0", "rescale-N--1",
+         "rescale-phase-cells"],
+)
+def test_each_refused_flag_prints_the_message_of_the_library_rule_that_owns_it(
+        argv, owner, capsys):
+    with pytest.raises(ValueError) as refused:
+        owner()
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {refused.value}\n")
 
 
 @pytest.mark.parametrize(

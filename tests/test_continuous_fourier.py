@@ -361,6 +361,18 @@ def test_rescale_reproduces_circle_normalization():
         assert abs(_rescaled_coefficient(rf, m) - 0.5 * coefficient(f, m)) <= 1e-10
 
 
+def test_rescale_of_float32_ends_maps_points_by_their_float_values():
+    # L was b - a in float32 (3.2000000477), while RescaledFunction.length is
+    # 3.19999995 in float64, so the pull-back and the reconstruction mapped
+    # points apart by 1.4e-7
+    a, b = np.float32(0.1), np.float32(3.3)
+    lo, hi = float(a), float(b)
+    w = 2 * math.pi / (hi - lo)
+    rf = rescale(lambda x: math.cos(w * (x - lo)), a, b)
+    xs = np.linspace(lo, hi, 33)
+    assert np.max(np.abs(rf.reconstruct(8, xs) - np.cos(w * (xs - lo)))) <= 1e-14
+
+
 def test_rescale_validation():
     with pytest.raises(ValueError):
         rescale(lambda x: x, 1.0, 1.0)

@@ -417,8 +417,7 @@ ALLOWED_CALLS = {
     "_is_real": {("grid", "_check_real"), ("continuous_fourier", "_check_interval")},
     "math.isfinite": {
         ("grid", "_check_real"), ("continuous_fourier", "_check_interval"),
-        ("cli", "_parse_float_list"), ("cli", "_parse_overrides"), ("cli", "_demo_function"),
-        ("functions", "get_function"),
+        ("cli", "_demo_function"), ("functions", "get_function"),
     },
 }
 

@@ -315,6 +315,14 @@ def test_decay_check_of_a_nan_coefficient_is_nan():
         assert math.isnan(check.worst_ratio) and not check.passed
 
 
+@pytest.mark.filterwarnings("error")
+def test_decay_check_of_a_huge_spectrum_does_not_overflow():
+    # |c| m^2 = 1e308 * 16 overflowed with a RuntimeWarning, although H > beta m^2
+    # bounds the ratio |c| m^2 / H, here 16, below |c| / beta
+    check = decay_bound_check(Spectrum(4, np.full(8, 1e308)), 1e308)
+    assert (check.worst_ratio, check.worst_m) == (16.0, -4)
+
+
 @pytest.mark.parametrize("H", [0.0, 5e-324, 1.0])
 def test_decay_check_of_a_zero_spectrum_is_zero(H):
     assert decay_bound_check(Spectrum(4, np.zeros(8)), H) == DecayCheck(0.0, -1, True)

@@ -140,6 +140,17 @@ ARGVS = (
     ["verify", "--functions", "trig:3488"],
     ["verify", "--functions", "cos:1024", "--grid-sizes", "1024"],
     ["verify", "--functions", "cos:2048", "--grid-sizes", "2048"],
+    # refused ranges, finiteness and sizes whose library messages no argv
+    # above pins: a grid size below and above [1, 65536], a non-finite epsilon
+    # and tolerance, a truncation order of 0, and a rescale order below 0 and
+    # one above the phase-cell limit
+    ["verify", "--grid-sizes", "0"],
+    ["verify", "--grid-sizes", "65537"],
+    ["verify", "--epsilons", "inf"],
+    ["verify", "--tolerance", "ftc=inf"],
+    ["converge", "--function", "cos:1", "--N", "0"],
+    ["rescale-demo", "--a", "0", "--b", "1", "--N", "-1"],
+    ["rescale-demo", "--a", "0", "--b", "1", "--N", "8160"],
 )
 
 
