@@ -1,19 +1,27 @@
 """Orchestrates the lemma checks and convergence experiments.
 
 Every check is one row of ``CHECKS``: its name, the claim it certifies,
-its default tolerance, and ``run``, the code that computes it.  A runner
-takes the suite context (config, functions, bound constants, tail plan,
-and the sample and spectrum of every catalog cell, all built once per
-run) and yields (check name, residual, location) candidates; rows that
-share work share one runner, which runs once.  A check's worst residual
-is normalized by the scale stated for that check (grid size, input
+its default tolerance, and ``run``, its runner.  Each step of the paper
+has one runner, run once for all of its rows: ``_inversion`` (exact
+inversion on the 2n-point grid), ``_calculus`` (summation by parts),
+``_dft_identities`` (the two derivative-transform identities),
+``_symbol_sweep`` (|psi_n(m)|^2 >= 4m^2), ``_decay_lemma`` (|F| <= 5D
+and |g''| <= M + 2B give |ghat_n(m)| <= H/m^2), ``_tails`` (small
+tails), ``_limits`` (the grid-to-continuum limit) and ``_m_test`` (the
+Weierstrass M-test).  A runner yields (check name, residual, location)
+candidates from the suite context: config, functions, bound constants,
+grid sizes, and ``_Suite.cell``, which samples and transforms a
+(function, n) cell on its first read and keeps it for the run, so a grid
+that no check reads is never sampled.  A check's worst residual is
+normalized by the scale stated for that check (grid size, input
 magnitude; max(1, max|f|) for the checks against continuum values, so a
 function with |f| <= 1 keeps an absolute budget), and the tolerance
 column is a plain number.  Runs are deterministic: randomized grid
 functions come from SplitMix64 streams keyed by (seed, stream id, grid
 size, replicate, part), the runners run serially in table order and feed
-one worst-case reduction, and worst-case ties resolve to the smallest |m|
-with the negative mode first, then to the earliest (function, n) cell.
+one worst-case reduction, and worst-case ties resolve to the smallest
+|m| with the negative mode first, then to the earliest (function, n)
+cell.
 """
 
 from __future__ import annotations
@@ -252,35 +260,27 @@ def _worst_grid_point(values: np.ndarray, n: int) -> float:
 
 
 class _Suite(Record):
-    """What every runner reads: built once per run, keyed by (function name, n)."""
+    """What every runner reads; ``cells`` keeps the (function name, n) cells read so far."""
 
     cfg: SuiteConfig
     fns: dict
     ns: list
     consts: dict
-    tail_plan: dict
-    samples: dict
-    spectra: dict
+    cells: dict
+
+    def cell(self, name: str, n: int) -> tuple:
+        """The sample and spectrum of the cell (name, n), made on its first read."""
+        if (name, n) not in self.cells:
+            gf = sample(self.fns[name], build_grid(n))
+            self.cells[(name, n)] = gf, discrete_coefficients(gf)
+        return self.cells[(name, n)]
 
 
 def _build_suite(cfg: SuiteConfig) -> _Suite:
     fns = {name: get_function(name) for name in cfg.function_names}
     ns = sorted(set(cfg.grid_sizes))
     consts = {name: bound_constants(f) for name, f in fns.items()}
-
-    # tail grids are pinned by the threshold rule, independent of grid_sizes
-    tail_plan = {}
-    for name in fns:
-        for eps in cfg.epsilons:
-            thr = tail_threshold(consts[name].H, eps)
-            n_tail = TAIL_BASE_GRID if thr <= TAIL_BASE_GRID else TAIL_BIG_GRID
-            tail_plan[(name, eps)] = (thr, n_tail)
-
-    keys = [(name, n) for name in fns for n in ns]
-    keys += [(name, n_tail) for (name, _), (_, n_tail) in tail_plan.items()]
-    samples = {(name, n): sample(fns[name], build_grid(n)) for name, n in dict.fromkeys(keys)}
-    spectra = {key: discrete_coefficients(gf) for key, gf in samples.items()}
-    return _Suite(cfg, fns, ns, consts, tail_plan, samples, spectra)
+    return _Suite(cfg, fns, ns, consts, {})
 
 
 def _inversion(s: _Suite):
@@ -309,8 +309,7 @@ def _calculus(s: _Suite):
 
 def _dft_identities(s: _Suite):
     # the catalog cells first, then seeded random data
-    cells = [(name, n) for name in s.fns for n in s.ns]
-    inputs = [(s.samples[key], s.spectra[key], *key) for key in cells]
+    inputs = [(*s.cell(name, n), name, n) for name in s.fns for n in s.ns]
     for n in s.ns:
         for rep in range(DFT_RANDOM_REPS):
             gf = random_grid_function(s.cfg.seed, "dft", n, rep)
@@ -372,34 +371,32 @@ def _symbol_sweep(s: _Suite):
         yield "phi_psi_mag", float(mag[k]), WorstLocation(None, int(nn[k]), -int(jj[k]))
 
 
-def _uniform_bounds(s: _Suite):
-    # on the endpoint-centered catalog
+def _decay_lemma(s: _Suite):
     for name, f in s.fns.items():
         c = s.consts[name]
         for n in s.ns:
-            max_F, m_F, max_g2, m_g2 = _uniform_maxima(s.samples[(name, n)] - f.endpoint_value)
+            gf, spectrum = s.cell(name, n)
+            # on the endpoint-centered catalog
+            max_F, m_F, max_g2, m_g2 = _uniform_maxima(gf - f.endpoint_value)
             yield "F_bound", max_F - 5.0 * c.D, WorstLocation(name, n, m_F)
             yield "g2_bound", max_g2 - (c.M + 2.0 * c.B), WorstLocation(name, n, m_g2)
-
-
-def _decay(s: _Suite):
-    for name in s.fns:
-        for n in s.ns:
-            check = decay_bound_check(s.spectra[(name, n)], s.consts[name].H)
+            check = decay_bound_check(spectrum, c.H)
             yield "decay_H", check.worst_ratio, WorstLocation(name, n, check.worst_m)
 
 
 def _tails(s: _Suite):
     for name in s.fns:
         for eps in s.cfg.epsilons:
-            thr, n_tail = s.tail_plan[(name, eps)]
+            thr = tail_threshold(s.consts[name].H, eps)
+            # the tail grid is pinned by the threshold, independent of grid_sizes
+            n_tail = TAIL_BASE_GRID if thr <= TAIL_BASE_GRID else TAIL_BIG_GRID
             # tested before the floor, which an infinite threshold overflows
             if thr >= n_tail - 1:
                 # no admissible range below this grid size: vacuous
                 yield "tail_eps", 0.0, WorstLocation(name, n_tail)
                 continue
             L = math.floor(thr) + 1
-            spec = s.spectra[(name, n_tail)]
+            spec = s.cell(name, n_tail)[1]
             # negative range first: _offer keeps it on a tie
             neg = tail_sum(spec, -(n_tail - 1), -L)
             yield "tail_eps", neg / eps, WorstLocation(name, n_tail, -L)
@@ -407,42 +404,30 @@ def _tails(s: _Suite):
             yield "tail_eps", pos / eps, WorstLocation(name, n_tail, L)
 
 
-def _magnitude(s: _Suite, name: str, n: int) -> float:
-    """max(1, max|f|) over the held sample of the cell (name, n)."""
-    return max(1.0, s.samples[(name, n)].max_abs())
-
-
-def _alias(s: _Suite):
+def _limits(s: _Suite):
+    n_min, n_max = s.ns[0], s.ns[-1]
+    modes = [m for m in CONVERGENCE_MODES if -n_min <= m <= n_min - 1]
     for name, f in s.fns.items():
         # the exact coefficients of the support, evaluated once for all n
         exact = np.fromiter(map(f.exact_coefficient, f.support), np.complex128, len(f.support))
         for n in s.ns:
-            d = s.spectra[(name, n)].coefficients - _alias_fold_table(f.support, exact, n)
+            gf, spectrum = s.cell(name, n)
+            d = spectrum.coefficients - _alias_fold_table(f.support, exact, n)
             # hypot, the libm call of Python's complex abs, which np.abs can miss by an ulp
             diffs = np.hypot(d.real, d.imag)
             diff, m = _worst_mode(diffs, n, include_zero=True)
-            yield "alias_oracle", diff / _magnitude(s, name, n), WorstLocation(name, n, m)
-
-
-def _coeff_convergence(s: _Suite):
-    n_min, n_max = s.ns[0], s.ns[-1]
-    modes = [m for m in CONVERGENCE_MODES if -n_min <= m <= n_min - 1]
-    for name, f in s.fns.items():
-        scale = _magnitude(s, name, n_max)
+            yield "alias_oracle", diff / max(1.0, gf.max_abs()), WorstLocation(name, n, m)
+        # the limits are read at the scale of the largest grid's sample
+        gf = s.cell(name, n_max)[0]
+        scale = max(1.0, gf.max_abs())
         for m in modes:
-            exact = coefficient(f, m)
-            gaps = [abs(s.spectra[(name, n)].coeff(m) - exact) / scale for n in s.ns]
+            exact_m = coefficient(f, m)
+            gaps = [abs(s.cell(name, n)[1].coeff(m) - exact_m) / scale for n in s.ns]
             yield "coeff_convergence", gaps[-1], WorstLocation(name, n_max, m)
             for k in range(1, len(s.ns)):
                 inc = gaps[k] - gaps[k - 1]
                 yield "coeff_convergence", inc, WorstLocation(name, s.ns[k], m)
-
-
-def _darboux(s: _Suite):
-    n_max = s.ns[-1]
-    for name, f in s.fns.items():
-        gap = _integral_gap(f, s.samples[(name, n_max)]) / _magnitude(s, name, n_max)
-        yield "integral_darboux", gap, WorstLocation(name, n_max)
+        yield "integral_darboux", _integral_gap(f, gf) / scale, WorstLocation(name, n_max)
 
 
 def _m_test(s: _Suite):
@@ -468,13 +453,13 @@ CHECKS = (
     Check("dft_identity_2", "second-derivative-transform-identity", 1e-9, _dft_identities),
     Check("psi_lower", "symbol-quadratic-lower-bound", 1e-9, _symbol_sweep),
     Check("phi_psi_mag", "symbol-conjugacy-and-magnitude", 1e-12, _symbol_sweep),
-    Check("F_bound", "boundary-term-uniform-bound", 1e-9, _uniform_bounds),
-    Check("g2_bound", "second-difference-spectrum-uniform-bound", 1e-9, _uniform_bounds),
-    Check("decay_H", "quadratic-coefficient-decay", 1.0, _decay),
+    Check("F_bound", "boundary-term-uniform-bound", 1e-9, _decay_lemma),
+    Check("g2_bound", "second-difference-spectrum-uniform-bound", 1e-9, _decay_lemma),
+    Check("decay_H", "quadratic-coefficient-decay", 1.0, _decay_lemma),
     Check("tail_eps", "tail-sum-smallness", 1.0, _tails),
-    Check("alias_oracle", "alias-folding-identity", 1e-12, _alias),
-    Check("coeff_convergence", "grid-to-continuum-coefficient-limit", 1e-10, _coeff_convergence),
-    Check("integral_darboux", "grid-to-continuum-integral-limit", 1e-10, _darboux),
+    Check("alias_oracle", "alias-folding-identity", 1e-12, _limits),
+    Check("coeff_convergence", "grid-to-continuum-coefficient-limit", 1e-10, _limits),
+    Check("integral_darboux", "grid-to-continuum-integral-limit", 1e-10, _limits),
     Check("m_test_domination", "uniform-convergence-majorant", 1e-9, _m_test),
 )
 _CHECK_BY_NAME = {check.name: check for check in CHECKS}

@@ -5,7 +5,8 @@
 endpoint value as eval(1.0), and the grid transform inverts exactly at any
 size.  The calculus and derivative-transform identities, the decay and
 uniform bounds, and alias folding hold at random grid sizes within the
-budgets of their ``CHECKS`` rows, on the engine's scales.  Examples are
+budgets of their ``CHECKS`` rows, on the engine's scales, and every check
+passes on random verify suites over a stated domain.  Examples are
 derandomized, so a run is reproducible.
 """
 
@@ -34,7 +35,7 @@ from gridfourier import (
 )
 from gridfourier.discrete_fourier import _alias_fold_table
 from gridfourier.spectral_bounds import _uniform_maxima, dft_identity_residual_arrays
-from gridfourier.verification import CHECKS, random_grid_function
+from gridfourier.verification import CHECKS, SuiteConfig, random_grid_function, run_lemma_suite
 
 from _oracles import alias_fold
 
@@ -56,6 +57,10 @@ TRIG_PARTS = st.lists(st.tuples(WEIGHT, TRIG_PART), min_size=1, max_size=3)
 COMBO_PART = st.one_of(TRIG_PART, st.builds(exp_cos))
 COMBO_PARTS = st.lists(st.tuples(WEIGHT, COMBO_PART), min_size=1, max_size=3)
 TOLERANCE = {c.name: c.tolerance for c in CHECKS}
+SUITE_TERMS = (*(f"cos:{k}" for k in range(1, 6)), *(f"trig:{k}" for k in range(-4, 5)), "expcos")
+SUITE_COMBO = st.lists(
+    st.tuples(st.integers(-2000, 2000), st.sampled_from(SUITE_TERMS)), min_size=1, max_size=3
+).map(lambda terms: "combo:" + "+".join(f"{k / 1000}*{name}" for k, name in terms))
 
 
 @SETTINGS
@@ -200,3 +205,27 @@ def test_alias_fold_table_is_alias_fold_bit_for_bit(parts, n):
     scalar = [alias_fold(f, n, m, cutoff) for m in range(-n, n)]
     # repr tells signed zeros apart
     assert [repr(z) for z in table] == [repr(z) for z in scalar]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    names=st.lists(SUITE_COMBO, min_size=1, max_size=3),
+    largest=st.integers(64, 700),
+    sizes=st.lists(st.integers(1, 700), max_size=3),
+    mode_limit=st.integers(2, 40),
+    seed=st.integers(0, 2**40),
+)
+def test_every_check_passes_on_random_suites(names, largest, sizes, mode_limit, seed):
+    """Every check passes on each verify suite of this domain.
+
+    - 1-3 functions, each a combo of 1-3 terms ``w*name``, with w a
+      multiple of 0.001 in [-2, 2] and the name one of ``cos:1`` ..
+      ``cos:5``, ``trig:-4`` .. ``trig:4`` and ``expcos``;
+    - 1-4 grid sizes in 1 .. 700, the largest at least 64;
+    - a mode limit in 2 .. 40 and a seed in 0 .. 2^40.
+
+    The README lists each known family of false fails outside it.
+    """
+    cfg = SuiteConfig(function_names=names, grid_sizes=(*sizes, largest), mode_limit=mode_limit, seed=seed)
+    failed = [(r.check_name, r.worst_residual) for r in run_lemma_suite(cfg) if r.status != "pass"]
+    assert not failed, (cfg, failed)

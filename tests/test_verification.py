@@ -206,9 +206,29 @@ def test_each_catalog_cell_is_sampled_once(monkeypatch):
     assert sampled and set(sampled.values()) == {1}, sampled
 
 
+@pytest.mark.parametrize("epsilons, tail_grids", [((0.1, 0.01), (4096,)), ((1e-300,), ())])
+def test_only_grids_that_a_check_reads_are_sampled(monkeypatch, epsilons, tail_grids):
+    # each catalog cell and each tail grid a tail check reads, once; every
+    # tail check of epsilon 1e-300 is vacuous, so it reads no tail grid
+    sampled = collections.Counter()
+
+    def counting(f, grid):
+        sampled[(f.name, grid.n)] += 1
+        return sample(f, grid)
+
+    monkeypatch.setattr(verification, "sample", counting)
+    monkeypatch.setattr(continuous_fourier, "sample", counting)
+    cfg = SuiteConfig(epsilons=epsilons)
+    run_lemma_suite(cfg)
+    sizes = (*cfg.grid_sizes, *tail_grids)
+    assert sampled == collections.Counter((name, n) for name in cfg.function_names for n in sizes)
+
+
 @pytest.mark.parametrize("name", ["expcos", "trig:40", "combo:0.5*cos:3+2*trig:-70"])
 def test_alias_reads_each_exact_coefficient_once(name):
-    # the folds of every grid size share one coefficient vector
+    # the folds of every grid size share one coefficient vector; the limit
+    # runner then reads each convergence mode once, all of them within the
+    # smallest grid's modes -3 .. 2, and m = 0 once more for the integral
     cfg = SuiteConfig(function_names=(name,), grid_sizes=(3, 4, 16, 64, 100))
     suite = verification._build_suite(cfg)
     f = suite.fns[name]
@@ -219,41 +239,42 @@ def test_alias_reads_each_exact_coefficient_once(name):
         return f.exact_coefficient(m)
 
     suite.fns[name] = f.replace(exact_coefficient=counting)
-    rows = list(verification._alias(suite))
-    assert len(rows) == len(cfg.grid_sizes)
-    assert sorted(calls) == list(f.support)
-    assert set(calls.values()) == {1}
+    rows = [loc.n for check, _, loc in verification._limits(suite) if check == "alias_oracle"]
+    assert rows == list(cfg.grid_sizes)
+    assert calls == collections.Counter([*f.support, *verification.CONVERGENCE_MODES, 0])
 
 
 def test_hypot_is_the_scalar_abs_of_a_complex_value():
-    # the alias runner's np.hypot is the libm call behind Python's complex abs,
+    # the limit runner's np.hypot is the libm call behind Python's complex abs,
     # which np.abs misses by an ulp on about a third of these random values
     rng = np.random.default_rng(2026)
     size = 100_000
     scale = 10.0 ** rng.uniform(-300, 300, size)
     values = rng.standard_normal(size) * scale + 1j * rng.standard_normal(size) * scale
-    # and the differences the runner reads: each catalog spectrum minus its alias fold
+    # and the differences the runner reads: each catalog spectrum, at every
+    # grid size and at the tail grid, minus its alias fold
     suite = verification._build_suite(SuiteConfig(function_names=(*DEFAULT_CATALOG, "trig:3488")))
     diffs = []
-    for (name, n), spectrum in suite.spectra.items():
-        f = suite.fns[name]
+    for name, f in suite.fns.items():
         exact = np.array([f.exact_coefficient(k) for k in f.support], dtype=np.complex128)
-        folded = discrete_fourier._alias_fold_table(f.support, exact, n)
-        diffs.append(spectrum.coefficients - folded)
+        for n in (*suite.ns, verification.TAIL_BIG_GRID):
+            folded = discrete_fourier._alias_fold_table(f.support, exact, n)
+            diffs.append(suite.cell(name, n)[1].coefficients - folded)
     for z in (values, *diffs):
         assert np.hypot(z.real, z.imag).tolist() == [abs(w) for w in z.tolist()]
 
 
 def test_alias_runner_memory_does_not_grow_with_the_mode():
-    # one coefficient per support mode: nothing of size k for trig:1000000
+    # one coefficient per support mode: nothing of size k for trig:1000000,
+    # with the runner's cells made inside the measured call
     suite = verification._build_suite(SuiteConfig(function_names=("trig:1000000",)))
     tracemalloc.start()
     try:
-        rows = list(verification._alias(suite))
+        rows = list(verification._limits(suite))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == len(suite.ns)
+    assert [loc.n for check, _, loc in rows if check == "alias_oracle"] == suite.ns
     assert peak < 2**20
 
 
@@ -264,16 +285,30 @@ def _default_rows():
 
 
 _RUNNERS = tuple(dict.fromkeys(check.run for check in CHECKS))
+_RUNNER_CHECKS = {run: frozenset(c.name for c in CHECKS if c.run is run) for run in _RUNNERS}
+# each step that a runner joins with others, checked on its own under the
+# name of the runner that once ran it alone
+_STEPS = {
+    "_uniform_bounds": {"F_bound", "g2_bound"},
+    "_decay": {"decay_H"},
+    "_alias": {"alias_oracle"},
+    "_coeff_convergence": {"coeff_convergence"},
+    "_darboux": {"integral_darboux"},
+}
+_CASES = {run.__name__: (run, checks) for run, checks in _RUNNER_CHECKS.items()} | {
+    step: (next(run for run, checks in _RUNNER_CHECKS.items() if own <= checks), own)
+    for step, own in _STEPS.items()
+}
 
 
-@pytest.mark.parametrize("run", _RUNNERS, ids=[run.__name__ for run in _RUNNERS])
-def test_each_runner_alone_gives_its_rows_of_the_full_report(run):
+@pytest.mark.parametrize("run, own", _CASES.values(), ids=_CASES.keys())
+def test_each_runner_alone_gives_its_rows_of_the_full_report(run, own):
     suite, full = _default_rows()
-    own = {check.name for check in CHECKS if check.run is run}
     worst = {}
     for name, residual, loc in run(suite):
-        assert name in own, f"{run.__name__} yields {name}, a row of another runner"
-        verification._offer(worst, name, residual, loc)
+        assert name in _RUNNER_CHECKS[run], f"{run.__name__} yields {name}, a row of another runner"
+        if name in own:
+            verification._offer(worst, name, residual, loc)
     assert set(worst) == own
     for name, (residual, loc) in worst.items():
         assert repr(residual) == repr(full[name].worst_residual), name

@@ -45,7 +45,8 @@ Layers:
   sup_errors         sup_errors(expcos, 1..64) at the default 2048 samples
   run_convergence    run_convergence("expcos", 1..64)
   m_test_runner      the m_test_domination runner on the default verify suite
-  alias_runner       the alias_oracle runner on trig:1000000 at 4 grid sizes
+  limits_runner      the grid-to-continuum runner (alias_oracle, coeff_convergence,
+                     integral_darboux) on trig:1000000 at 4 grid sizes
   symbol_sweep       the psi_lower / phi_psi_mag runner on the default verify suite
   dft_identities     the dft_identity runner on the default verify suite
   spectrum_rows      run_spectrum_decay("expcos", 4096)
@@ -109,7 +110,7 @@ MIN_ROUND_S = 0.1
 IMPORTS = "imports"
 IN_PROCESS_LAYERS = (
     "random_inputs", "m_test_majorants", "sup_errors", "run_convergence", "m_test_runner",
-    "alias_runner", "symbol_sweep", "dft_identities", "spectrum_rows", "spectrum_text",
+    "limits_runner", "symbol_sweep", "dft_identities", "spectrum_rows", "spectrum_text",
     "verify_suite",
 )
 
@@ -135,7 +136,7 @@ def _layers():
     draws = [("inversion", n, rep, 0) for n in ns for rep in reps]
     draws += [("calculus", n, rep, part) for n in ns for rep in reps for part in (0, 1)]
     draws += [("dft", n, rep, 0) for n in ns for rep in range(verification.DFT_RANDOM_REPS)]
-    alias_suite = verification._build_suite(SuiteConfig(function_names=("trig:1000000",)))
+    limits_suite = verification._build_suite(SuiteConfig(function_names=("trig:1000000",)))
 
     def spectrum_text():
         with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
@@ -149,7 +150,7 @@ def _layers():
         "sup_errors": lambda: sup_errors(f, ORDERS),
         "run_convergence": lambda: run_convergence("expcos", ORDERS),
         "m_test_runner": lambda: list(verification._m_test(suite)),
-        "alias_runner": lambda: list(verification._alias(alias_suite)),
+        "limits_runner": lambda: list(verification._limits(limits_suite)),
         "symbol_sweep": lambda: list(verification._symbol_sweep(suite)),
         "dft_identities": lambda: list(verification._dft_identities(suite)),
         "spectrum_rows": lambda: run_spectrum_decay("expcos", 4096),

@@ -151,6 +151,10 @@ ARGVS = (
     ["converge", "--function", "cos:1", "--N", "0"],
     ["rescale-demo", "--a", "0", "--b", "1", "--N", "-1"],
     ["rescale-demo", "--a", "0", "--b", "1", "--N", "8160"],
+    # a verify whose tail checks are all vacuous, and one whose tail grids
+    # are also grid sizes of the suite
+    ["verify", "--epsilons", "1e-300"],
+    ["verify", "--grid-sizes", "4,16,64,256,4096"],
 )
 
 
