@@ -181,7 +181,8 @@ def _bessel_i_at_one(order: int) -> float:
     term = 1.0
     for i in range(1, a + 1):
         term *= 0.5 / i
-        if term == 0.0:
+        # the terms only shrink from here, so the series never starts
+        if term < _BESSEL_TERM_FLOOR:
             return 0.0
     total = 0.0
     j = 0

@@ -18,10 +18,13 @@ magnitude; max(1, max|f|) for the checks against continuum values, so a
 function with |f| <= 1 keeps an absolute budget), and the tolerance
 column is a plain number.  Runs are deterministic: randomized grid
 functions come from SplitMix64 streams keyed by (seed, stream id, grid
-size, replicate, part), the runners run serially in table order and feed
-one worst-case reduction, and worst-case ties resolve to the smallest
-|m| with the negative mode first, then to the earliest (function, n)
-cell.
+size, replicate, part), and the runners run serially in table order.
+Every worst case, of a check as of one array, is ``np.argmax`` over
+values laid out in tie order: its first maximum, with the first NaN
+ranked above every number, so that a NaN is never reported as a pass.
+A check's candidates are laid out in the order the runners yield them,
+so a tie resolves to the smallest |m| with the negative mode first, then
+to the earliest (function, n) cell.
 """
 
 from __future__ import annotations
@@ -236,27 +239,10 @@ def random_grid_function(seed: int, stream: str, n: int, rep: int, part: int = 0
     return GridFunction._adopt(grid, values)
 
 
-def _ranks_worse(residual: float, current: float) -> bool:
-    """Strict improvement on the current worst, with NaN ranked worst of all.
-
-    A NaN residual must never be dropped and reported as a pass; among
-    equal residuals (or NaNs) the earliest candidate stays.
-    """
-    return residual > current or (math.isnan(residual) and not math.isnan(current))
-
-
-def _offer(worst: dict, check: str, residual: float, loc: WorstLocation) -> None:
-    """Feed one candidate to the running worst case of its check."""
-    if check not in _CHECK_BY_NAME:
-        raise KeyError(f"candidate for {check!r}, which is not in the check table")
-    residual = float(residual)
-    if check not in worst or _ranks_worse(residual, worst[check][0]):
-        worst[check] = (residual, loc)
-
-
-def _worst_grid_point(values: np.ndarray, n: int) -> float:
-    j = int(np.argmax(values)) - n
-    return j / n
+def _worst_grid_point(values: np.ndarray, n: int) -> tuple[float, float]:
+    """The first maximum of values over the grid points x_j = j/n, j = -n .. n-1, and its x."""
+    k = int(np.argmax(values))
+    return float(values[k]), (k - n) / n
 
 
 class _Suite(Record):
@@ -288,8 +274,9 @@ def _inversion(s: _Suite):
         for rep in range(RANDOM_REPS):
             gf = random_grid_function(s.cfg.seed, "inversion", n, rep)
             err = np.abs(invert(discrete_coefficients(gf)).values - gf.values)
-            loc = WorstLocation(f"random:{rep}", n, None, _worst_grid_point(err, n))
-            yield "inversion", float(np.max(err)) / (1.0 + gf.max_abs()), loc
+            worst, x = _worst_grid_point(err, n)
+            loc = WorstLocation(f"random:{rep}", n, None, x)
+            yield "inversion", worst / (1.0 + gf.max_abs()), loc
 
 
 def _calculus(s: _Suite):
@@ -301,9 +288,9 @@ def _calculus(s: _Suite):
             sv = max(v.max_abs(), 1e-300)
             loc = WorstLocation(f"random:{rep}", n)
             yield "ftc", abs(ftc_residual(u)) / (n * su), loc
-            pr = np.abs(product_rule_residual(u, v).values)
-            pr_loc = WorstLocation(f"random:{rep}", n, None, _worst_grid_point(pr, n))
-            yield "product_rule", float(np.max(pr)) / (n * su * sv), pr_loc
+            worst, x = _worst_grid_point(np.abs(product_rule_residual(u, v).values), n)
+            pr_loc = WorstLocation(f"random:{rep}", n, None, x)
+            yield "product_rule", worst / (n * su * sv), pr_loc
             yield "parts", abs(parts_residual(u, v)) / (n * su * sv), loc
 
 
@@ -362,7 +349,7 @@ def _symbol_sweep(s: _Suite):
 
         # flattened, the rows run through each size's modes in canonical order,
         # -j before +j, so the first maximum of a block (a NaN first of all) is
-        # the one that _offer keeps from per-size first maxima
+        # the first maximum of the per-size first maxima
         pair, positive = divmod(int(lower.argmax()), 2)
         j = int(jj[pair])
         loc = WorstLocation(None, int(nn[pair]), j if positive else -j)
@@ -397,7 +384,7 @@ def _tails(s: _Suite):
                 continue
             L = math.floor(thr) + 1
             spec = s.cell(name, n_tail)[1]
-            # negative range first: _offer keeps it on a tie
+            # negative range first: the first maximum keeps it on a tie
             neg = tail_sum(spec, -(n_tail - 1), -L)
             yield "tail_eps", neg / eps, WorstLocation(name, n_tail, -L)
             pos = tail_sum(spec, L, n_tail - 1)
@@ -462,8 +449,7 @@ CHECKS = (
     Check("integral_darboux", "grid-to-continuum-integral-limit", 1e-10, _limits),
     Check("m_test_domination", "uniform-convergence-majorant", 1e-9, _m_test),
 )
-_CHECK_BY_NAME = {check.name: check for check in CHECKS}
-CHECK_NAMES = tuple(_CHECK_BY_NAME)
+CHECK_NAMES = tuple(check.name for check in CHECKS)
 
 
 def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
@@ -473,16 +459,18 @@ def run_lemma_suite(cfg: SuiteConfig) -> list[LemmaReport]:
     ValueError for an unknown function name; the config checked the rest.
     """
     suite = _build_suite(cfg)
-    worst: dict[str, tuple[float, WorstLocation]] = {}
+    found = {check.name: [] for check in CHECKS}
     for run in dict.fromkeys(check.run for check in CHECKS):
         for name, residual, loc in run(suite):
-            _offer(worst, name, residual, loc)
+            found[name].append((residual, loc))
     reports = []
     for check in sorted(CHECKS, key=attrgetter("name")):
         tol = cfg.tolerance_overrides.get(check.name, check.tolerance)
-        residual, loc = worst[check.name]
+        residuals, locs = zip(*found[check.name])
+        k = int(np.argmax(residuals))
+        residual = float(residuals[k])
         status = "pass" if residual <= tol else "fail"
-        reports.append(LemmaReport(check.name, status, residual, loc, tol))
+        reports.append(LemmaReport(check.name, status, residual, locs[k], tol))
     return reports
 
 

@@ -14,6 +14,8 @@ and ``reference_symbol_sweep`` is the symbol sweep one size at a time.
 grid functions in plain Python ints, one generator step at a time.
 ``character`` and ``alias_fold`` are the scalar forms of the grid
 character and of the alias fold that ``_alias_fold_table`` vectorizes.
+``reference_worst`` is the worst-case reduction as a fold over the
+candidates, one comparison at a time, with no numpy.
 """
 
 import cmath
@@ -276,3 +278,23 @@ def reference_random_values(seed, stream_id, n, rep, part):
     outputs, _ = splitmix64(state, 4 * n)
     floats = [-1.0 + 2.0 * ((z >> 11) * 2.0**-53) for z in outputs]
     return [complex(re, im) for re, im in zip(floats[: 2 * n], floats[2 * n :])]
+
+
+def reference_worst(candidates):
+    """check -> (residual, location) of its worst candidate, folding (check, residual, location).
+
+    A candidate replaces its check's current worst only when its residual is
+    strictly larger, or is a NaN while the current worst is not: so a NaN is
+    never dropped, and among equal residuals (or NaNs) the earliest stays.
+    """
+    worst = {}
+    for check, residual, loc in candidates:
+        residual = float(residual)
+        current = worst.get(check)
+        if (
+            current is None
+            or residual > current[0]
+            or (math.isnan(residual) and not math.isnan(current[0]))
+        ):
+            worst[check] = (residual, loc)
+    return worst

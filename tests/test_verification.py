@@ -11,7 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
-from _oracles import per_n_sup_errors, reference_random_values, reference_symbol_sweep
+from _oracles import (
+    per_n_sup_errors,
+    reference_random_values,
+    reference_symbol_sweep,
+    reference_worst,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +26,7 @@ from gridfourier.grid import build_grid, sample
 from gridfourier.verification import (
     CHECK_NAMES,
     CHECKS,
+    Check,
     SuiteConfig,
     WorstLocation,
     random_grid_function,
@@ -81,11 +87,46 @@ def test_check_claim_table_is_total():
     assert all(math.isfinite(check.tolerance) and check.tolerance > 0 for check in CHECKS)
 
 
-def test_reduction_rejects_unknown_check():
-    worst = {}
+def test_reduction_rejects_unknown_check(monkeypatch):
+    def run(suite):
+        yield "not_a_check", 0.0, WorstLocation()
+
+    table = (Check("ftc", "telescoping-fundamental-identity", 1e-12, run),)
+    monkeypatch.setattr(verification, "CHECKS", table)
     with pytest.raises(KeyError, match="not_a_check"):
-        verification._offer(worst, "not_a_check", 0.0, WorstLocation())
-    assert worst == {}
+        run_lemma_suite(SMALL)
+
+
+# residuals a ranking can get wrong: NaN, signed zeros and infinities,
+# subnormals, and values drawn often enough to tie exactly
+_EDGE_RESIDUALS = (math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.0**-1030, 1.0, -1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("ftc", "parts")),
+            st.one_of(st.sampled_from(_EDGE_RESIDUALS), st.floats(allow_subnormal=True)),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_reduction_picks_the_oracle_worst_case(drawn):
+    # each candidate's location is its position, so a pick names its candidate
+    candidates = [(name, residual, WorstLocation(m=k)) for k, (name, residual) in enumerate(drawn)]
+
+    def run(suite):
+        return iter(candidates)
+
+    table = tuple(Check(name, "claim", 1.0, run) for name in dict.fromkeys(n for n, _ in drawn))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "CHECKS", table)
+        reports = run_lemma_suite(SMALL)
+    got = {r.check_name: (r.worst_residual.hex(), r.worst_location) for r in reports}
+    want = reference_worst(candidates)
+    assert got == {name: (residual.hex(), loc) for name, (residual, loc) in want.items()}
 
 
 def test_reports_deterministic_across_runs():
@@ -304,11 +345,12 @@ _CASES = {run.__name__: (run, checks) for run, checks in _RUNNER_CHECKS.items()}
 @pytest.mark.parametrize("run, own", _CASES.values(), ids=_CASES.keys())
 def test_each_runner_alone_gives_its_rows_of_the_full_report(run, own):
     suite, full = _default_rows()
-    worst = {}
+    rows = []
     for name, residual, loc in run(suite):
         assert name in _RUNNER_CHECKS[run], f"{run.__name__} yields {name}, a row of another runner"
         if name in own:
-            verification._offer(worst, name, residual, loc)
+            rows.append((name, residual, loc))
+    worst = reference_worst(rows)
     assert set(worst) == own
     for name, (residual, loc) in worst.items():
         assert repr(residual) == repr(full[name].worst_residual), name
@@ -348,15 +390,57 @@ def test_nan_negative_tail_is_never_dropped(monkeypatch):
     assert tails.worst_location.m < 0
 
 
+# two functions, two grid sizes and two M-test orders give every check at
+# least two candidates, so a NaN can sit between two of them
+_NAN_CFG = SuiteConfig(
+    function_names=("cos:1", "trig:1"), grid_sizes=(4, 16), mode_limit=4, epsilons=(0.5,), seed=7
+)
+_NAN_LOC = WorstLocation("injected-nan")
+
+
+@functools.lru_cache(maxsize=None)
+def _nan_cfg_rows():
+    """Each runner's candidates on _NAN_CFG, and the suite's reports as JSON by check."""
+    suite = verification._build_suite(_NAN_CFG)
+    rows = {run: tuple(run(suite)) for run in _RUNNERS}
+    return rows, {r.check_name: json.dumps(r.to_dict()) for r in run_lemma_suite(_NAN_CFG)}
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_a_nan_candidate_fails_exactly_its_check(monkeypatch, check, position):
+    # every runner replays its candidates, with one NaN among those of check
+    rows, baseline = _nan_cfg_rows()
+
+    def replay(run):
+        def patched(suite):
+            out = list(rows[run])
+            own = [k for k, row in enumerate(out) if row[0] == check]
+            if own:
+                at = {"first": own[0], "middle": own[len(own) // 2], "last": own[-1] + 1}
+                out.insert(at[position], (check, math.nan, _NAN_LOC))
+            return iter(out)
+
+        return patched
+
+    patched = {run: replay(run) for run in rows}
+    table = tuple(c.replace(run=patched[c.run]) for c in CHECKS)
+    monkeypatch.setattr(verification, "CHECKS", table)
+    reports = {r.check_name: r for r in run_lemma_suite(_NAN_CFG)}
+    assert [name for name, r in reports.items() if r.status == "fail"] == [check]
+    assert math.isnan(reports[check].worst_residual)
+    assert reports[check].worst_location == _NAN_LOC
+    others = {name: json.dumps(r.to_dict()) for name, r in reports.items() if name != check}
+    assert others == {name: text for name, text in baseline.items() if name != check}
+
+
 def test_symbol_sweep_reads_canonical_order_without_reordering(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the symbol sweep reorders a mode array")
 
     suite, full = _default_rows()
     monkeypatch.setattr(verification, "_worst_mode", refuse)
-    worst = {}
-    for name, residual, loc in verification._symbol_sweep(suite):
-        verification._offer(worst, name, residual, loc)
+    worst = reference_worst(verification._symbol_sweep(suite))
     for name, (residual, loc) in worst.items():
         assert (residual, loc) == (full[name].worst_residual, full[name].worst_location)
 
@@ -397,19 +481,18 @@ def test_phi_psi_mag_fails_on_a_perturbed_psi(monkeypatch):
 
 
 def _sweep_worst(suite):
-    """Each sweep check's worst case, (residual bits, location), through _offer."""
-    worst = {}
-    for name, residual, loc in verification._symbol_sweep(suite):
-        verification._offer(worst, name, residual, loc)
+    """Each sweep check's worst case, (residual bits, location), through the reference fold."""
+    worst = reference_worst(verification._symbol_sweep(suite))
     return {name: (residual.hex(), loc) for name, (residual, loc) in worst.items()}
 
 
 def _reference_worst(ns):
-    """The per-size oracle's candidates over the swept sizes, through _offer."""
+    """The per-size oracle's candidates over the swept sizes, through the reference fold."""
     sizes = set(range(1, verification.SYMBOL_SWEEP_MAX + 1)) | set(ns)
-    worst = {}
-    for name, residual, n, m in reference_symbol_sweep(sizes):
-        verification._offer(worst, name, residual, WorstLocation(None, n, m))
+    worst = reference_worst(
+        (name, residual, WorstLocation(None, n, m))
+        for name, residual, n, m in reference_symbol_sweep(sizes)
+    )
     return {name: (residual.hex(), loc) for name, (residual, loc) in worst.items()}
 
 

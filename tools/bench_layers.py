@@ -45,8 +45,8 @@ Layers:
   sup_errors         sup_errors(expcos, 1..64) at the default 2048 samples
   run_convergence    run_convergence("expcos", 1..64)
   m_test_runner      the m_test_domination runner on the default verify suite
-  limits_runner      the grid-to-continuum runner (alias_oracle, coeff_convergence,
-                     integral_darboux) on trig:1000000 at 4 grid sizes
+  limits_runner      the runners of alias_oracle, coeff_convergence and integral_darboux
+                     on trig:1000000 at 4 grid sizes
   symbol_sweep       the psi_lower / phi_psi_mag runner on the default verify suite
   dft_identities     the dft_identity runner on the default verify suite
   spectrum_rows      run_spectrum_decay("expcos", 4096)
@@ -63,6 +63,11 @@ Layers:
                      --n 4096`
   rescale_process_s  wall time of a fresh `python -m gridfourier rescale-demo --function
                      exp-cos-period --N 64 --a=-0.75 --b=2.125`
+
+Each of the four runner layers runs the distinct runners of its checks
+(RUNNER_CHECKS), looked up by check name in the timed tree's CHECKS, so
+``_build_suite`` is the only private name of gridfourier that the tool
+reads.
 """
 
 import argparse
@@ -113,6 +118,15 @@ IN_PROCESS_LAYERS = (
     "limits_runner", "symbol_sweep", "dft_identities", "spectrum_rows", "spectrum_text",
     "verify_suite",
 )
+# Runner layer -> the checks whose runners it runs, each distinct runner once.
+# The runners are looked up in the timed tree's own CHECKS, so a layer still
+# runs on a tree whose runners have other names.
+RUNNER_CHECKS = {
+    "m_test_runner": ("m_test_domination",),
+    "limits_runner": ("alias_oracle", "coeff_convergence", "integral_darboux"),
+    "symbol_sweep": ("psi_lower", "phi_psi_mag"),
+    "dft_identities": ("dft_identity_1", "dft_identity_2"),
+}
 
 
 def _layers():
@@ -138,6 +152,11 @@ def _layers():
     draws += [("dft", n, rep, 0) for n in ns for rep in range(verification.DFT_RANDOM_REPS)]
     limits_suite = verification._build_suite(SuiteConfig(function_names=("trig:1000000",)))
 
+    def runners(layer, on):
+        checks = RUNNER_CHECKS[layer]
+        runs = dict.fromkeys(c.run for c in verification.CHECKS if c.name in checks)
+        return lambda: [list(run(on)) for run in runs]
+
     def spectrum_text():
         with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
             cli.main(SPECTRUM_ARGV)
@@ -149,10 +168,10 @@ def _layers():
         "m_test_majorants": lambda: m_test_majorants(H, ORDERS),
         "sup_errors": lambda: sup_errors(f, ORDERS),
         "run_convergence": lambda: run_convergence("expcos", ORDERS),
-        "m_test_runner": lambda: list(verification._m_test(suite)),
-        "limits_runner": lambda: list(verification._limits(limits_suite)),
-        "symbol_sweep": lambda: list(verification._symbol_sweep(suite)),
-        "dft_identities": lambda: list(verification._dft_identities(suite)),
+        "m_test_runner": runners("m_test_runner", suite),
+        "limits_runner": runners("limits_runner", limits_suite),
+        "symbol_sweep": runners("symbol_sweep", suite),
+        "dft_identities": runners("dft_identities", suite),
         "spectrum_rows": lambda: run_spectrum_decay("expcos", 4096),
         "spectrum_text": spectrum_text,
         "verify_suite": lambda: run_lemma_suite(SuiteConfig()),

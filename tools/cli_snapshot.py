@@ -155,6 +155,13 @@ ARGVS = (
     # are also grid sizes of the suite
     ["verify", "--epsilons", "1e-300"],
     ["verify", "--grid-sizes", "4,16,64,256,4096"],
+    # two names that sample to the same bits, so every worst case on a catalog
+    # cell ties across the two cells and goes to the first one named
+    ["verify", "--functions", "cos:1,combo:1*cos:1"],
+    ["verify", "--functions", "combo:1*cos:1,cos:1"],
+    # 100000 exact coefficients of expcos, nearly all of orders whose Bessel
+    # series never starts
+    ["converge", "--function", "expcos", "--samples", "2", "--N", "100000"],
 )
 
 
