@@ -260,7 +260,10 @@ def _simpson_abs(values: np.ndarray) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     h = 2.0 / SIMPSON_PANELS
-    return float(np.sum(weights * np.abs(values)) * h / 3.0)
+    # each term scaled by h/4 before the sum, so that no partial sum passes
+    # the largest float where the integral does not; h/4 is a power of two,
+    # so the scaling moves no bit unless a term is subnormal
+    return float(np.sum(weights * (np.abs(values) * (h / 4.0))) / 3.0 * 4.0)
 
 
 def bound_constants(f: SmoothPeriodicFunction) -> BoundConstants:

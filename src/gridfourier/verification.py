@@ -11,12 +11,14 @@ tails), ``_limits`` (the grid-to-continuum limit) and ``_m_test`` (the
 Weierstrass M-test).  A runner yields (check name, residual, location)
 candidates from the suite context: config, functions, bound constants,
 grid sizes, and ``_Suite.cell``, which samples and transforms a
-(function, n) cell on its first read and keeps it for the run, so a grid
-that no check reads is never sampled.  A check's worst residual is
-normalized by the scale stated for that check (grid size, input
-magnitude; max(1, max|f|) for the checks against continuum values, so a
-function with |f| <= 1 keeps an absolute budget), and the tolerance
-column is a plain number.  Runs are deterministic: randomized grid
+(function, n) cell on its first read, so a grid that no check reads is
+never sampled.  A cell at a configured grid size is kept for the run, as
+several runners read it; a tail grid off those sizes is read by
+``_tails`` alone, which drops it once it is done with that function.  A
+check's worst residual is normalized by the scale stated for that check
+(grid size, input magnitude; max(1, max|f|) for the checks against
+continuum values, so a function with |f| <= 1 keeps an absolute budget),
+and the tolerance column is a plain number.  Runs are deterministic: randomized grid
 functions come from SplitMix64 streams keyed by (seed, stream id, grid
 size, replicate, part), and the runners run serially in table order.
 Every worst case, of a check as of one array, is ``np.argmax`` over
@@ -246,7 +248,11 @@ def _worst_grid_point(values: np.ndarray, n: int) -> tuple[float, float]:
 
 
 class _Suite(Record):
-    """What every runner reads; ``cells`` keeps the (function name, n) cells read so far."""
+    """What every runner reads.
+
+    ``cells`` holds the (function name, n) cells that ``cell`` has made and
+    no runner has dropped.
+    """
 
     cfg: SuiteConfig
     fns: dict
@@ -255,7 +261,12 @@ class _Suite(Record):
     cells: dict
 
     def cell(self, name: str, n: int) -> tuple:
-        """The sample and spectrum of the cell (name, n), made on its first read."""
+        """The sample and spectrum of the cell (name, n), made on its first read.
+
+        The cell stays in ``cells`` until a runner drops it: for the run at
+        a configured grid size, and until ``_tails`` is done with the
+        function at a tail grid off those sizes.
+        """
         if (name, n) not in self.cells:
             gf = sample(self.fns[name], build_grid(n))
             self.cells[(name, n)] = gf, discrete_coefficients(gf)
@@ -389,6 +400,10 @@ def _tails(s: _Suite):
             yield "tail_eps", neg / eps, WorstLocation(name, n_tail, -L)
             pos = tail_sum(spec, L, n_tail - 1)
             yield "tail_eps", pos / eps, WorstLocation(name, n_tail, L)
+        # the epsilons share a tail grid; off the grid sizes no later runner reads it
+        for n_tail in (TAIL_BASE_GRID, TAIL_BIG_GRID):
+            if n_tail not in s.ns:
+                s.cells.pop((name, n_tail), None)
 
 
 def _limits(s: _Suite):

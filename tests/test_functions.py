@@ -298,10 +298,19 @@ def test_bound_constants_reject_non_finite_values():
 
 
 def test_bound_constants_reject_overflowing_norms():
-    # every value is finite, but the Simpson sum of |f''| overflows
-    f = get_function("combo:1e307*cos:1")
+    # every value is finite, but the integral of |f''|, 4*pi*1.7e307, is
+    # above the largest float
+    f = get_function("combo:1.7e307*cos:1")
     with pytest.raises(ValueError, match=re.escape(f.name) + ": M must be finite"):
         bound_constants(f)
+
+
+def test_bound_constants_sum_a_finite_norm_near_the_float_maximum():
+    # the unscaled Simpson sum of |f''| would pass the largest float, though
+    # the integral 4*pi*5e306 does not
+    bc = bound_constants(get_function("combo:5e306*cos:1"))
+    assert bc.M == pytest.approx(4.0 * math.pi * 5e306, rel=1e-12)
+    assert math.isfinite(bc.H)
 
 
 ARRAY_FUNCTIONS = [

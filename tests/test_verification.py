@@ -233,36 +233,62 @@ def test_each_catalog_sample_is_transformed_once(monkeypatch):
             assert forward_inputs[values.tobytes()] == 1, (name, n)
 
 
-def test_each_catalog_cell_is_sampled_once(monkeypatch):
-    # every check reads the samples the engine already holds
-    sampled = collections.Counter()
+@pytest.fixture
+def sampled(monkeypatch):
+    """A Counter of the cells the engine samples, by (function name, n)."""
+    counts = collections.Counter()
 
     def counting(f, grid):
-        sampled[(f.name, grid.n)] += 1
+        counts[(f.name, grid.n)] += 1
         return sample(f, grid)
 
     monkeypatch.setattr(verification, "sample", counting)
     monkeypatch.setattr(continuous_fourier, "sample", counting)
+    return counts
+
+
+def test_each_catalog_cell_is_sampled_once(sampled):
+    # every check reads the samples the engine already holds
     run_lemma_suite(SuiteConfig())
     assert sampled and set(sampled.values()) == {1}, sampled
 
 
 @pytest.mark.parametrize("epsilons, tail_grids", [((0.1, 0.01), (4096,)), ((1e-300,), ())])
-def test_only_grids_that_a_check_reads_are_sampled(monkeypatch, epsilons, tail_grids):
+def test_only_grids_that_a_check_reads_are_sampled(sampled, epsilons, tail_grids):
     # each catalog cell and each tail grid a tail check reads, once; every
     # tail check of epsilon 1e-300 is vacuous, so it reads no tail grid
-    sampled = collections.Counter()
-
-    def counting(f, grid):
-        sampled[(f.name, grid.n)] += 1
-        return sample(f, grid)
-
-    monkeypatch.setattr(verification, "sample", counting)
-    monkeypatch.setattr(continuous_fourier, "sample", counting)
     cfg = SuiteConfig(epsilons=epsilons)
     run_lemma_suite(cfg)
     sizes = (*cfg.grid_sizes, *tail_grids)
     assert sampled == collections.Counter((name, n) for name in cfg.function_names for n in sizes)
+
+
+# at epsilons 0.1 and 0.01, cos:1, trig:1 and expcos read their 256 grid
+# and then their 4096 grid; trig:3 reads only its 4096 grid, at 0.1
+_TAIL_256 = [(name, 256) for name in ("cos:1", "trig:1", "expcos")]
+_TAIL_4096 = [(name, 4096) for name in DEFAULT_CATALOG]
+
+
+@pytest.mark.parametrize("sizes, epsilons, tail_cells", [
+    ((4, 16, 64, 256), (0.1, 0.01), _TAIL_4096),
+    # two epsilons that share each 4096 grid; trig:3's tails are vacuous at both
+    ((4, 16, 64, 256), (0.01, 0.02), [cell for cell in _TAIL_4096 if cell[0] != "trig:3"]),
+    ((3, 100), (0.1, 0.01), _TAIL_256 + _TAIL_4096),
+    ((4, 16, 64, 256, 4096), (0.1, 0.01), []),
+])
+def test_each_cell_is_sampled_once_and_held_while_a_runner_reads_it(
+    sampled, sizes, epsilons, tail_cells
+):
+    # a tail grid off the grid sizes is dropped once the tail runner is done
+    # with it; every cell at a grid size is held to the end of the run
+    suite = verification._build_suite(SuiteConfig(grid_sizes=sizes, epsilons=epsilons))
+    held = {(name, n) for name in suite.fns for n in suite.ns}
+    for run in _RUNNERS:
+        list(run(suite))
+        if run is verification._tails:
+            assert set(suite.cells) == held
+    assert set(suite.cells) == held
+    assert sampled == collections.Counter([*held, *tail_cells])
 
 
 @pytest.mark.parametrize("name", ["expcos", "trig:40", "combo:0.5*cos:3+2*trig:-70"])
@@ -564,13 +590,19 @@ def test_symbol_sweep_memory_does_not_grow_with_the_size():
 
 def test_m_test_memory_stays_in_chunks():
     suite, _ = _default_rows()
-    assert _peak_bytes(lambda: list(verification._m_test(suite))) < 2**21
+    assert _peak_bytes(lambda: list(verification._m_test(suite))) < 2**19
 
 
-@pytest.mark.parametrize("chunk_cells", [continuous_fourier._CHUNK_CELLS, 33 * 100])
+def test_default_suite_memory_holds_no_tail_grid_past_the_tail_runner():
+    # the four 4096-point tail cells alone take 1 MiB
+    assert _peak_bytes(lambda: run_lemma_suite(SuiteConfig())) < 2**20
+
+
+@pytest.mark.parametrize("chunk_cells", [continuous_fourier._CHUNK_CELLS, 2**14, 33 * 100])
 def test_m_test_rows_bit_equal_to_per_n_oracle(monkeypatch, chunk_cells):
-    # 33 modes at 2049 points: the second table takes chunks of 100 columns,
-    # and its last chunk holds 49
+    # 33 modes at 2049 points: chunks four times the default give the same
+    # bits, and the last table takes chunks of 100 columns, the last of
+    # which holds 49
     monkeypatch.setattr(continuous_fourier, "_CHUNK_CELLS", chunk_cells)
     names = (*DEFAULT_CATALOG, "combo:0.731*trig:0+1.9*cos:2")
     suite = verification._build_suite(SuiteConfig(function_names=names, grid_sizes=(4,)))

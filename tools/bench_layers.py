@@ -22,7 +22,7 @@ round, so a drift of the host speed reaches both trees alike:
   called until MIN_ROUND_S seconds have passed, at least once, and its
   time is the elapsed time over the number of calls, so a layer far below
   a millisecond is timed over many calls;
-- three commands for their max RSS (the *_rss_mb rows) and the four
+- four commands for their max RSS (the *_rss_mb rows) and the four
   commands of the benchmark's workloads for their wall time as fresh
   processes, from spawn to exit (the *_process_s rows: the median of
   PROCESS_REPEATS = 5 processes).  Each goes through
@@ -31,7 +31,7 @@ round, so a drift of the host speed reaches both trees alike:
 
 Round 0 warms the file cache and is dropped; every layer keeps the
 median of the other K rounds.  The JSON on stdout, or
-in FILE, holds each layer's seconds per call (the three *_rss_mb rows in
+in FILE, holds each layer's seconds per call (the four *_rss_mb rows in
 MB) for the parent and the change side by side, with the git SHAs, the
 numpy version and nproc.
 
@@ -40,6 +40,8 @@ Layers:
   import_own         import gridfourier.cli, right after numpy: gridfourier's own share
   verify_first       the first run_lemma_suite(SuiteConfig()), with the imports it triggers
   verify_rss_mb      max RSS in MB of a fresh `python -m gridfourier verify` (not seconds)
+  converge_rss_mb    max RSS in MB of a fresh `python -m gridfourier converge --function expcos
+                     --N 1,2,...,64` (not seconds)
   random_inputs      the 112 random grid functions of the default verify suite
   m_test_majorants   m_test_majorants(H, 1..64), H of expcos
   sup_errors         sup_errors(expcos, 1..64) at the default 2048 samples
@@ -87,10 +89,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LAUNCHER = ROOT / "perfbench" / "launch.py"
 ORDERS = range(1, 65)
+CONVERGE_ARGV = ["converge", "--function", "expcos", "--N", ",".join(map(str, ORDERS))]
 SPECTRUM_ARGV = ["spectrum", "--function", "expcos", "--n", "4096"]
 # Row name -> the gridfourier command whose max RSS it records.
 RSS_COMMANDS = {
     "verify_rss_mb": ["verify"],
+    "converge_rss_mb": CONVERGE_ARGV,
     "spectrum_rss_mb": SPECTRUM_ARGV,
     "rescale_rss_mb": ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period",
                        "--N", "8159"],
@@ -99,7 +103,7 @@ RSS_COMMANDS = {
 # records: one op of each perfbench workload, with a fixed seed and interval.
 PROCESS_COMMANDS = {
     "verify_process_s": ["verify"],
-    "converge_process_s": ["converge", "--function", "expcos", "--N", ",".join(map(str, ORDERS))],
+    "converge_process_s": CONVERGE_ARGV,
     "spectrum_process_s": SPECTRUM_ARGV,
     "rescale_process_s": ["rescale-demo", "--function", "exp-cos-period", "--N", "64",
                           "--a=-0.75", "--b=2.125"],
@@ -314,9 +318,10 @@ def main(argv: list[str]) -> int:
                       "per tree, the two trees back to back layer by layer, after one warm-up "
                       f"call, over as many calls as fill {MIN_ROUND_S} s "
                       "(import_numpy, import_own and verify_first once; verify_rss_mb, "
-                      "spectrum_rss_mb and rescale_rss_mb are the max RSS in MB of one fresh "
-                      "verify, one fresh spectrum --n 4096 and one fresh rescale-demo "
-                      "--N 8159; each *_process_s row is the median wall time of "
+                      "converge_rss_mb, spectrum_rss_mb and rescale_rss_mb are the max RSS in "
+                      "MB of one fresh verify, one fresh converge --N 1..64, one fresh "
+                      "spectrum --n 4096 and one fresh rescale-demo --N 8159; each "
+                      "*_process_s row is the median wall time of "
                       f"{PROCESS_REPEATS} fresh processes of that command per round), both "
                       "trees byte-compiled before round 0, and the tree that goes first "
                       "flips each round"),

@@ -114,8 +114,8 @@ ARGVS = (
     ["spectrum", "--function", "expcos", "--n", "767"],
     # one symbol-sweep size of 65537 pairs, spread over 33 blocks
     ["verify", "--functions", "cos:1", "--grid-sizes", "65536"],
-    # the largest rescale table admitted: 257 points over 129 column chunks
-    # of 2 points each
+    # the largest rescale table admitted: 257 points over 257 column chunks
+    # of 1 point each
     ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period", "--N", "8159"],
     # the argv form of the benchmark's rescale-quadrature ops
     ["rescale-demo", "--function", "exp-cos-period", "--N", "64", "--a=-0.75", "--b=2.125"],
@@ -126,7 +126,8 @@ ARGVS = (
     # and a tolerance override that is not > 0
     ["verify", "--functions", ","],
     ["verify", "--tolerance", "ftc=-1"],
-    # a decay constant refused by BoundConstants: M overflows to inf
+    # a Simpson sum of |f''| that passes the largest float unless its terms
+    # are scaled first, though M = 4*pi*1e304 does not
     ["verify", "--functions", "combo:1e304*cos:1"],
     # large constants, whose transform rounds the vanishing modes m != 0 to
     # the scale of the constant, and a tiny H over a huge constant
@@ -162,6 +163,13 @@ ARGVS = (
     # 100000 exact coefficients of expcos, nearly all of orders whose Bessel
     # series never starts
     ["converge", "--function", "expcos", "--samples", "2", "--N", "100000"],
+    # two epsilons that share one tail grid off the grid sizes, and a suite
+    # whose grid sizes hold neither tail grid
+    ["verify", "--epsilons", "0.01,0.02"],
+    ["verify", "--grid-sizes", "3,100", "--epsilons", "0.1,0.01"],
+    # a largest order whose 4097 phase cells per point pass the 2^12 of a
+    # column chunk, so that each chunk holds the 1 point it must
+    ["converge", "--function", "expcos", "--samples", "64", "--N", "4094,4095,4096"],
 )
 
 
