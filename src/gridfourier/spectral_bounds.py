@@ -106,6 +106,7 @@ def _dft_identity_residuals(gf: GridFunction, spectrum: Spectrum) -> tuple[np.nd
     r1 = np.zeros(2 * n, dtype=np.complex128)
     r2 = np.zeros(2 * n, dtype=np.complex128)
     nz = modes != 0
+    # operands masked first: numpy's complex arithmetic is not bit-stable across array lengths
     r1[nz] = (s0[nz] * psi[nz] - (s1[nz] + E[nz])) / psi[nz]
     r2[nz] = (s0[nz] * psi[nz] ** 2 - (s2[nz] + F[nz])) / psi[nz] ** 2
     return r1, r2

@@ -306,13 +306,16 @@ def _calculus(s: _Suite):
 
 
 def _dft_identities(s: _Suite):
-    # the catalog cells first, then seeded random data
-    inputs = [(*s.cell(name, n), name, n) for name in s.fns for n in s.ns]
-    for n in s.ns:
-        for rep in range(DFT_RANDOM_REPS):
-            gf = random_grid_function(s.cfg.seed, "dft", n, rep)
-            inputs.append((gf, discrete_coefficients(gf), f"random:{rep}", n))
-    for gf, spectrum, label, n in inputs:
+    # the catalog cells first, then seeded random data, each draw made when
+    # the loop reads it, so no more than one earlier draw is held
+    catalog = ((*s.cell(name, n), name, n) for name in s.fns for n in s.ns)
+    draws = (
+        (gf, discrete_coefficients(gf), f"random:{rep}", n)
+        for n in s.ns
+        for rep in range(DFT_RANDOM_REPS)
+        for gf in (random_grid_function(s.cfg.seed, "dft", n, rep),)
+    )
+    for gf, spectrum, label, n in chain(catalog, draws):
         r1, r2 = _dft_identity_residuals(gf, spectrum)
         scale = 1.0 + gf.max_abs()
         w1, m1 = _worst_mode(np.abs(r1), n)

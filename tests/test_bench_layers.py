@@ -1,5 +1,8 @@
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from gridfourier.verification import CHECK_NAMES
 
@@ -18,3 +21,64 @@ def test_layers_are_the_in_process_layers_and_runner_layers_name_real_checks():
         assert set(checks) <= set(CHECK_NAMES), layer
         # one list of candidates per distinct runner of the layer's checks
         assert all(rows for rows in layers[layer]()), layer
+
+
+def _git_bytes(*args: str, cwd: Path = bench_layers.ROOT) -> bytes:
+    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, check=True).stdout
+
+
+def _files(src: Path) -> dict:
+    """Path relative to src's parent -> bytes, of every file but the byte-compiled ones."""
+    return {
+        path.relative_to(src.parent).as_posix(): path.read_bytes()
+        for path in src.rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts
+    }
+
+
+@pytest.mark.skipif(
+    subprocess.run(["git", "rev-parse", "HEAD"], cwd=bench_layers.ROOT, capture_output=True)
+    .returncode != 0,
+    reason="not a git checkout",
+)
+def test_snapshot_of_a_tree_holds_exactly_its_src_files_byte_compiled(tmp_path):
+    tree = bench_layers._git("rev-parse", "HEAD^{tree}")
+    src = bench_layers._snapshot(tree, tmp_path / "copy")
+    files = _files(src)
+    paths = bench_layers._git("ls-tree", "-r", "--name-only", "HEAD", "src").splitlines()
+    assert sorted(files) == sorted(paths)
+    for path in paths:
+        assert files[path] == _git_bytes("show", f"HEAD:{path}"), path
+        if path.endswith(".py"):
+            assert Path(importlib.util.cache_from_source(str(src.parent / path))).is_file(), path
+
+
+def test_the_change_tree_is_the_working_src_with_untracked_files_and_stays_fixed(tmp_path):
+    # in a repository of its own, so that no object is written into this one's
+    repo = tmp_path / "repo"
+    package = repo / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "kept.py").write_text("A = 1\n")
+    (package / "edited.py").write_text("B = 1\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    _git_bytes("init", "-q", cwd=repo)
+    _git_bytes("add", "--all", cwd=repo)
+    _git_bytes("-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
+               "commit", "-q", "--no-verify", "-m", "base", cwd=repo)
+    (package / "edited.py").write_text("B = 2\n")
+    (package / "new.py").write_text("C = 3\n")
+    (package / "run.log").write_text("ignored\n")
+    status = _git_bytes("status", "--porcelain", cwd=repo)
+
+    tree = bench_layers._working_tree(tmp_path / "index", repo)
+    # an edit after the tree is named reaches neither its id nor its copy
+    (package / "edited.py").write_text("B = 4\n")
+    assert tree != bench_layers._git("rev-parse", "HEAD^{tree}", cwd=repo)
+    assert _git_bytes("status", "--porcelain", cwd=repo) == status  # the real index is untouched
+    src = bench_layers._snapshot(tree, tmp_path / "copy", repo)
+    assert _files(src) == {
+        "src/pkg/kept.py": b"A = 1\n",
+        "src/pkg/edited.py": b"B = 2\n",
+        "src/pkg/new.py": b"C = 3\n",
+    }
+    assert bench_layers._working_tree(tmp_path / "index2", repo) != tree

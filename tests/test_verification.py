@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -596,6 +597,25 @@ def test_m_test_memory_stays_in_chunks():
 def test_default_suite_memory_holds_no_tail_grid_past_the_tail_runner():
     # the four 4096-point tail cells alone take 1 MiB
     assert _peak_bytes(lambda: run_lemma_suite(SuiteConfig())) < 2**20
+
+
+def test_dft_runner_holds_at_most_one_earlier_random_draw(monkeypatch):
+    # the loop still holds the draw it last read while it makes the next one
+    draw = verification.random_grid_function
+    alive_at_draw, earlier = [], []
+
+    def watched(seed, stream, *key, **part):
+        gf = draw(seed, stream, *key, **part)
+        if stream == "dft":
+            alive_at_draw.append(sum(ref() is not None for ref in earlier))
+            earlier.append(weakref.ref(gf.values))
+        return gf
+
+    monkeypatch.setattr(verification, "random_grid_function", watched)
+    suite = verification._build_suite(SuiteConfig())
+    list(verification._dft_identities(suite))
+    assert len(alive_at_draw) == len(suite.ns) * verification.DFT_RANDOM_REPS == 16
+    assert max(alive_at_draw) <= 1
 
 
 @pytest.mark.parametrize("chunk_cells", [continuous_fourier._CHUNK_CELLS, 2**14, 33 * 100])

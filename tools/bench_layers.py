@@ -2,9 +2,14 @@
 
 Usage:  python tools/bench_layers.py [--parent REV] [--runs K] [--out FILE]
 
-Measures the gridfourier of this checkout (its ``src``) and, with
-``--parent``, the one of git revision REV, extracted with ``git archive``
-into a temporary directory.  Both trees are byte-compiled first
+Measures the gridfourier of this checkout and, with ``--parent``, the
+one of git revision REV.  Each tree is named by a git tree id, fixed when
+the run starts, and timed from a ``git archive`` copy of its ``src`` in a
+temporary directory.  This checkout's tree is HEAD with ``src/`` as it
+stands in the working tree, untracked files included and ignored ones
+not; it is written through a throwaway index, so the checkout's own index
+is untouched, and an edit made during the run reaches no timed tree.
+REV's tree is ``REV^{tree}``.  Both copies are byte-compiled first
 (``compileall``), so that the import layers time loading, not the
 compilation of a tree without current ``.pyc`` files.  Every layer, the
 import floor included, is timed in one loop of K + 1 rounds (K defaults
@@ -22,24 +27,28 @@ round, so a drift of the host speed reaches both trees alike:
   called until MIN_ROUND_S seconds have passed, at least once, and its
   time is the elapsed time over the number of calls, so a layer far below
   a millisecond is timed over many calls;
-- four commands for their max RSS (the *_rss_mb rows) and the four
-  commands of the benchmark's workloads for their wall time as fresh
-  processes, from spawn to exit (the *_process_s rows: the median of
-  PROCESS_REPEATS = 5 processes).  Each goes through
-  ``perfbench/launch.py``, a numpy-free process whose only child is that
-  command.
+- five commands for their max RSS (the *_rss_mb rows), and the four
+  commands of the benchmark's workloads and ``verify --grid-sizes 65536``
+  as fresh processes, for their wall time from spawn to exit (the
+  *_process_s rows) and their user plus system CPU time (the
+  *_process_cpu_s rows), each the median of PROCESS_REPEATS = 5
+  processes.  Each goes through ``perfbench/launch.py``, a numpy-free
+  process whose only child is that command; the CPU rows include the
+  launcher's own, about 10 ms, read from ``RUSAGE_CHILDREN``.
 
 Round 0 warms the file cache and is dropped; every layer keeps the
 median of the other K rounds.  The JSON on stdout, or
-in FILE, holds each layer's seconds per call (the four *_rss_mb rows in
-MB) for the parent and the change side by side, with the git SHAs, the
-numpy version and nproc.
+in FILE, holds each layer's seconds per call (the *_rss_mb rows in MB)
+for the parent and the change side by side, with the tree id of each
+side, the numpy version and nproc.
 
 Layers:
   import_numpy       import numpy, first thing in the interpreter
   import_own         import gridfourier.cli, right after numpy: gridfourier's own share
   verify_first       the first run_lemma_suite(SuiteConfig()), with the imports it triggers
   verify_rss_mb      max RSS in MB of a fresh `python -m gridfourier verify` (not seconds)
+  verify_65536_rss_mb max RSS in MB of a fresh `python -m gridfourier verify --grid-sizes 65536`
+                     (not seconds)
   converge_rss_mb    max RSS in MB of a fresh `python -m gridfourier converge --function expcos
                      --N 1,2,...,64` (not seconds)
   random_inputs      the 112 random grid functions of the default verify suite
@@ -59,12 +68,14 @@ Layers:
                      --function exp-cos-period --N 8159` (not seconds)
   verify_suite       run_lemma_suite(SuiteConfig()), the default verify in process
   verify_process_s   wall time of a fresh `python -m gridfourier verify`, start and exit included
+  verify_65536_process_s wall time of a fresh `python -m gridfourier verify --grid-sizes 65536`
   converge_process_s wall time of a fresh `python -m gridfourier converge --function expcos
                      --N 1,2,...,64`
   spectrum_process_s wall time of a fresh `python -m gridfourier spectrum --function expcos
                      --n 4096`
   rescale_process_s  wall time of a fresh `python -m gridfourier rescale-demo --function
                      exp-cos-period --N 64 --a=-0.75 --b=2.125`
+  *_process_cpu_s    user plus system CPU time of the fresh process of each *_process_s row
 
 Each of the four runner layers runs the distinct runners of its checks
 (RUNNER_CHECKS), looked up by check name in the timed tree's CHECKS, so
@@ -78,6 +89,7 @@ import contextlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -91,18 +103,23 @@ LAUNCHER = ROOT / "perfbench" / "launch.py"
 ORDERS = range(1, 65)
 CONVERGE_ARGV = ["converge", "--function", "expcos", "--N", ",".join(map(str, ORDERS))]
 SPECTRUM_ARGV = ["spectrum", "--function", "expcos", "--n", "4096"]
+# the paper's largest admitted grid
+VERIFY_65536_ARGV = ["verify", "--grid-sizes", "65536"]
 # Row name -> the gridfourier command whose max RSS it records.
 RSS_COMMANDS = {
     "verify_rss_mb": ["verify"],
+    "verify_65536_rss_mb": VERIFY_65536_ARGV,
     "converge_rss_mb": CONVERGE_ARGV,
     "spectrum_rss_mb": SPECTRUM_ARGV,
     "rescale_rss_mb": ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period",
                        "--N", "8159"],
 }
 # Row name -> the gridfourier command whose wall time as a fresh process it
-# records: one op of each perfbench workload, with a fixed seed and interval.
+# records: one op of each perfbench workload, with a fixed seed and interval,
+# and the largest grid.  Each also gets a *_process_cpu_s row.
 PROCESS_COMMANDS = {
     "verify_process_s": ["verify"],
+    "verify_65536_process_s": VERIFY_65536_ARGV,
     "converge_process_s": CONVERGE_ARGV,
     "spectrum_process_s": SPECTRUM_ARGV,
     "rescale_process_s": ["rescale-demo", "--function", "exp-cos-period", "--N", "64",
@@ -212,11 +229,12 @@ def _child(layer: str) -> None:
 
 
 def _launch(args: list[str], env: dict, tmp: str) -> dict:
-    """``{"seconds", "code", "maxrss_kib"}`` of one fresh ``python -m gridfourier ARGS``.
+    """``{"seconds", "code", "maxrss_kib", "cpu_s"}`` of one fresh ``python -m gridfourier ARGS``.
 
     The command is spawned by perfbench/launch.py, which stays far below
     it, because Linux charges a new process with the peak RSS of the
-    process it was forked from.
+    process it was forked from.  ``cpu_s`` is the user plus system time of
+    the launcher and the command, which the launcher waits for.
     """
     request = {
         "cmd": [sys.executable, "-m", "gridfourier", *args],
@@ -225,10 +243,13 @@ def _launch(args: list[str], env: dict, tmp: str) -> dict:
         "err": os.path.join(tmp, "launch.err"),
         "timeout": 600,
     }
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     out = subprocess.run([sys.executable, "-I", "-S", str(LAUNCHER)], env=env,
                          input=json.dumps(request) + "\n", capture_output=True, text=True,
                          check=True).stdout
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     reply = json.loads(out)
+    reply["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     if reply["code"] != 0:
         raise RuntimeError(f"{args[0]} exited {reply['code']}: {Path(request['err']).read_text()}")
     return reply
@@ -254,12 +275,16 @@ def _measure(srcs: dict, runs: int, tmp: str) -> dict:
             for tree in order:
                 rounds[tree][-1][name] = _launch(args, envs[tree], tmp)["maxrss_kib"] / 1024.0
         for name, args in PROCESS_COMMANDS.items():
-            seconds = {tree: [] for tree in order}
+            replies = {tree: [] for tree in order}
             for _ in range(PROCESS_REPEATS):
                 for tree in order:
-                    seconds[tree].append(_launch(args, envs[tree], tmp)["seconds"])
+                    replies[tree].append(_launch(args, envs[tree], tmp))
             for tree in order:
-                rounds[tree][-1][name] = statistics.median(seconds[tree])
+                row = rounds[tree][-1]
+                row[name] = statistics.median(r["seconds"] for r in replies[tree])
+                # verify_process_s -> verify_process_cpu_s
+                row[name.removesuffix("_s") + "_cpu_s"] = statistics.median(
+                    r["cpu_s"] for r in replies[tree])
         order.reverse()
     # round 0 warmed the file cache
     return {
@@ -268,9 +293,36 @@ def _measure(srcs: dict, runs: int, tmp: str) -> dict:
     }
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+def _git(*args: str, cwd: Path = ROOT, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, env=env, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def _working_tree(index: Path, repo: Path = ROOT) -> str:
+    """The git tree id of HEAD with ``src/`` as it stands in repo's working tree.
+
+    Untracked files under ``src/`` count, ignored ones do not.  The tree is
+    written through the throwaway index file ``index``, so repo's own index
+    and working tree are left as they are.
+    """
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    _git("read-tree", "HEAD", cwd=repo, env=env)
+    _git("add", "--all", "--", "src", cwd=repo, env=env)
+    return _git("write-tree", cwd=repo, env=env)
+
+
+def _snapshot(tree: str, dest: Path, repo: Path = ROOT) -> Path:
+    """Extract ``src`` of the git tree id ``tree`` into dest and byte-compile it; its path.
+
+    Nothing edits the copy, so its ``.pyc`` files stay current for the run.
+    """
+    dest.mkdir()
+    archive = dest / "src.tar"
+    _git("archive", "--output", str(archive), tree, "src", cwd=repo)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    compileall.compile_dir(dest / "src", quiet=1)
+    return dest / "src"
 
 
 def main(argv: list[str]) -> int:
@@ -288,21 +340,14 @@ def main(argv: list[str]) -> int:
 
     import numpy as np
 
-    trees = {"change": {"sha": _git("rev-parse", "HEAD"),
-                        "src_modified": bool(_git("status", "--porcelain", "--", "src"))}}
-    srcs = {}
     with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        # both trees are fixed before anything is timed
+        trees = {"change": _working_tree(tmp / "index")}
         if args.parent:
-            trees["parent"] = {"sha": _git("rev-parse", args.parent)}
-            archive = Path(tmp) / "parent.tar"
-            _git("archive", "--output", str(archive), trees["parent"]["sha"], "src")
-            with tarfile.open(archive) as tar:
-                tar.extractall(tmp, filter="data")
-            srcs["parent"] = Path(tmp) / "src"
-        srcs["change"] = ROOT / "src"
-        for src in srcs.values():
-            compileall.compile_dir(src / "gridfourier", quiet=1)
-        results = _measure(srcs, args.runs, tmp)
+            trees["parent"] = _git("rev-parse", f"{args.parent}^{{tree}}")
+        srcs = {side: _snapshot(tree, tmp / side) for side, tree in trees.items()}
+        results = _measure(srcs, args.runs, str(tmp))
 
     layers = {}
     for name in results["change"]:
@@ -317,14 +362,13 @@ def main(argv: list[str]) -> int:
                       "tree and each other in-process layer in a fresh interpreter of its own "
                       "per tree, the two trees back to back layer by layer, after one warm-up "
                       f"call, over as many calls as fill {MIN_ROUND_S} s "
-                      "(import_numpy, import_own and verify_first once; verify_rss_mb, "
-                      "converge_rss_mb, spectrum_rss_mb and rescale_rss_mb are the max RSS in "
-                      "MB of one fresh verify, one fresh converge --N 1..64, one fresh "
-                      "spectrum --n 4096 and one fresh rescale-demo --N 8159; each "
-                      "*_process_s row is the median wall time of "
-                      f"{PROCESS_REPEATS} fresh processes of that command per round), both "
-                      "trees byte-compiled before round 0, and the tree that goes first "
-                      "flips each round"),
+                      "(import_numpy, import_own and verify_first once; each *_rss_mb row "
+                      "is the max RSS in MB of one fresh process of its command; each "
+                      "*_process_s and *_process_cpu_s row is the median wall and user plus "
+                      f"system CPU time of {PROCESS_REPEATS} fresh processes of that command "
+                      "per round), each tree a git archive copy of the tree id it is named "
+                      "by, byte-compiled before round 0, and the tree that goes first flips "
+                      "each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),

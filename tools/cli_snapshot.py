@@ -170,6 +170,11 @@ ARGVS = (
     # a largest order whose 4097 phase cells per point pass the 2^12 of a
     # column chunk, so that each chunk holds the 1 point it must
     ["converge", "--function", "expcos", "--samples", "64", "--N", "4094,4095,4096"],
+    # the largest grid, where dft_identity_2 fails on the FFT's rounding of
+    # the second difference, and a one-point grid, where the limit checks
+    # fail their fixed budget (ROADMAP items 6 and 10); both exit 1
+    ["verify", "--grid-sizes", "65536", "--seed", "9"],
+    ["verify", "--grid-sizes", "1"],
 )
 
 
