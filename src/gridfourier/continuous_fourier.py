@@ -404,7 +404,8 @@ def rescale(
     L = b - a
     fa = complex(f(a))
     fb = complex(f(b))
-    if abs(fa - fb) > 1e-12:
+    # `not <=`, so that a NaN gap (NaN, or inf at both ends) is refused
+    if not abs(fa - fb) <= 1e-12:
         raise ValueError(f"f(a) != f(b): |{fa} - {fb}| = {abs(fa - fb):.3e}")
 
     def to_x(t):

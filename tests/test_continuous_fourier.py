@@ -389,6 +389,13 @@ def test_rescale_rejects_non_finite_interval(a, b):
         rescale(lambda x: 1.0, a, b)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_rescale_refuses_non_finite_endpoint_values(value):
+    # f(a) - f(b) is NaN here, so only a test that NaN fails can refuse it
+    with pytest.raises(ValueError, match=r"f\(a\) != f\(b\)"):
+        rescale(lambda x: value, 0.0, 1.0)
+
+
 @pytest.mark.parametrize(
     "a, b",
     [(0, 10**400), (10**400, 10**400 + 1), ("0", "1"), (None, 1.0), (0.0, 1 + 0j), (False, True)],

@@ -3,13 +3,14 @@
 Usage:  python tools/bench_layers.py [--parent REV] [--runs K] [--out FILE]
 
 Measures the gridfourier of this checkout and, with ``--parent``, the
-one of git revision REV.  Each tree is named by a git tree id, fixed when
-the run starts, and timed from a ``git archive`` copy of its ``src`` in a
-temporary directory.  This checkout's tree is HEAD with ``src/`` as it
-stands in the working tree, untracked files included and ignored ones
-not; it is written through a throwaway index, so the checkout's own index
-is untouched, and an edit made during the run reaches no timed tree.
-REV's tree is ``REV^{tree}``.  Both copies are byte-compiled first
+one of git revision REV.  Each tree is named by the git tree id of its
+``src``, fixed when the run starts, and timed from a ``git archive`` copy
+of that tree in a temporary directory.  This checkout's tree is ``src/``
+as it stands in the working tree, untracked files included and ignored
+ones not; it is written through a throwaway index, so the checkout's own
+index is untouched, an edit made during the run reaches no timed tree,
+and once the tree is committed its id is the commit's ``REV:src``.
+REV's tree is ``REV:src``.  Both copies are byte-compiled first
 (``compileall``), so that the import layers time loading, not the
 compilation of a tree without current ``.pyc`` files.  Every layer, the
 import floor included, is timed in one loop of K + 1 rounds (K defaults
@@ -27,14 +28,15 @@ round, so a drift of the host speed reaches both trees alike:
   called until MIN_ROUND_S seconds have passed, at least once, and its
   time is the elapsed time over the number of calls, so a layer far below
   a millisecond is timed over many calls;
-- five commands for their max RSS (the *_rss_mb rows), and the four
-  commands of the benchmark's workloads and ``verify --grid-sizes 65536``
-  as fresh processes, for their wall time from spawn to exit (the
-  *_process_s rows) and their user plus system CPU time (the
-  *_process_cpu_s rows), each the median of PROCESS_REPEATS = 5
-  processes.  Each goes through ``perfbench/launch.py``, a numpy-free
-  process whose only child is that command; the CPU rows include the
-  launcher's own, about 10 ms, read from ``RUSAGE_CHILDREN``.
+- each command of COMMANDS, in turn: PROCESS_REPEATS = 5 fresh processes
+  per tree, whose medians give the command's three rows, its wall time
+  from spawn to exit, its user plus system CPU time and its max RSS.
+
+Every one of these processes, the import and layer interpreters
+included, is started by ``_launch`` through ``perfbench/launch.py``, a
+numpy-free process that spawns it and nothing else, so its max RSS is its
+own; the CPU rows include the launcher's own, about 10 ms, read from
+``RUSAGE_CHILDREN``.
 
 Round 0 warms the file cache and is dropped; every layer keeps the
 median of the other K rounds.  The JSON on stdout, or
@@ -46,11 +48,6 @@ Layers:
   import_numpy       import numpy, first thing in the interpreter
   import_own         import gridfourier.cli, right after numpy: gridfourier's own share
   verify_first       the first run_lemma_suite(SuiteConfig()), with the imports it triggers
-  verify_rss_mb      max RSS in MB of a fresh `python -m gridfourier verify` (not seconds)
-  verify_65536_rss_mb max RSS in MB of a fresh `python -m gridfourier verify --grid-sizes 65536`
-                     (not seconds)
-  converge_rss_mb    max RSS in MB of a fresh `python -m gridfourier converge --function expcos
-                     --N 1,2,...,64` (not seconds)
   random_inputs      the 112 random grid functions of the default verify suite
   m_test_majorants   m_test_majorants(H, 1..64), H of expcos
   sup_errors         sup_errors(expcos, 1..64) at the default 2048 samples
@@ -62,20 +59,16 @@ Layers:
   dft_identities     the dft_identity runner on the default verify suite
   spectrum_rows      run_spectrum_decay("expcos", 4096)
   spectrum_text      the whole `spectrum --function expcos --n 4096` table, in process, to devnull
-  spectrum_rss_mb    max RSS in MB of a fresh `python -m gridfourier spectrum --function expcos
-                     --n 4096` (not seconds)
-  rescale_rss_mb     max RSS in MB of a fresh `python -m gridfourier rescale-demo --a 0 --b 3
-                     --function exp-cos-period --N 8159` (not seconds)
   verify_suite       run_lemma_suite(SuiteConfig()), the default verify in process
-  verify_process_s   wall time of a fresh `python -m gridfourier verify`, start and exit included
-  verify_65536_process_s wall time of a fresh `python -m gridfourier verify --grid-sizes 65536`
-  converge_process_s wall time of a fresh `python -m gridfourier converge --function expcos
-                     --N 1,2,...,64`
-  spectrum_process_s wall time of a fresh `python -m gridfourier spectrum --function expcos
-                     --n 4096`
-  rescale_process_s  wall time of a fresh `python -m gridfourier rescale-demo --function
-                     exp-cos-period --N 64 --a=-0.75 --b=2.125`
-  *_process_cpu_s    user plus system CPU time of the fresh process of each *_process_s row
+  <stem>_process_s, <stem>_process_cpu_s, <stem>_rss_mb
+                     wall time (start and exit included), CPU time and max RSS in MB (not
+                     seconds) of a fresh `python -m gridfourier ARGS`, for each stem:
+    verify           verify
+    verify_65536     verify --grid-sizes 65536
+    converge         converge --function expcos --N 1,2,...,64
+    spectrum         spectrum --function expcos --n 4096
+    rescale_64       rescale-demo --function exp-cos-period --N 64 --a=-0.75 --b=2.125
+    rescale_8159     rescale-demo --a 0 --b 3 --function exp-cos-period --N 8159
 
 Each of the four runner layers runs the distinct runners of its checks
 (RUNNER_CHECKS), looked up by check name in the timed tree's CHECKS, so
@@ -98,36 +91,29 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+TOOL = Path(__file__).resolve()
+ROOT = TOOL.parent.parent
 LAUNCHER = ROOT / "perfbench" / "launch.py"
 ORDERS = range(1, 65)
 CONVERGE_ARGV = ["converge", "--function", "expcos", "--N", ",".join(map(str, ORDERS))]
 SPECTRUM_ARGV = ["spectrum", "--function", "expcos", "--n", "4096"]
-# the paper's largest admitted grid
-VERIFY_65536_ARGV = ["verify", "--grid-sizes", "65536"]
-# Row name -> the gridfourier command whose max RSS it records.
-RSS_COMMANDS = {
-    "verify_rss_mb": ["verify"],
-    "verify_65536_rss_mb": VERIFY_65536_ARGV,
-    "converge_rss_mb": CONVERGE_ARGV,
-    "spectrum_rss_mb": SPECTRUM_ARGV,
-    "rescale_rss_mb": ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period",
-                       "--N", "8159"],
+# Row stem -> the gridfourier command whose fresh processes give the rows
+# <stem>_process_s, <stem>_process_cpu_s and <stem>_rss_mb: one op of each
+# perfbench workload, with a fixed seed and interval, the paper's largest
+# admitted grid, and the largest grid that rescale-demo samples.
+COMMANDS = {
+    "verify": ["verify"],
+    "verify_65536": ["verify", "--grid-sizes", "65536"],
+    "converge": CONVERGE_ARGV,
+    "spectrum": SPECTRUM_ARGV,
+    "rescale_64": ["rescale-demo", "--function", "exp-cos-period", "--N", "64", "--a=-0.75",
+                   "--b=2.125"],
+    "rescale_8159": ["rescale-demo", "--a", "0", "--b", "3", "--function", "exp-cos-period",
+                     "--N", "8159"],
 }
-# Row name -> the gridfourier command whose wall time as a fresh process it
-# records: one op of each perfbench workload, with a fixed seed and interval,
-# and the largest grid.  Each also gets a *_process_cpu_s row.
-PROCESS_COMMANDS = {
-    "verify_process_s": ["verify"],
-    "verify_65536_process_s": VERIFY_65536_ARGV,
-    "converge_process_s": CONVERGE_ARGV,
-    "spectrum_process_s": SPECTRUM_ARGV,
-    "rescale_process_s": ["rescale-demo", "--function", "exp-cos-period", "--N", "64",
-                          "--a=-0.75", "--b=2.125"],
-}
-# Fresh processes of one PROCESS_COMMANDS command per tree and round, whose
-# median is the round's time.  One process's wall time spreads by tens of
-# milliseconds on a shared host, as much as a change of its exit can save.
+# Fresh processes of one command per tree and round, whose medians are the
+# round's rows.  One process's wall time spreads by tens of milliseconds on
+# a shared host, as much as a change of its exit can save.
 PROCESS_REPEATS = 5
 # Least time spent in one layer per round; each import is timed once.
 MIN_ROUND_S = 0.1
@@ -228,8 +214,8 @@ def _child(layer: str) -> None:
     print(json.dumps({layer: (time.perf_counter() - start) / calls}))
 
 
-def _launch(args: list[str], env: dict, tmp: str) -> dict:
-    """``{"seconds", "code", "maxrss_kib", "cpu_s"}`` of one fresh ``python -m gridfourier ARGS``.
+def _launch(cmd: list[str], env: dict, tmp: str) -> dict:
+    """``{"seconds", "code", "maxrss_kib", "cpu_s", "stdout"}`` of one fresh process of cmd.
 
     The command is spawned by perfbench/launch.py, which stays far below
     it, because Linux charges a new process with the peak RSS of the
@@ -237,7 +223,7 @@ def _launch(args: list[str], env: dict, tmp: str) -> dict:
     the launcher and the command, which the launcher waits for.
     """
     request = {
-        "cmd": [sys.executable, "-m", "gridfourier", *args],
+        "cmd": cmd,
         "cwd": tmp,
         "out": os.path.join(tmp, "launch.out"),
         "err": os.path.join(tmp, "launch.err"),
@@ -251,7 +237,9 @@ def _launch(args: list[str], env: dict, tmp: str) -> dict:
     reply = json.loads(out)
     reply["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     if reply["code"] != 0:
-        raise RuntimeError(f"{args[0]} exited {reply['code']}: {Path(request['err']).read_text()}")
+        raise RuntimeError(f"{' '.join(cmd)} exited {reply['code']}: "
+                           f"{Path(request['err']).read_text()}")
+    reply["stdout"] = Path(request["out"]).read_text()
     return reply
 
 
@@ -267,24 +255,21 @@ def _measure(srcs: dict, runs: int, tmp: str) -> dict:
         # that the host's drift over a round does not fall on one tree
         for layer in (IMPORTS, *IN_PROCESS_LAYERS):
             for tree in order:
-                out = subprocess.run([sys.executable, __file__, "--child", layer],
-                                     env=envs[tree], capture_output=True, text=True,
-                                     check=True).stdout
-                rounds[tree][-1].update(json.loads(out.splitlines()[-1]))
-        for name, args in RSS_COMMANDS.items():
-            for tree in order:
-                rounds[tree][-1][name] = _launch(args, envs[tree], tmp)["maxrss_kib"] / 1024.0
-        for name, args in PROCESS_COMMANDS.items():
+                reply = _launch([sys.executable, str(TOOL), "--child", layer], envs[tree], tmp)
+                rounds[tree][-1].update(json.loads(reply["stdout"]))
+        for stem, args in COMMANDS.items():
             replies = {tree: [] for tree in order}
             for _ in range(PROCESS_REPEATS):
                 for tree in order:
-                    replies[tree].append(_launch(args, envs[tree], tmp))
-            for tree in order:
-                row = rounds[tree][-1]
-                row[name] = statistics.median(r["seconds"] for r in replies[tree])
-                # verify_process_s -> verify_process_cpu_s
-                row[name.removesuffix("_s") + "_cpu_s"] = statistics.median(
-                    r["cpu_s"] for r in replies[tree])
+                    replies[tree].append(
+                        _launch([sys.executable, "-m", "gridfourier", *args], envs[tree], tmp))
+            for tree, runs_of_tree in replies.items():
+                rounds[tree][-1].update({
+                    f"{stem}_process_s": statistics.median(r["seconds"] for r in runs_of_tree),
+                    f"{stem}_process_cpu_s": statistics.median(r["cpu_s"] for r in runs_of_tree),
+                    f"{stem}_rss_mb": statistics.median(
+                        r["maxrss_kib"] for r in runs_of_tree) / 1024.0,
+                })
         order.reverse()
     # round 0 warmed the file cache
     return {
@@ -299,26 +284,26 @@ def _git(*args: str, cwd: Path = ROOT, env: dict | None = None) -> str:
 
 
 def _working_tree(index: Path, repo: Path = ROOT) -> str:
-    """The git tree id of HEAD with ``src/`` as it stands in repo's working tree.
+    """The git tree id of ``src/`` as it stands in repo's working tree.
 
     Untracked files under ``src/`` count, ignored ones do not.  The tree is
     written through the throwaway index file ``index``, so repo's own index
-    and working tree are left as they are.
+    and working tree are left as they are; once that ``src/`` is committed,
+    the id is the commit's ``REV:src``.
     """
     env = {**os.environ, "GIT_INDEX_FILE": str(index)}
-    _git("read-tree", "HEAD", cwd=repo, env=env)
     _git("add", "--all", "--", "src", cwd=repo, env=env)
-    return _git("write-tree", cwd=repo, env=env)
+    return _git("write-tree", "--prefix=src/", cwd=repo, env=env)
 
 
 def _snapshot(tree: str, dest: Path, repo: Path = ROOT) -> Path:
-    """Extract ``src`` of the git tree id ``tree`` into dest and byte-compile it; its path.
+    """Extract the ``src`` tree id ``tree`` into dest/src and byte-compile it; its path.
 
     Nothing edits the copy, so its ``.pyc`` files stay current for the run.
     """
     dest.mkdir()
     archive = dest / "src.tar"
-    _git("archive", "--output", str(archive), tree, "src", cwd=repo)
+    _git("archive", "--output", str(archive), "--prefix=src/", tree, cwd=repo)
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     compileall.compile_dir(dest / "src", quiet=1)
@@ -345,7 +330,7 @@ def main(argv: list[str]) -> int:
         # both trees are fixed before anything is timed
         trees = {"change": _working_tree(tmp / "index")}
         if args.parent:
-            trees["parent"] = _git("rev-parse", f"{args.parent}^{{tree}}")
+            trees["parent"] = _git("rev-parse", f"{args.parent}:src")
         srcs = {side: _snapshot(tree, tmp / side) for side, tree in trees.items()}
         results = _measure(srcs, args.runs, str(tmp))
 
@@ -362,13 +347,12 @@ def main(argv: list[str]) -> int:
                       "tree and each other in-process layer in a fresh interpreter of its own "
                       "per tree, the two trees back to back layer by layer, after one warm-up "
                       f"call, over as many calls as fill {MIN_ROUND_S} s "
-                      "(import_numpy, import_own and verify_first once; each *_rss_mb row "
-                      "is the max RSS in MB of one fresh process of its command; each "
-                      "*_process_s and *_process_cpu_s row is the median wall and user plus "
-                      f"system CPU time of {PROCESS_REPEATS} fresh processes of that command "
-                      "per round), each tree a git archive copy of the tree id it is named "
-                      "by, byte-compiled before round 0, and the tree that goes first flips "
-                      "each round"),
+                      "(import_numpy, import_own and verify_first once; the *_process_s, "
+                      "*_process_cpu_s and *_rss_mb rows of a command are the median wall "
+                      "time, user plus system CPU time and max RSS in MB of the same "
+                      f"{PROCESS_REPEATS} fresh processes of it per round), each tree a git "
+                      "archive copy of the src tree id it is named by, byte-compiled before "
+                      "round 0, and the tree that goes first flips each round"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
